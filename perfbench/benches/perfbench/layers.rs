@@ -161,12 +161,10 @@ impl Layers {
             "driver.filter_share",
             ratio(device.seconds("filter."), wall),
         );
-        let host = if wall > 0.0 {
-            (wall - device.total_seconds()) / wall
-        } else {
-            0.0
-        };
-        self.set("driver.host_share", host);
+        self.set(
+            "driver.host_share",
+            ratio(wall - device.total_seconds(), wall),
+        );
         self.set_job_counts(tally);
         self.set_device(device, tally);
     }
@@ -203,8 +201,8 @@ impl Layers {
     }
 
     /// Service-layer readings: the clients' submit and overhead timings
-    /// (under `prefix`, `service` or `remote`) and the services' own
-    /// counters over the timed phase.
+    /// (as `remote.*` for the distributed front-end, else `service.*`) and
+    /// the services' own counters over the timed phase.
     pub fn set_service(
         &mut self,
         tally: &Tally,

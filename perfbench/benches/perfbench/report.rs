@@ -23,9 +23,9 @@ fn num(v: f64) -> String {
 }
 
 /// The end-to-end metrics of an untraced run, in catalogue order.
-fn end_to_end(outcome: &Outcome) -> Vec<f64> {
+fn end_to_end(outcome: &Outcome) -> [f64; END_TO_END.len()] {
     let tally = &outcome.tally;
-    let values = [
+    [
         median(&outcome.setup_s),
         median(&tally.blocks_s),
         ratio(tally.completed as f64, outcome.timed_s),
@@ -33,9 +33,7 @@ fn end_to_end(outcome: &Outcome) -> Vec<f64> {
         median(&tally.tails_ms),
         1.0 - ratio(tally.failed as f64, tally.attempted as f64),
         outcome.rss_mib,
-    ];
-    debug_assert_eq!(values.len(), END_TO_END.len());
-    values.to_vec()
+    ]
 }
 
 /// The commit the benchmark was built from, read from the repository's

@@ -199,12 +199,18 @@ impl Tally {
         self.tails_ms.extend(other.tails_ms);
     }
 
+    /// Record the tail percentile of the current tail block and empty it.
+    fn close_tail_block(&mut self) {
+        let p = tail_percentile(self.tail_block.len() as u64);
+        self.tails_ms.push(quantile(&self.tail_block, p / 100.0));
+        self.tail_block.clear();
+    }
+
     /// Close one client's tally: a client that never filled a tail block
     /// contributes the tail of all its jobs.
     fn finish(&mut self) {
         if self.tails_ms.is_empty() && !self.tail_block.is_empty() {
-            let p = tail_percentile(self.tail_block.len() as u64);
-            self.tails_ms.push(quantile(&self.tail_block, p / 100.0));
+            self.close_tail_block();
         }
         self.tail_block = Vec::new();
     }
@@ -224,9 +230,7 @@ impl Tally {
             self.latency.record(latency);
             self.tail_block.push(latency.as_secs_f64() * 1e3);
             if self.tail_block.len() == TAIL_BLOCK {
-                let p = tail_percentile(TAIL_BLOCK as u64);
-                self.tails_ms.push(quantile(&self.tail_block, p / 100.0));
-                self.tail_block.clear();
+                self.close_tail_block();
             }
         }
         self.overhead
@@ -333,13 +337,11 @@ impl Front<'_> {
     }
 }
 
-/// When a client stops sending.
+/// When a client stops sending, if its job source has not run dry first.
 #[derive(Clone, Copy)]
 enum Stop {
-    /// At this instant (or when its job source runs dry).
+    /// At this instant.
     At(Instant),
-    /// When its job source runs dry.
-    Drained,
     /// After this many jobs.
     After(u64),
 }
@@ -386,7 +388,6 @@ fn run_client(
     for k in 0u64.. {
         let stop = match lp.stop {
             Stop::At(end) => now >= end,
-            Stop::Drained => false,
             Stop::After(n) => k >= n,
         };
         if stop {
@@ -640,9 +641,10 @@ fn paper_solve(args: &Args) -> Outcome {
     let device_before = lane.snapshot();
     let metrics_before = [service.metrics()];
     let (tracing, epoch) = tracing_from(args, true);
+    // The source ends the run at the first pass boundary past the end.
     let lp = Loop {
         front: Front::Local(&service),
-        stop: Stop::Drained,
+        stop: Stop::After(u64::MAX),
         tracing,
         block: n,
         sample_every: 0,
@@ -958,7 +960,7 @@ fn remote_mix(args: &Args) -> Outcome {
         checks,
         layers,
         spans,
-        device_threads: vec![1, 1],
+        device_threads: vec![lane_device_config().worker_threads.unwrap_or(1); 2],
     }
 }
 
