@@ -67,6 +67,13 @@ const CACHE_WARMUP_HITS: u64 = 4_000;
 /// hold 65 530 maps: at 25 s the cap is 40 000 jobs, about 20 000 (40 000
 /// maps) per worker.  A client that reaches its share stops early.
 const REMOTE_JOBS_PER_SECOND: u64 = 1_600;
+/// service_mix sends at most this many jobs per second of run.  The
+/// services' cost model keeps one bucket per integrand name, so with unique
+/// integrands its table grows by a job at a time and doubles at 114 688
+/// entries, a 16 MiB step in peak RSS; at 25 s the cap (100 000 jobs) keeps
+/// every run on one side of it.  A client that reaches its share stops
+/// early.
+const MIX_JOBS_PER_SECOND: u64 = 4_000;
 /// Jobs per `solve_s` block of the service workloads, per client.
 const MIX_BLOCK: u64 = 256;
 const CACHE_BLOCK: u64 = 8_192;
@@ -729,9 +736,9 @@ fn service_mix(args: &Args) -> Outcome {
         block: MIX_BLOCK,
         sample_every: 0,
     };
-    let (tally, mut spans, timed_s) = run_clients(&lp, |c| {
-        stream_source(JobStream::MIX, args.seed, c, u64::MAX)
-    });
+    let limit = MIX_JOBS_PER_SECOND * args.seconds.as_secs().max(1);
+    let (tally, mut spans, timed_s) =
+        run_clients(&lp, |c| stream_source(JobStream::MIX, args.seed, c, limit));
     let deltas: Vec<DeviceSnap> = lanes
         .iter()
         .zip(&before)
