@@ -1,6 +1,6 @@
-//! The run's output: a context line with provenance, then the result line
-//! the contract asks for, last on stdout.  A traced run also writes its
-//! spans as JSON lines beside the benchmark.
+//! The run's output: a context line with provenance, then the result line,
+//! last on stdout.  A traced run also writes its spans as JSON lines beside
+//! the benchmark.
 
 use std::fmt::Write as _;
 use std::io::Write as _;
