@@ -33,8 +33,6 @@ pub struct Args {
     pub trace: bool,
     /// Internal: `worker` re-executes this binary as a remote_mix worker.
     role: Option<String>,
-    /// Internal: jobs a worker registers.
-    jobs: u64,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -44,7 +42,6 @@ fn parse_args() -> Result<Args, String> {
         seconds: Duration::from_secs(10),
         trace: false,
         role: None,
-        jobs: 0,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -69,7 +66,6 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--role" => args.role = Some(value),
-            "--jobs" => args.jobs = value.parse().map_err(|_| bad("an integer"))?,
             _ => return Err(format!("unknown argument {flag}")),
         }
     }
@@ -85,7 +81,7 @@ fn main() -> ExitCode {
         }
     };
     if args.role.as_deref() == Some("worker") {
-        return remote::worker_main(args.seed, args.jobs);
+        return remote::worker_main(args.seed);
     }
     let Some(workload) = Workload::parse(&args.workload) else {
         eprintln!(

@@ -10,7 +10,7 @@ use pagani_device::Device;
 use pagani_perfbench::JobStream;
 
 use crate::workloads::{
-    genz_config, lane_device_config, MIX_CACHE_BYTES, REMOTE_WARMUP_JOBS, WARMUP_SEED,
+    genz_config, lane_device_config, MIX_CACHE_BYTES, REMOTE_JOBS, REMOTE_WARMUP_JOBS, WARMUP_SEED,
 };
 
 /// Peak resident set (VmHWM) of this process in KiB, from procfs.
@@ -25,9 +25,9 @@ pub fn vm_hwm_kib() -> Option<u64> {
 /// Worker role: rebuild the job registry from the seed, serve on an
 /// OS-assigned loopback port (announced on stdout), and when the front-end
 /// closes stdin shut down and report this process's peak RSS.
-pub fn worker_main(seed: u64, jobs: u64) -> ExitCode {
+pub fn worker_main(seed: u64) -> ExitCode {
     let registry = IntegrandRegistry::new();
-    JobStream::REMOTE.register(&registry, seed, jobs);
+    JobStream::REMOTE.register(&registry, seed, REMOTE_JOBS);
     JobStream::REMOTE_WARMUP.register(&registry, WARMUP_SEED, REMOTE_WARMUP_JOBS);
     let worker = match RemoteWorker::bind(
         "127.0.0.1:0",
@@ -72,11 +72,10 @@ pub struct WorkerProc {
 
 impl WorkerProc {
     /// Start a worker process; its address is read by [`WorkerProc::addr`].
-    pub fn start(seed: u64, jobs: u64) -> std::io::Result<Self> {
+    pub fn start(seed: u64) -> std::io::Result<Self> {
         let mut child = Command::new(std::env::current_exe()?)
             .args(["--role", "worker"])
             .args(["--seed", &seed.to_string()])
-            .args(["--jobs", &jobs.to_string()])
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .spawn()?;

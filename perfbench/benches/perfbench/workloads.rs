@@ -27,14 +27,21 @@ use crate::trace::SpanLog;
 use crate::Args;
 
 /// Set-ups per run; `setup_s` is their median.
-const SETUP_REPS: usize = 3;
+const SETUP_REPS: usize = 5;
 /// Closed-loop client threads of the service workloads.
 const CLIENTS: u64 = 2;
-/// Deadline of every Genz job: generous (the slowest Genz job computes in
-/// about 20 ms), so admission runs on every job but never refuses one.  A
-/// service keeps each job's deadline entry, and a little of its state, until
-/// the deadline passes, so this also bounds that memory.
+/// Deadline of every job that computes: generous (the slowest Genz job
+/// computes in about 20 ms), so admission runs on every job but never
+/// refuses one.  A service keeps each job's deadline entry, and the job's
+/// state, until the deadline passes, so this also bounds that memory.
 const DEADLINE: Duration = Duration::from_secs(2);
+/// Deadline of every cache_repeat request.  An exact hit is served in tens
+/// of microseconds, so this is still generous; it is short because the
+/// service keeps each job's state until its deadline passes.  With the 2 s
+/// of the cold jobs, those states made most of cache_repeat's peak RSS and
+/// grew with the request rate, so a faster service read as a memory
+/// regression.
+const HIT_DEADLINE: Duration = Duration::from_millis(250);
 /// Seed of every set-up's warm-up jobs and of cache_repeat's key set: the
 /// set-up does the same work whatever `--seed` is.
 pub const WARMUP_SEED: u64 = 0;
@@ -53,27 +60,31 @@ pub const MIX_CACHE_BYTES: usize = 8 << 20;
 /// Byte budget of cache_repeat's cache: it holds every key without
 /// evicting.
 const REPEAT_CACHE_BYTES: usize = 64 << 20;
-/// Cold warm-up jobs per service_mix set-up, split across the clients.
-const MIX_WARMUP_JOBS: u64 = 1_000;
+/// Cold warm-up jobs per service_mix set-up, split across the clients.  The
+/// warm-up is most of a set-up, and it is long enough (about half a second)
+/// that one slow moment of the host does not decide the set-up's time.
+const MIX_WARMUP_JOBS: u64 = 4_000;
 /// Cold warm-up jobs per remote_mix set-up, split across the clients.
-pub const REMOTE_WARMUP_JOBS: u64 = 1_000;
+pub const REMOTE_WARMUP_JOBS: u64 = 4_000;
 /// Distinct keys cache_repeat fills during set-up.
 const CACHE_KEYS: u64 = 512;
 /// Hit requests per cache_repeat set-up after the fill.
-const CACHE_WARMUP_HITS: u64 = 4_000;
-/// remote_mix sends at most this many jobs per second of run, and each
-/// worker registers that many.  A `RemoteWorker` keeps a finished thread,
-/// two memory maps, per served job until it shuts down, and a process may
-/// hold 65 530 maps: at 25 s the cap is 40 000 jobs, about 20 000 (40 000
-/// maps) per worker.  A client that reaches its share stops early.
-const REMOTE_JOBS_PER_SECOND: u64 = 1_600;
-/// service_mix sends at most this many jobs per second of run.  The
-/// services' cost model keeps one bucket per integrand name, so with unique
+const CACHE_WARMUP_HITS: u64 = 40_000;
+/// remote_mix sends at most this many timed jobs per run, and each worker
+/// registers that many.  A `RemoteWorker` keeps a finished thread, two
+/// memory maps, per served job until it shuts down, and a process may hold
+/// 65 530 maps: with the warm-up, each worker serves about 17 000 jobs
+/// (34 000 maps).  A client that reaches its share stops early; at 20 s a
+/// run reaches the cap, and so measures a fixed amount of worker memory,
+/// whenever the host sustains 1 500 jobs per second.
+pub const REMOTE_JOBS: u64 = 30_000;
+/// service_mix sends at most this many timed jobs per run.  The services'
+/// cost model keeps one bucket per integrand name, so with unique
 /// integrands its table grows by a job at a time and doubles at 114 688
-/// entries, a 16 MiB step in peak RSS; at 25 s the cap (100 000 jobs) keeps
-/// every run on one side of it.  A client that reaches its share stops
-/// early.
-const MIX_JOBS_PER_SECOND: u64 = 4_000;
+/// entries, a 16 MiB step in peak RSS; with the warm-up's jobs, the cap
+/// keeps every run on one side of it.  A client that reaches its share
+/// stops early.
+const MIX_JOBS: u64 = 100_000;
 /// Jobs per `solve_s` block of the service workloads, per client.
 const MIX_BLOCK: u64 = 256;
 const CACHE_BLOCK: u64 = 8_192;
@@ -281,12 +292,12 @@ struct Check {
     rel_tol: f64,
 }
 
-fn genz_job(id: u64, spec: &JobSpec) -> Job {
+fn genz_job(id: u64, spec: &JobSpec, deadline: Duration) -> Job {
     Job {
         id,
         batch: BatchJob::shared(spec.integrand.clone())
             .with_priority(spec.priority)
-            .with_deadline(DEADLINE),
+            .with_deadline(deadline),
         check: Check {
             integrand: spec.integrand.clone(),
             reference: spec.integrand.reference_value(),
@@ -305,7 +316,7 @@ fn stream_source(
 ) -> impl FnMut(u64) -> Option<Job> {
     move |k| {
         let id = client + CLIENTS * k;
-        (id < limit).then(|| genz_job(id, &stream.job(seed, id)))
+        (id < limit).then(|| genz_job(id, &stream.job(seed, id), DEADLINE))
     }
 }
 
@@ -511,20 +522,31 @@ fn warm_up(front: Front<'_>, stream: JobStream, jobs: u64) {
     run_clients(&lp, |c| stream_source(stream, WARMUP_SEED, c, u64::MAX));
 }
 
-/// Set a deployment up [`SETUP_REPS`] times, timing each, and keep the
-/// last; earlier ones are torn down untimed before the next starts.
-fn set_up<D>(mut build: impl FnMut() -> D, mut teardown: impl FnMut(D)) -> (D, Vec<f64>) {
-    let mut seconds = Vec::with_capacity(SETUP_REPS);
-    let mut last = None;
-    for _ in 0..SETUP_REPS {
-        if let Some(previous) = last.take() {
-            teardown(previous);
-        }
-        let start = Instant::now();
-        last = Some(build());
-        seconds.push(start.elapsed().as_secs_f64());
+/// Set a deployment up once and time it.
+fn set_up<D>(build: &mut impl FnMut() -> D) -> (D, f64) {
+    let start = Instant::now();
+    let deployment = build();
+    (deployment, start.elapsed().as_secs_f64())
+}
+
+/// The run's set-up times: `first`, the set-up the timed phase used, then
+/// [`SETUP_REPS`]` - 1` more, each torn down untimed before the next.  The
+/// repeats come after the timed phase and after peak RSS is read, so both
+/// start from the memory of a single set-up: torn-down set-ups leave the
+/// allocator holding a different amount of freed memory on every run, and
+/// peak RSS moved by up to a fifth with it.
+fn repeat_set_up<D>(
+    first: f64,
+    mut build: impl FnMut() -> D,
+    mut teardown: impl FnMut(D),
+) -> Vec<f64> {
+    let mut seconds = vec![first];
+    for _ in 1..SETUP_REPS {
+        let (deployment, s) = set_up(&mut build);
+        seconds.push(s);
+        teardown(deployment);
     }
-    (last.expect("at least one set-up"), seconds)
+    seconds
 }
 
 fn tracing_from(args: &Args, blocks: bool) -> (Tracing, Instant) {
@@ -617,33 +639,31 @@ fn paper_solve(args: &Args) -> Outcome {
             })
         }
     };
-    let ((lane, service), setup_s) = set_up(
-        || {
-            let lane = LaneDevice::new(
-                DeviceConfig::v100_like()
-                    .with_memory_capacity(PAPER_DEVICE_BYTES)
-                    .with_worker_threads(threads),
-                args.trace,
-            );
-            // Every job carries its case's configuration as a method
-            // override; the service default is never used.
-            let service = ServiceBuilder::new(PaganiConfig::new(cases[0].tolerances()))
-                .device(lane.device.clone())
-                .workers(1)
-                .build();
-            // Warm-up: one pass, in the same order whatever the seed.
-            let lp = Loop {
-                front: Front::Local(&service),
-                stop: Stop::After(n),
-                tracing: Tracing::Off,
-                block: u64::MAX,
-                sample_every: 0,
-            };
-            run_client(&lp, 0, source(WARMUP_SEED, None));
-            (lane, service)
-        },
-        |(_, service)| service.shutdown(),
-    );
+    let mut build = || {
+        let lane = LaneDevice::new(
+            DeviceConfig::v100_like()
+                .with_memory_capacity(PAPER_DEVICE_BYTES)
+                .with_worker_threads(threads),
+            args.trace,
+        );
+        // Every job carries its case's configuration as a method override;
+        // the service default is never used.
+        let service = ServiceBuilder::new(PaganiConfig::new(cases[0].tolerances()))
+            .device(lane.device.clone())
+            .workers(1)
+            .build();
+        // Warm-up: one pass, in the same order whatever the seed.
+        let lp = Loop {
+            front: Front::Local(&service),
+            stop: Stop::After(n),
+            tracing: Tracing::Off,
+            block: u64::MAX,
+            sample_every: 0,
+        };
+        run_client(&lp, 0, source(WARMUP_SEED, None));
+        (lane, service)
+    };
+    let ((lane, service), first_setup_s) = set_up(&mut build);
 
     let device_before = lane.snapshot();
     let metrics_before = [service.metrics()];
@@ -660,6 +680,7 @@ fn paper_solve(args: &Args) -> Outcome {
     let timed_s = (finished - epoch).as_secs_f64();
     let device = lane.snapshot().since(&device_before);
     let metrics_after = [service.metrics()];
+    let rss_mib = self_rss_mib();
     service.shutdown();
 
     let mut layers = Layers::default();
@@ -689,10 +710,10 @@ fn paper_solve(args: &Args) -> Outcome {
         );
     }
     Outcome {
-        setup_s,
+        setup_s: repeat_set_up(first_setup_s, build, |(_, service)| service.shutdown()),
         timed_s,
         tally,
-        rss_mib: self_rss_mib(),
+        rss_mib,
         checks: Vec::new(),
         layers,
         spans,
@@ -705,26 +726,24 @@ fn paper_solve(args: &Args) -> Outcome {
 /// Two clients send cold Genz jobs to a two-lane, cost-balanced service with
 /// a result cache; every integrand is unique, so the cache only writes.
 fn service_mix(args: &Args) -> Outcome {
-    let ((lanes, cache, service), setup_s) = set_up(
-        || {
-            let lanes: Vec<LaneDevice> = (0..2)
-                .map(|_| LaneDevice::new(lane_device_config(), args.trace))
-                .collect();
-            let cache = Arc::new(ResultCache::new(MIX_CACHE_BYTES));
-            let service = ServiceBuilder::new(genz_config())
-                .devices(lanes.iter().map(|lane| lane.device.clone()))
-                .dispatch(DispatchMode::CostBalanced)
-                .cache(Arc::clone(&cache))
-                .build_multi();
-            warm_up(
-                Front::Multi(&service),
-                JobStream::MIX_WARMUP,
-                MIX_WARMUP_JOBS,
-            );
-            (lanes, cache, service)
-        },
-        |(_, _, service)| service.shutdown(),
-    );
+    let mut build = || {
+        let lanes: Vec<LaneDevice> = (0..2)
+            .map(|_| LaneDevice::new(lane_device_config(), args.trace))
+            .collect();
+        let cache = Arc::new(ResultCache::new(MIX_CACHE_BYTES));
+        let service = ServiceBuilder::new(genz_config())
+            .devices(lanes.iter().map(|lane| lane.device.clone()))
+            .dispatch(DispatchMode::CostBalanced)
+            .cache(Arc::clone(&cache))
+            .build_multi();
+        warm_up(
+            Front::Multi(&service),
+            JobStream::MIX_WARMUP,
+            MIX_WARMUP_JOBS,
+        );
+        (lanes, cache, service)
+    };
+    let ((lanes, cache, service), first_setup_s) = set_up(&mut build);
 
     let before: Vec<DeviceSnap> = lanes.iter().map(LaneDevice::snapshot).collect();
     let metrics_before = service.metrics();
@@ -736,15 +755,16 @@ fn service_mix(args: &Args) -> Outcome {
         block: MIX_BLOCK,
         sample_every: 0,
     };
-    let limit = MIX_JOBS_PER_SECOND * args.seconds.as_secs().max(1);
-    let (tally, mut spans, timed_s) =
-        run_clients(&lp, |c| stream_source(JobStream::MIX, args.seed, c, limit));
+    let (tally, mut spans, timed_s) = run_clients(&lp, |c| {
+        stream_source(JobStream::MIX, args.seed, c, MIX_JOBS)
+    });
     let deltas: Vec<DeviceSnap> = lanes
         .iter()
         .zip(&before)
         .map(|(lane, before)| lane.snapshot().since(before))
         .collect();
     let metrics_after = service.metrics();
+    let rss_mib = self_rss_mib();
     service.shutdown();
 
     let mut layers = Layers::default();
@@ -766,10 +786,10 @@ fn service_mix(args: &Args) -> Outcome {
         layers.set("trace.overhead", trace_overhead(&tally));
     }
     Outcome {
-        setup_s,
+        setup_s: repeat_set_up(first_setup_s, build, |(_, _, service)| service.shutdown()),
         timed_s,
         tally,
-        rss_mib: self_rss_mib(),
+        rss_mib,
         checks: Vec::new(),
         layers,
         spans,
@@ -803,35 +823,33 @@ fn cache_repeat(args: &Args) -> Outcome {
         let (keys, skew) = (&keys, &skew);
         move |_k: u64| {
             let key = skew.sample(&mut rng);
-            Some(genz_job(key as u64, &keys[key]))
+            Some(genz_job(key as u64, &keys[key], HIT_DEADLINE))
         }
     };
     let threads = nproc();
-    let ((lane, cache, service), setup_s) = set_up(
-        || {
-            let lane = LaneDevice::new(
-                lane_device_config().with_worker_threads(threads),
-                args.trace,
-            );
-            let cache = Arc::new(ResultCache::new(REPEAT_CACHE_BYTES));
-            let service = ServiceBuilder::new(genz_config())
-                .device(lane.device.clone())
-                .workers(2)
-                .cache(Arc::clone(&cache))
-                .build();
-            warm_up(Front::Local(&service), JobStream::KEYS, CACHE_KEYS);
-            let lp = Loop {
-                front: Front::Local(&service),
-                stop: Stop::After(CACHE_WARMUP_HITS / CLIENTS),
-                tracing: Tracing::Off,
-                block: u64::MAX,
-                sample_every: 0,
-            };
-            run_clients(&lp, |c| repeats(c + CLIENTS));
-            (lane, cache, service)
-        },
-        |(_, _, service)| service.shutdown(),
-    );
+    let mut build = || {
+        let lane = LaneDevice::new(
+            lane_device_config().with_worker_threads(threads),
+            args.trace,
+        );
+        let cache = Arc::new(ResultCache::new(REPEAT_CACHE_BYTES));
+        let service = ServiceBuilder::new(genz_config())
+            .device(lane.device.clone())
+            .workers(2)
+            .cache(Arc::clone(&cache))
+            .build();
+        warm_up(Front::Local(&service), JobStream::KEYS, CACHE_KEYS);
+        let lp = Loop {
+            front: Front::Local(&service),
+            stop: Stop::After(CACHE_WARMUP_HITS / CLIENTS),
+            tracing: Tracing::Off,
+            block: u64::MAX,
+            sample_every: 0,
+        };
+        run_clients(&lp, |c| repeats(c + CLIENTS));
+        (lane, cache, service)
+    };
+    let ((lane, cache, service), first_setup_s) = set_up(&mut build);
 
     let device_before = lane.snapshot();
     let metrics_before = [service.metrics()];
@@ -846,6 +864,7 @@ fn cache_repeat(args: &Args) -> Outcome {
     let (tally, mut spans, timed_s) = run_clients(&lp, repeats);
     let device = lane.snapshot().since(&device_before);
     let metrics_after = [service.metrics()];
+    let rss_mib = self_rss_mib();
     service.shutdown();
 
     let hits = metrics_after[0].cache_hits - metrics_before[0].cache_hits;
@@ -863,10 +882,10 @@ fn cache_repeat(args: &Args) -> Outcome {
         layers.set("trace.overhead", trace_overhead(&tally));
     }
     Outcome {
-        setup_s,
+        setup_s: repeat_set_up(first_setup_s, build, |(_, _, service)| service.shutdown()),
         timed_s,
         tally,
-        rss_mib: self_rss_mib(),
+        rss_mib,
         checks,
         layers,
         spans,
@@ -880,10 +899,9 @@ fn cache_repeat(args: &Args) -> Outcome {
 /// worker processes on loopback; the workers resolve jobs by name in a
 /// registry they rebuild from the seed.
 fn remote_mix(args: &Args) -> Outcome {
-    let registered = REMOTE_JOBS_PER_SECOND * args.seconds.as_secs().max(1);
-    let start_workers = || -> (DistributedService, Vec<WorkerProc>) {
+    let mut start_workers = || -> (DistributedService, Vec<WorkerProc>) {
         let mut workers: Vec<WorkerProc> = (0..2)
-            .map(|_| WorkerProc::start(args.seed, registered).expect("start a worker process"))
+            .map(|_| WorkerProc::start(args.seed).expect("start a worker process"))
             .collect();
         let addrs: Vec<String> = workers
             .iter_mut()
@@ -907,9 +925,7 @@ fn remote_mix(args: &Args) -> Outcome {
             .map(|w| w.stop().expect("worker stops cleanly"))
             .collect()
     };
-    let ((front, workers), setup_s) = set_up(start_workers, |d| {
-        stop_workers(d);
-    });
+    let ((front, workers), first_setup_s) = set_up(&mut start_workers);
 
     let metrics_before = [front.metrics()];
     let (tracing, epoch) = tracing_from(args, false);
@@ -921,11 +937,12 @@ fn remote_mix(args: &Args) -> Outcome {
         sample_every: REMOTE_SAMPLE_EVERY,
     };
     let (tally, mut spans, timed_s) = run_clients(&lp, |c| {
-        stream_source(JobStream::REMOTE, args.seed, c, registered)
+        stream_source(JobStream::REMOTE, args.seed, c, REMOTE_JOBS)
     });
     let metrics_after = [front.metrics()];
     let worker_kib = stop_workers((front, workers));
     let worker_mib = worker_kib.iter().sum::<u64>() as f64 / 1024.0;
+    let rss_mib = self_rss_mib() + worker_mib;
 
     // Invariant 9: the wire adds transport, never arithmetic.
     let local = ServiceBuilder::new(genz_config())
@@ -960,10 +977,12 @@ fn remote_mix(args: &Args) -> Outcome {
         layers.set("trace.overhead", trace_overhead(&tally));
     }
     Outcome {
-        setup_s,
+        setup_s: repeat_set_up(first_setup_s, start_workers, |d| {
+            stop_workers(d);
+        }),
         timed_s,
         tally,
-        rss_mib: self_rss_mib() + worker_mib,
+        rss_mib,
         checks,
         layers,
         spans,

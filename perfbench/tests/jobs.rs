@@ -1,12 +1,13 @@
 //! The benchmark's inputs are a pure function of the seed, every generated
 //! integrand has its own name, and `BENCHMARK.json` lists exactly the
-//! metrics the benchmark prints.
+//! metrics the benchmark prints and states its answer check.
 
 use std::collections::HashSet;
 
 use pagani_core::IntegrandRegistry;
 use pagani_perfbench::{
-    answer_ok, paper_cases, pass_order, JobSpec, JobStream, SkewedKeys, END_TO_END, PER_LAYER,
+    answer_ok, paper_cases, pass_order, JobSpec, JobStream, SkewedKeys, CHECK_SLACK, END_TO_END,
+    PER_LAYER,
 };
 use pagani_quadrature::Integrand;
 
@@ -131,17 +132,26 @@ fn the_answer_check_scales_with_the_requested_tolerance() {
     assert!(!answer_ok(f64::NAN, 1.0, 1e-3));
 }
 
+fn benchmark_json() -> String {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCHMARK.json");
+    std::fs::read_to_string(path).expect("BENCHMARK.json beside the benchmark")
+}
+
+/// The text of one list of `BENCHMARK.json`, up to its closing bracket.
+fn section<'a>(text: &'a str, name: &str) -> &'a str {
+    let start = text
+        .find(&format!("\"{name}\""))
+        .unwrap_or_else(|| panic!("section {name}"));
+    let body = &text[start..];
+    &body[..body.find(']').expect("section ends")]
+}
+
 #[test]
 fn benchmark_json_lists_exactly_the_printed_metrics() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCHMARK.json");
-    let text = std::fs::read_to_string(path).expect("BENCHMARK.json beside the benchmark");
-    let entries = |section: &str| -> Vec<(String, String)> {
-        let start = text
-            .find(&format!("\"{section}\""))
-            .unwrap_or_else(|| panic!("section {section}"));
-        let body = &text[start..];
-        let body = &body[..body.find(']').expect("section ends")];
-        body.split('{')
+    let text = benchmark_json();
+    let entries = |name: &str| -> Vec<(String, String)> {
+        section(&text, name)
+            .split('{')
             .skip(1)
             .map(|entry| {
                 let field = |key: &str| {
@@ -160,4 +170,13 @@ fn benchmark_json_lists_exactly_the_printed_metrics() {
     };
     assert_eq!(entries("end_to_end"), expect(&END_TO_END));
     assert_eq!(entries("per_layer"), expect(&PER_LAYER));
+}
+
+#[test]
+fn every_workload_in_benchmark_json_states_the_answer_check() {
+    let text = benchmark_json();
+    let workloads = section(&text, "workloads");
+    let check = format!("Check: |est-ref| <= {CHECK_SLACK} x rel_tol x |ref|.");
+    assert_eq!(workloads.matches("\"why\"").count(), 4);
+    assert_eq!(workloads.matches(check.as_str()).count(), 4, "{check}");
 }
