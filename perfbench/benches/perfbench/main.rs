@@ -89,7 +89,10 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     };
+    // Read before the run: remote_mix pins itself to one CPU, after which
+    // the process sees only that one.
+    let nproc = workloads::nproc();
     let outcome = workload.run(&args);
-    report::print(&args, &outcome);
+    report::print(&args, nproc, &outcome);
     ExitCode::SUCCESS
 }

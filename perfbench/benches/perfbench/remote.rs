@@ -13,6 +13,80 @@ use crate::workloads::{
     genz_config, lane_device_config, MIX_CACHE_BYTES, REMOTE_JOBS, REMOTE_WARMUP_JOBS, WARMUP_SEED,
 };
 
+/// CPU affinity through the C library's `sched_getaffinity` and
+/// `sched_setaffinity`, on a `cpu_set_t` of 1 024 CPUs.
+#[cfg(target_os = "linux")]
+mod affinity {
+    type CpuSet = [u64; 16];
+
+    extern "C" {
+        fn sched_getaffinity(pid: i32, size: usize, mask: *mut u64) -> i32;
+        fn sched_setaffinity(pid: i32, size: usize, mask: *const u64) -> i32;
+    }
+
+    /// The CPUs the calling thread may run on, lowest first.
+    pub fn allowed() -> Vec<usize> {
+        let mut mask: CpuSet = [0; 16];
+        // SAFETY: `mask` is a writable buffer of exactly the size passed,
+        // and pid 0 names the calling thread.
+        if unsafe { sched_getaffinity(0, std::mem::size_of::<CpuSet>(), mask.as_mut_ptr()) } != 0 {
+            return Vec::new();
+        }
+        (0..mask.len() * 64)
+            .filter(|&c| mask[c / 64] >> (c % 64) & 1 == 1)
+            .collect()
+    }
+
+    /// Pin thread `tid` (0: the calling thread) to `cpu`; false if the call
+    /// fails, as it does for a thread that has exited.
+    pub fn pin(tid: i32, cpu: usize) -> bool {
+        let mut mask: CpuSet = [0; 16];
+        mask[cpu / 64] = 1 << (cpu % 64);
+        // SAFETY: `mask` is a readable buffer of exactly the size passed; the
+        // kernel checks `tid` and `cpu` and fails the call if either is bad.
+        unsafe { sched_setaffinity(tid, std::mem::size_of::<CpuSet>(), mask.as_ptr()) == 0 }
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+mod affinity {
+    pub fn allowed() -> Vec<usize> {
+        Vec::new()
+    }
+
+    pub fn pin(_tid: i32, _cpu: usize) -> bool {
+        false
+    }
+}
+
+/// The CPUs remote_mix alternates its deployment between: the last two this
+/// process may run on, highest first (empty where affinity is unavailable).
+pub fn remote_cpus() -> Vec<usize> {
+    let allowed = affinity::allowed();
+    allowed.iter().rev().take(2).copied().collect()
+}
+
+/// Pin the calling thread to `cpu`; threads and processes it starts
+/// afterwards inherit the pin.
+pub fn pin_self(cpu: usize) -> bool {
+    affinity::pin(0, cpu)
+}
+
+/// Pin every live thread of the processes `pids` to `cpu`; threads they
+/// start afterwards inherit the pin.
+pub fn pin_processes(pids: &[u32], cpu: usize) {
+    for pid in pids {
+        let Ok(tasks) = std::fs::read_dir(format!("/proc/{pid}/task")) else {
+            continue;
+        };
+        for task in tasks.flatten() {
+            if let Some(tid) = task.file_name().to_str().and_then(|t| t.parse().ok()) {
+                affinity::pin(tid, cpu);
+            }
+        }
+    }
+}
+
 /// Peak resident set (VmHWM) of this process in KiB, from procfs.
 pub fn vm_hwm_kib() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
@@ -85,6 +159,11 @@ impl WorkerProc {
             lines: BufReader::new(stdout).lines(),
             stopped: false,
         })
+    }
+
+    /// The worker's process id.
+    pub fn pid(&self) -> u32 {
+        self.child.id()
     }
 
     /// Block until the worker announces its listening address.

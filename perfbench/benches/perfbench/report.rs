@@ -10,7 +10,7 @@ use pagani_perfbench::{END_TO_END, PER_LAYER};
 
 use crate::layers::ratio;
 use crate::stats::{median, tail_percentile};
-use crate::workloads::{nproc, Outcome, TAIL_BLOCK};
+use crate::workloads::{Outcome, TAIL_BLOCK};
 use crate::Args;
 
 /// A finite JSON number (NaN and infinities, which JSON cannot carry, as 0).
@@ -27,7 +27,7 @@ fn end_to_end(outcome: &Outcome) -> [f64; END_TO_END.len()] {
     let tally = &outcome.tally;
     [
         median(&outcome.setup_s),
-        median(&tally.blocks_s),
+        outcome.solve_s,
         ratio(tally.completed as f64, outcome.timed_s),
         tally.latency.percentile_ms(50.0),
         median(&tally.tails_ms),
@@ -75,8 +75,9 @@ fn write_spans(outcome: &Outcome, path: &Path) -> std::io::Result<()> {
     out.flush()
 }
 
-/// Print the context line and the result line.
-pub fn print(args: &Args, outcome: &Outcome) {
+/// Print the context line and the result line; `nproc` is the number of
+/// CPUs the benchmark could use when it started.
+pub fn print(args: &Args, nproc: usize, outcome: &Outcome) {
     let tally = &outcome.tally;
     let checks_ok = outcome.checks.iter().all(|&(_, ok)| ok);
     let correct = tally.incorrect == 0 && checks_ok;
@@ -84,13 +85,14 @@ pub fn print(args: &Args, outcome: &Outcome) {
     let mut context = String::new();
     let _ = write!(
         context,
-        "{{\"context\":{{\"workload\":\"{}\",\"seed\":{},\"seconds\":{},\"trace\":{},\"nproc\":{},\"device_worker_threads\":{:?},\"commit\":\"{}\",\"setup_s_samples\":[{}],\"timed_s\":{},\"completed\":{},\"incorrect\":{},\"tail_percentile\":{},\"latency_samples\":{},\"tail_blocks\":{},\"solve_blocks\":{}",
+        "{{\"context\":{{\"workload\":\"{}\",\"seed\":{},\"seconds\":{},\"trace\":{},\"nproc\":{},\"device_worker_threads\":{:?},\"cpus\":{:?},\"commit\":\"{}\",\"setup_s_samples\":[{}],\"timed_s\":{},\"completed\":{},\"incorrect\":{},\"tail_percentile\":{},\"latency_samples\":{},\"tail_blocks\":{},\"solve_blocks\":{}",
         args.workload,
         args.seed,
         args.seconds.as_secs(),
         u8::from(args.trace),
-        nproc(),
+        nproc,
         outcome.device_threads,
+        outcome.cpus,
         commit(),
         outcome.setup_s.iter().map(|&s| num(s)).collect::<Vec<_>>().join(","),
         num(outcome.timed_s),

@@ -22,6 +22,14 @@ pub fn median(values: &[f64]) -> f64 {
     quantile(values, 0.5)
 }
 
+/// Arithmetic mean of `values`; 0 for an empty set.
+pub fn mean(values: &[f64]) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    values.iter().sum::<f64>() / values.len() as f64
+}
+
 /// The percentiles a tail is read at.  The highest one that leaves at least
 /// [`TAIL_MIN_BEYOND`] samples beyond it is the reported tail.  The ladder
 /// stops at 90: on the shared 2-vCPU reference host the 99th percentile of

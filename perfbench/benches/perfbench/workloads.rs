@@ -5,6 +5,7 @@
 
 use std::hint::black_box;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -21,26 +22,38 @@ use pagani_perfbench::{
 use pagani_quadrature::{Integrand, IntegrationResult, Termination, Tolerances};
 
 use crate::layers::{ratio, DeviceSnap, LaneDevice, Layers};
-use crate::remote::{vm_hwm_kib, WorkerProc};
-use crate::stats::{median, quantile, tail_percentile, Histogram};
+use crate::remote::{pin_processes, pin_self, remote_cpus, vm_hwm_kib, WorkerProc};
+use crate::stats::{mean, median, quantile, tail_percentile, Histogram};
 use crate::trace::SpanLog;
 use crate::Args;
 
 /// Set-ups per run; `setup_s` is their median.
 const SETUP_REPS: usize = 5;
-/// Closed-loop client threads of the service workloads.
+/// Closed-loop client threads of service_mix and cache_repeat.
 const CLIENTS: u64 = 2;
+/// Closed-loop client threads of remote_mix.  Each job there hands off
+/// between threads of three processes, and remote_mix runs them all on one
+/// CPU at a time (see [`remote_mix`]), so one client keeps that CPU busy
+/// with one job at a time.  Ties in endpoint choice then send every job to
+/// the first worker; the second stays connected and idle.
+const REMOTE_CLIENTS: u64 = 1;
+/// How long remote_mix's deployment runs on one CPU before it moves to the
+/// other.
+const CPU_SWITCH: Duration = Duration::from_millis(500);
 /// Deadline of every job that computes: generous (the slowest Genz job
 /// computes in about 20 ms), so admission runs on every job but never
-/// refuses one.  A service keeps each job's deadline entry, and the job's
-/// state, until the deadline passes, so this also bounds that memory.
-const DEADLINE: Duration = Duration::from_secs(2);
+/// refuses one.  The cost model prices a job never seen before by its
+/// static cost times an average that a single stalled 2D job can raise
+/// several hundredfold, so a host stall of a few hundred milliseconds
+/// could push a 4D job's estimate past a 2 s deadline; 10 s needs a stall
+/// of about 1.5 s.  A service keeps each job's deadline entry, and the
+/// job's state, until the deadline passes, so this also bounds that memory.
+const DEADLINE: Duration = Duration::from_secs(10);
 /// Deadline of every cache_repeat request.  An exact hit is served in tens
 /// of microseconds, so this is still generous; it is short because the
-/// service keeps each job's state until its deadline passes.  With the 2 s
-/// of the cold jobs, those states made most of cache_repeat's peak RSS and
-/// grew with the request rate, so a faster service read as a memory
-/// regression.
+/// service keeps each job's state until its deadline passes.  With a 2 s
+/// deadline, those states made most of cache_repeat's peak RSS and grew
+/// with the request rate, so a faster service read as a memory regression.
 const HIT_DEADLINE: Duration = Duration::from_millis(250);
 /// Seed of every set-up's warm-up jobs and of cache_repeat's key set: the
 /// set-up does the same work whatever `--seed` is.
@@ -64,8 +77,8 @@ const REPEAT_CACHE_BYTES: usize = 64 << 20;
 /// warm-up is most of a set-up, and it is long enough (about half a second)
 /// that one slow moment of the host does not decide the set-up's time.
 const MIX_WARMUP_JOBS: u64 = 4_000;
-/// Cold warm-up jobs per remote_mix set-up, split across the clients.
-pub const REMOTE_WARMUP_JOBS: u64 = 4_000;
+/// Cold warm-up jobs per remote_mix set-up (about 1.3 s with one client).
+pub const REMOTE_WARMUP_JOBS: u64 = 2_000;
 /// Distinct keys cache_repeat fills during set-up.
 const CACHE_KEYS: u64 = 512;
 /// Hit requests per cache_repeat set-up after the fill.
@@ -73,11 +86,11 @@ const CACHE_WARMUP_HITS: u64 = 40_000;
 /// remote_mix sends at most this many timed jobs per run, and each worker
 /// registers that many.  A `RemoteWorker` keeps a finished thread, two
 /// memory maps, per served job until it shuts down, and a process may hold
-/// 65 530 maps: with the warm-up, each worker serves about 17 000 jobs
-/// (34 000 maps).  A client that reaches its share stops early; at 20 s a
-/// run reaches the cap, and so measures a fixed amount of worker memory,
-/// whenever the host sustains 1 500 jobs per second.
-pub const REMOTE_JOBS: u64 = 30_000;
+/// 65 530 maps: with the warm-up, the first worker serves 22 000 jobs
+/// (44 000 maps).  The client stops early at the cap; at 20 s a run reaches
+/// it, and so measures a fixed amount of worker memory, whenever the host
+/// sustains 1 000 jobs per second (about half the reference host's rate).
+pub const REMOTE_JOBS: u64 = 20_000;
 /// service_mix sends at most this many timed jobs per run.  The services'
 /// cost model keeps one bucket per integrand name, so with unique
 /// integrands its table grows by a job at a time and doubles at 114 688
@@ -150,6 +163,12 @@ pub struct Outcome {
     pub setup_s: Vec<f64>,
     /// Wall time of the timed phase.
     pub timed_s: f64,
+    /// The `solve_s` metric: the median pass on paper_solve, and elsewhere
+    /// the mean time one client takes per block of jobs.  A median over
+    /// blocks jumped between two speeds when the host alternated between
+    /// them within a run: on remote_mix it spread 0.25 over ten runs where
+    /// jobs per second spread 0.18.
+    pub solve_s: f64,
     pub tally: Tally,
     /// Peak RSS of the whole deployment.
     pub rss_mib: f64,
@@ -159,6 +178,9 @@ pub struct Outcome {
     pub spans: Vec<SpanLog>,
     /// `worker_threads` of every device the run used.
     pub device_threads: Vec<usize>,
+    /// The CPUs the timed phase's deployment was pinned to in turn (empty:
+    /// not pinned).
+    pub cpus: Vec<usize>,
 }
 
 /// Per-job results of one or more clients.
@@ -306,16 +328,17 @@ fn genz_job(id: u64, spec: &JobSpec, deadline: Duration) -> Job {
     }
 }
 
-/// Client `client`'s share of `stream`: job ids `client`, `client + CLIENTS`,
-/// … below `limit`.
+/// Client `client`'s share of `stream` among `clients`: job ids `client`,
+/// `client + clients`, … below `limit`.
 fn stream_source(
     stream: JobStream,
     seed: u64,
     client: u64,
+    clients: u64,
     limit: u64,
 ) -> impl FnMut(u64) -> Option<Job> {
     move |k| {
-        let id = client + CLIENTS * k;
+        let id = client + clients * k;
         (id < limit).then(|| genz_job(id, &stream.job(seed, id), DEADLINE))
     }
 }
@@ -378,6 +401,8 @@ enum Tracing {
 #[derive(Clone, Copy)]
 struct Loop<'a> {
     front: Front<'a>,
+    /// Client threads [`run_clients`] starts.
+    clients: u64,
     stop: Stop,
     tracing: Tracing,
     /// Jobs per `solve_s` block.
@@ -478,7 +503,7 @@ fn run_client(
     (tally, spans, now)
 }
 
-/// Run [`CLIENTS`] clients in parallel, client `c` drawing from
+/// Run `lp.clients` clients in parallel, client `c` drawing from
 /// `source(c)`.  Returns the merged tally, their spans and the wall time
 /// from the start until the last client finished.
 fn run_clients<S>(lp: &Loop<'_>, source: impl Fn(u64) -> S + Sync) -> (Tally, Vec<SpanLog>, f64)
@@ -487,7 +512,7 @@ where
 {
     let start = Instant::now();
     let results: Vec<_> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..CLIENTS)
+        let handles: Vec<_> = (0..lp.clients)
             .map(|c| {
                 let source = &source;
                 scope.spawn(move || run_client(lp, c as usize, source(c)))
@@ -510,16 +535,19 @@ where
 }
 
 /// Send the first `jobs` jobs of `stream` under [`WARMUP_SEED`] through
-/// `front` from every client, untimed.
-fn warm_up(front: Front<'_>, stream: JobStream, jobs: u64) {
+/// `front` from `clients` clients, untimed.
+fn warm_up(front: Front<'_>, clients: u64, stream: JobStream, jobs: u64) {
     let lp = Loop {
         front,
-        stop: Stop::After(jobs / CLIENTS),
+        clients,
+        stop: Stop::After(jobs / clients),
         tracing: Tracing::Off,
         block: u64::MAX,
         sample_every: 0,
     };
-    run_clients(&lp, |c| stream_source(stream, WARMUP_SEED, c, u64::MAX));
+    run_clients(&lp, |c| {
+        stream_source(stream, WARMUP_SEED, c, clients, u64::MAX)
+    });
 }
 
 /// Set a deployment up once and time it.
@@ -655,6 +683,7 @@ fn paper_solve(args: &Args) -> Outcome {
         // Warm-up: one pass, in the same order whatever the seed.
         let lp = Loop {
             front: Front::Local(&service),
+            clients: 1,
             stop: Stop::After(n),
             tracing: Tracing::Off,
             block: u64::MAX,
@@ -671,6 +700,7 @@ fn paper_solve(args: &Args) -> Outcome {
     // The source ends the run at the first pass boundary past the end.
     let lp = Loop {
         front: Front::Local(&service),
+        clients: 1,
         stop: Stop::After(u64::MAX),
         tracing,
         block: n,
@@ -712,12 +742,14 @@ fn paper_solve(args: &Args) -> Outcome {
     Outcome {
         setup_s: repeat_set_up(first_setup_s, build, |(_, service)| service.shutdown()),
         timed_s,
+        solve_s: median(&tally.blocks_s),
         tally,
         rss_mib,
         checks: Vec::new(),
         layers,
         spans,
         device_threads: vec![lane.device.effective_workers()],
+        cpus: Vec::new(),
     }
 }
 
@@ -738,6 +770,7 @@ fn service_mix(args: &Args) -> Outcome {
             .build_multi();
         warm_up(
             Front::Multi(&service),
+            CLIENTS,
             JobStream::MIX_WARMUP,
             MIX_WARMUP_JOBS,
         );
@@ -750,13 +783,14 @@ fn service_mix(args: &Args) -> Outcome {
     let (tracing, epoch) = tracing_from(args, false);
     let lp = Loop {
         front: Front::Multi(&service),
+        clients: CLIENTS,
         stop: Stop::At(epoch + args.seconds),
         tracing,
         block: MIX_BLOCK,
         sample_every: 0,
     };
     let (tally, mut spans, timed_s) = run_clients(&lp, |c| {
-        stream_source(JobStream::MIX, args.seed, c, MIX_JOBS)
+        stream_source(JobStream::MIX, args.seed, c, CLIENTS, MIX_JOBS)
     });
     let deltas: Vec<DeviceSnap> = lanes
         .iter()
@@ -788,6 +822,7 @@ fn service_mix(args: &Args) -> Outcome {
     Outcome {
         setup_s: repeat_set_up(first_setup_s, build, |(_, _, service)| service.shutdown()),
         timed_s,
+        solve_s: mean(&tally.blocks_s),
         tally,
         rss_mib,
         checks: Vec::new(),
@@ -797,6 +832,7 @@ fn service_mix(args: &Args) -> Outcome {
             .iter()
             .map(|lane| lane.device.effective_workers())
             .collect(),
+        cpus: Vec::new(),
     }
 }
 
@@ -838,9 +874,10 @@ fn cache_repeat(args: &Args) -> Outcome {
             .workers(2)
             .cache(Arc::clone(&cache))
             .build();
-        warm_up(Front::Local(&service), JobStream::KEYS, CACHE_KEYS);
+        warm_up(Front::Local(&service), CLIENTS, JobStream::KEYS, CACHE_KEYS);
         let lp = Loop {
             front: Front::Local(&service),
+            clients: CLIENTS,
             stop: Stop::After(CACHE_WARMUP_HITS / CLIENTS),
             tracing: Tracing::Off,
             block: u64::MAX,
@@ -856,6 +893,7 @@ fn cache_repeat(args: &Args) -> Outcome {
     let (tracing, epoch) = tracing_from(args, false);
     let lp = Loop {
         front: Front::Local(&service),
+        clients: CLIENTS,
         stop: Stop::At(epoch + args.seconds),
         tracing,
         block: CACHE_BLOCK,
@@ -884,21 +922,42 @@ fn cache_repeat(args: &Args) -> Outcome {
     Outcome {
         setup_s: repeat_set_up(first_setup_s, build, |(_, _, service)| service.shutdown()),
         timed_s,
+        solve_s: mean(&tally.blocks_s),
         tally,
         rss_mib,
         checks,
         layers,
         spans,
         device_threads: vec![lane.device.effective_workers()],
+        cpus: Vec::new(),
     }
 }
 
 // ---- remote_mix -----------------------------------------------------------
 
-/// Two clients send cold Genz jobs through a distributed front-end to two
-/// worker processes on loopback; the workers resolve jobs by name in a
-/// registry they rebuild from the seed.
+/// One client sends cold Genz jobs through a distributed front-end connected
+/// to two worker processes on loopback; the workers resolve jobs by name in
+/// a registry they rebuild from the seed.
+///
+/// The benchmark process pins itself to one CPU before it starts a thread
+/// or a worker, so the whole deployment runs there, and during the timed
+/// phase it moves every thread of all three processes to the other CPU
+/// every [`CPU_SWITCH`].  Unpinned, every job woke threads on the other
+/// vCPU, which sat idle between jobs; on the shared reference host, waking
+/// it waited on the hypervisor, and runs a minute apart read 540 to 1 870
+/// jobs per second and a tail of 0.86 to 4.3 ms.  Pinned to one CPU, runs
+/// in the same hour read 1 700 to 2 250 jobs per second and a tail of 0.70
+/// to 0.86 ms, but over ten runs the host ran some a third faster than the
+/// rest, whichever vCPU they had, and jobs per second spread 0.29.
+/// Alternating averages the two vCPUs within each run.
 fn remote_mix(args: &Args) -> Outcome {
+    let cpus = remote_cpus();
+    let pin_home = || {
+        if let Some(&cpu) = cpus.first() {
+            pin_self(cpu);
+        }
+    };
+    pin_home();
     let mut start_workers = || -> (DistributedService, Vec<WorkerProc>) {
         let mut workers: Vec<WorkerProc> = (0..2)
             .map(|_| WorkerProc::start(args.seed).expect("start a worker process"))
@@ -913,6 +972,7 @@ fn remote_mix(args: &Args) -> Outcome {
             .expect("connect to both workers");
         warm_up(
             Front::Remote(&front),
+            REMOTE_CLIENTS,
             JobStream::REMOTE_WARMUP,
             REMOTE_WARMUP_JOBS,
         );
@@ -931,14 +991,28 @@ fn remote_mix(args: &Args) -> Outcome {
     let (tracing, epoch) = tracing_from(args, false);
     let lp = Loop {
         front: Front::Remote(&front),
+        clients: REMOTE_CLIENTS,
         stop: Stop::At(epoch + args.seconds),
         tracing,
         block: MIX_BLOCK,
         sample_every: REMOTE_SAMPLE_EVERY,
     };
-    let (tally, mut spans, timed_s) = run_clients(&lp, |c| {
-        stream_source(JobStream::REMOTE, args.seed, c, REMOTE_JOBS)
+    let pids: Vec<u32> = std::iter::once(std::process::id())
+        .chain(workers.iter().map(WorkerProc::pid))
+        .collect();
+    let done = AtomicBool::new(false);
+    let (tally, mut spans, timed_s) = std::thread::scope(|scope| {
+        if cpus.len() > 1 {
+            scope.spawn(|| alternate_cpus(&pids, &cpus, &done));
+        }
+        let timed = run_clients(&lp, |c| {
+            stream_source(JobStream::REMOTE, args.seed, c, REMOTE_CLIENTS, REMOTE_JOBS)
+        });
+        done.store(true, Ordering::Relaxed);
+        timed
     });
+    // The set-ups that follow start from the first CPU, as the first did.
+    pin_home();
     let metrics_after = [front.metrics()];
     let worker_kib = stop_workers((front, workers));
     let worker_mib = worker_kib.iter().sum::<u64>() as f64 / 1024.0;
@@ -981,12 +1055,26 @@ fn remote_mix(args: &Args) -> Outcome {
             stop_workers(d);
         }),
         timed_s,
+        solve_s: mean(&tally.blocks_s),
         tally,
         rss_mib,
         checks,
         layers,
         spans,
         device_threads: vec![lane_device_config().worker_threads.unwrap_or(1); 2],
+        cpus,
+    }
+}
+
+/// Move every thread of the processes `pids` to the next of `cpus` every
+/// [`CPU_SWITCH`], until `done`.
+fn alternate_cpus(pids: &[u32], cpus: &[usize], done: &AtomicBool) {
+    for &cpu in cpus.iter().cycle().skip(1) {
+        std::thread::sleep(CPU_SWITCH);
+        if done.load(Ordering::Relaxed) {
+            return;
+        }
+        pin_processes(pids, cpu);
     }
 }
 
