@@ -4,11 +4,11 @@
 //! A single [`crate::Pagani::integrate`] call alternates parallel kernel
 //! launches with serial host phases, so one job cannot keep a wide worker pool
 //! busy — and a service answering many integration requests cares about
-//! *throughput* (integrals per second), not single-job latency.  A
-//! [`BatchRunner`] runs N independent jobs concurrently over one [`Device`].
-//! Since the asynchronous [`crate::IntegrationService`] landed, the runner is
-//! submit-all-then-wait sugar on top of that queue, so both entry points share
-//! one execution model:
+//! *throughput* (integrals per second), not single-job latency.
+//! [`integrate_batch`] runs N independent jobs concurrently over one
+//! [`Device`]: it is submit-all-then-wait sugar on top of a transient
+//! [`crate::IntegrationService`], so both entry points share one execution
+//! model:
 //!
 //! * **No oversubscription.**  Every kernel launch from every job lands on the
 //!   device's one worker pool, and whole jobs are admitted through the
@@ -29,7 +29,7 @@
 //!   the batch determinism tests pin down.  A combined cross-job memory quota
 //!   is an explicit non-goal of this engine (tracked on the roadmap).
 //!
-//! Because the runner drains a transient [`crate::IntegrationService`], batch
+//! Because the batch drains a transient [`crate::IntegrationService`], batch
 //! jobs also feed that service's measured [`crate::CostModel`] and show up in
 //! its [`crate::ServiceMetrics`] while the batch runs — the batch engine gets
 //! the observability of the serving stack for free.
@@ -55,10 +55,11 @@ use std::time::Duration;
 use pagani_device::Device;
 use pagani_quadrature::{Integrand, Region};
 
+use crate::builder::ServiceBuilder;
 use crate::config::PaganiConfig;
 use crate::driver::PaganiOutput;
 use crate::integrator::IntegratorFactory;
-use crate::service::{IntegrationService, Priority};
+use crate::service::{JobHandle, Priority};
 
 /// One independent integration job: a shared integrand, the region to
 /// integrate it over, and the scheduling attributes the service honours —
@@ -194,86 +195,36 @@ impl BatchJob {
     }
 }
 
-/// Runs batches of independent integration jobs concurrently on one device.
-#[derive(Debug, Clone)]
-pub struct BatchRunner {
-    device: Device,
-    config: PaganiConfig,
-    concurrency: usize,
-}
-
-impl BatchRunner {
-    /// Create a runner on `device`; concurrency defaults to the device's
-    /// effective worker count.
-    #[must_use]
-    pub fn new(device: Device, config: PaganiConfig) -> Self {
-        let concurrency = device.effective_workers();
-        Self {
-            device,
-            config,
-            concurrency,
-        }
-    }
-
-    /// Override how many service workers pull jobs at once.  Values above the
-    /// device's gate capacity are admitted FIFO by the gate, so raising this
-    /// past the worker count cannot oversubscribe the device.
-    #[must_use]
-    pub fn with_concurrency(mut self, concurrency: usize) -> Self {
-        self.concurrency = concurrency.max(1);
-        self
-    }
-
-    /// The device jobs run on.
-    #[must_use]
-    pub fn device(&self) -> &Device {
-        &self.device
-    }
-
-    /// The configuration applied to every job.
-    #[must_use]
-    pub fn config(&self) -> &PaganiConfig {
-        &self.config
-    }
-
-    /// Run every job and return their outputs in job order.
-    ///
-    /// Sugar over [`IntegrationService`]: every job is submitted to a
-    /// transient service in slice order, then all handles are awaited and the
-    /// service shut down.  Jobs run against memory-isolated views of the
-    /// device with per-worker long-lived scratch arenas, so outputs are
-    /// bit-identical to running the same jobs sequentially with
-    /// [`crate::Pagani::integrate_region`] on the same device.
-    ///
-    /// # Panics
-    /// Panics if a job's integrand and region dimensions differ (propagated
-    /// from the driver).
-    #[must_use]
-    pub fn run(&self, jobs: &[BatchJob]) -> Vec<PaganiOutput> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let workers = self.concurrency.min(jobs.len()).max(1);
-        let service =
-            IntegrationService::with_workers(self.device.clone(), self.config.clone(), workers);
-        let handles: Vec<_> = jobs.iter().map(|job| service.submit(job.clone())).collect();
-        let outputs = handles.iter().map(|handle| handle.wait()).collect();
-        service.shutdown();
-        outputs
-    }
-}
-
 /// Run `jobs` concurrently on `device` and return outputs in job order.
 ///
-/// Convenience facade over [`BatchRunner`]; see the module docs for the
-/// execution model.
+/// Every job is submitted in slice order to a transient service with one
+/// worker per device worker (fewer for a short batch), then all handles are
+/// awaited and the service shut down.  Jobs run against memory-isolated
+/// views of the device with per-worker long-lived scratch arenas, so outputs
+/// are bit-identical to running the same jobs sequentially with
+/// [`crate::Pagani::integrate_region`] on the same device; see the module
+/// docs for the execution model.
+///
+/// # Panics
+/// Panics if a job's integrand and region dimensions differ (propagated
+/// from the driver).
 #[must_use]
 pub fn integrate_batch(
     device: &Device,
     config: &PaganiConfig,
     jobs: &[BatchJob],
 ) -> Vec<PaganiOutput> {
-    BatchRunner::new(device.clone(), config.clone()).run(jobs)
+    if jobs.is_empty() {
+        return Vec::new();
+    }
+    let service = ServiceBuilder::new(config.clone())
+        .device(device.clone())
+        .workers(device.effective_workers().min(jobs.len()))
+        .build();
+    let handles: Vec<JobHandle> = jobs.iter().map(|job| service.submit(job.clone())).collect();
+    let outputs = handles.iter().map(JobHandle::wait).collect();
+    service.shutdown();
+    outputs
 }
 
 #[cfg(test)]
@@ -311,23 +262,19 @@ mod tests {
 
     #[test]
     fn empty_batch_is_empty() {
-        let runner = BatchRunner::new(
-            test_device(1),
-            PaganiConfig::test_small(Tolerances::rel(1e-3)),
-        );
-        assert!(runner.run(&[]).is_empty());
+        let config = PaganiConfig::test_small(Tolerances::rel(1e-3));
+        assert!(integrate_batch(&test_device(1), &config, &[]).is_empty());
     }
 
     #[test]
     fn more_jobs_than_workers_all_complete() {
         let f: Arc<dyn Integrand + Send + Sync> = Arc::new(PaperIntegrand::f4(3));
         let jobs: Vec<BatchJob> = (0..9).map(|_| BatchJob::shared(Arc::clone(&f))).collect();
-        let runner = BatchRunner::new(
-            test_device(2),
-            PaganiConfig::test_small(Tolerances::rel(1e-3)),
-        )
-        .with_concurrency(4);
-        let outputs = runner.run(&jobs);
+        let outputs = integrate_batch(
+            &test_device(2),
+            &PaganiConfig::test_small(Tolerances::rel(1e-3)),
+            &jobs,
+        );
         assert_eq!(outputs.len(), 9);
         assert!(outputs.iter().all(|o| o.result.converged()));
         // All nine jobs ran the same problem: identical to the last bit.

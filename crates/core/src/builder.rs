@@ -1,14 +1,12 @@
 //! One fluent construction path for every service flavour.
 //!
-//! The service layer grew three times — [`IntegrationService`] (one device),
-//! [`MultiDeviceService`] (N in-process lanes), and now the distributed
-//! front-end [`DistributedService`] — and each growth step used to add
-//! another `with_*` constructor to every type.  [`ServiceBuilder`] replaces
-//! that constructor zoo: collect devices, a [`ServicePolicy`], a
+//! The service layer has three topologies — [`IntegrationService`] (one
+//! device), [`MultiDeviceService`] (N in-process lanes) and the distributed
+//! front-end [`DistributedService`] — and [`ServiceBuilder`] is the only way
+//! to construct any of them: collect devices, a [`ServicePolicy`], a
 //! [`DispatchMode`], an optional [`ResultCache`], an optional shared
 //! [`CostModel`] and (for the distributed service) remote worker endpoints,
-//! then call the `build_*` method matching the topology you want.  The
-//! historical constructors survive as thin delegates of this builder.
+//! then call the `build_*` method matching the topology you want.
 //!
 //! ```
 //! use pagani_core::ServiceBuilder;
@@ -126,11 +124,35 @@ impl ServiceBuilder {
         self
     }
 
-    /// Attach a shared [`ResultCache`]: exact hits, warm starts and partial
-    /// snapshots, shared by every lane (see
-    /// [`IntegrationService::with_cache`]).  The distributed front-end uses
-    /// it as the crash-recovery store: partial snapshots shipped back by
-    /// workers are kept here and re-shipped when a job is requeued.
+    /// Attach a shared [`ResultCache`], shared by every lane.
+    ///
+    /// With a cache attached the default job path changes in three ways (all
+    /// invisible to callers except in wall time and
+    /// [`crate::ServiceMetrics`]):
+    ///
+    /// 1. an **exact hit** — same integrand name, region and tolerance as a
+    ///    cached converged run — is served without touching the device;
+    /// 2. a **miss with a usable snapshot** for the same integrand and region
+    ///    (any tolerance) *warm-starts* from that snapshot's region tree
+    ///    instead of the root, provided the snapshot's frozen error leaves
+    ///    headroom under this job's budget;
+    /// 3. every run **persists** its final tree — converged trees for future
+    ///    warm starts, partial trees from cancelled/deadline-shed runs so a
+    ///    retry continues rather than recomputes.
+    ///
+    /// Deadline admission prices jobs by *remaining* work: an exact hit costs
+    /// nothing, a feasible warm start costs its full prediction minus the
+    /// snapshot's predicted-work credit.
+    ///
+    /// Cache identity is `Integrand::name()` — callers mixing distinct
+    /// closures through one cached service must name them uniquely
+    /// (`FnIntegrand::named`).  Jobs with a per-job method override bypass
+    /// the cache entirely: the cache key cannot see the override's
+    /// configuration.
+    ///
+    /// The distributed front-end uses the cache as its crash-recovery store:
+    /// partial snapshots shipped back by workers are kept here and
+    /// re-shipped when a job is requeued.
     #[must_use]
     pub fn cache(mut self, cache: Arc<ResultCache>) -> Self {
         self.cache = Some(cache);

@@ -186,33 +186,7 @@ impl Pagani {
     /// # Panics
     /// Panics if the region dimension does not match the integrand dimension.
     pub fn integrate_region<F: Integrand + ?Sized>(&self, f: &F, region: &Region) -> PaganiOutput {
-        self.integrate_region_in(f, region, &ScratchArena::default())
-    }
-
-    /// Integrate `f` over its default bounds, drawing scratch storage from `arena`.
-    ///
-    /// Recycling is value-transparent: the result is bit-identical to
-    /// [`Pagani::integrate`], whatever the arena already holds.  A caller that
-    /// runs many jobs — the batch engine's workers above all — passes one
-    /// long-lived arena so region lists, estimate arrays and masks are reused
-    /// across iterations *and* across jobs instead of reallocated per
-    /// generation.
-    pub fn integrate_in<F: Integrand + ?Sized>(&self, f: &F, arena: &ScratchArena) -> PaganiOutput {
-        let (lo, hi) = f.default_bounds();
-        self.integrate_region_in(f, &Region::new(lo, hi), arena)
-    }
-
-    /// Integrate `f` over an explicit region, drawing scratch storage from `arena`.
-    ///
-    /// # Panics
-    /// Panics if the region dimension does not match the integrand dimension.
-    pub fn integrate_region_in<F: Integrand + ?Sized>(
-        &self,
-        f: &F,
-        region: &Region,
-        arena: &ScratchArena,
-    ) -> PaganiOutput {
-        self.integrate_region_with(f, region, arena, &CancelToken::new())
+        self.integrate_region_with(f, region, &ScratchArena::default(), &CancelToken::new())
     }
 
     /// Integrate `f` over an explicit region with scratch storage from `arena`
@@ -221,9 +195,10 @@ impl Pagani {
     /// This is the full-control entry point the [`crate::service`] workers
     /// use.  The token is polled once per breadth-first iteration, so a
     /// cancellation lands within one driver iteration; the run then reports
-    /// [`Termination::Cancelled`] with the latest cumulative estimates.  An
+    /// [`Termination::Cancelled`] with the latest cumulative estimates.
+    /// Recycling scratch storage through `arena` is value-transparent, and an
     /// uncancelled token leaves results bit-identical to
-    /// [`Pagani::integrate_region_in`].
+    /// [`Pagani::integrate_region`], whatever the arena already holds.
     ///
     /// # Panics
     /// Panics if the region dimension does not match the integrand dimension.

@@ -53,7 +53,7 @@ pub mod threshold;
 pub mod trace;
 
 pub use arena::ScratchArena;
-pub use batch::{integrate_batch, BatchJob, BatchRunner};
+pub use batch::{integrate_batch, BatchJob};
 pub use builder::ServiceBuilder;
 pub use config::{HeuristicFiltering, PaganiConfig};
 pub use cost::{
@@ -64,9 +64,7 @@ pub use cost::{
 pub use driver::{CancelToken, Pagani, PaganiOutput};
 pub use evaluate::{Evaluation, RegionPack, EVAL_LANES};
 pub use integrator::{check_cancelled, Capabilities, Integrator, IntegratorFactory};
-pub use multi_device::{
-    plan_dispatch, DispatchMode, MultiDeviceOutput, MultiDevicePagani, MultiDeviceService,
-};
+pub use multi_device::{DispatchMode, MultiDeviceOutput, MultiDevicePagani, MultiDeviceService};
 // Persistence types, re-exported so service callers need not depend on
 // `pagani-persist` directly.
 pub use pagani_persist::{CacheKey, CachedResult, ResultCache, Snapshot, WarmStartInfo};

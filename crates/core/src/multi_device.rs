@@ -38,12 +38,12 @@ use crate::batch::BatchJob;
 use crate::builder::ServiceBuilder;
 use crate::config::PaganiConfig;
 pub use crate::cost::{estimated_cost, estimated_job_cost};
-use crate::cost::{estimated_job_footprint_bytes, slab_weights, CostModel};
+use crate::cost::{estimated_job_footprint_bytes, job_tolerances, slab_weights, CostModel};
 use crate::driver::{Pagani, PaganiOutput};
 use crate::integrator::ensure_matching_dims;
 use crate::service::{
-    panic_message, IntegrationService, JobHandle, JobOutcome, JobState, QueueFull, Rejected,
-    ServiceMetrics, ServicePolicy,
+    panic_message, CompletionHook, IntegrationService, JobHandle, JobOutcome, JobState, QueueFull,
+    Rejected, ServiceMetrics,
 };
 use crate::trace::ExecutionTrace;
 use pagani_device::Device;
@@ -68,43 +68,6 @@ pub enum DispatchMode {
     RoundRobin,
 }
 
-/// Plan a device assignment for a fixed batch of job costs.
-///
-/// `CostBalanced` runs greedy list scheduling: each job (in order) goes to
-/// the device with the least total assigned cost so far, ties to the lowest
-/// index.  `RoundRobin` assigns job `i` to device `i mod lanes`.  Both are
-/// pure functions of their inputs, so batch dispatch is deterministic — the
-/// timing-dependence of streaming dispatch comes only from completions, which
-/// a fixed batch plan ignores.
-///
-/// # Panics
-/// Panics if `lanes` is zero.
-#[must_use]
-pub fn plan_dispatch(costs: &[f64], lanes: usize, mode: DispatchMode) -> Vec<usize> {
-    assert!(lanes > 0, "at least one dispatch lane is required");
-    match mode {
-        DispatchMode::RoundRobin => (0..costs.len()).map(|i| i % lanes).collect(),
-        DispatchMode::CostBalanced => {
-            let mut assigned = vec![0.0f64; lanes];
-            costs
-                .iter()
-                .map(|&cost| {
-                    let lane = assigned
-                        .iter()
-                        .enumerate()
-                        .min_by(|(_, a), (_, b)| {
-                            a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
-                        })
-                        .map(|(i, _)| i)
-                        .expect("lanes is non-zero");
-                    assigned[lane] += cost;
-                    lane
-                })
-                .collect()
-        }
-    }
-}
-
 /// One device's lane in a [`MultiDeviceService`]: its service and the
 /// estimated cost of jobs dispatched to it that have not completed yet.
 #[derive(Debug)]
@@ -113,30 +76,47 @@ struct Lane {
     outstanding: Arc<Mutex<f64>>,
 }
 
+impl Lane {
+    /// Charge `cost` to the lane's ledger and return the completion hook
+    /// that retires exactly that charge.
+    fn charge(&self, cost: f64) -> CompletionHook {
+        *lock(&self.outstanding) += cost;
+        let outstanding = Arc::clone(&self.outstanding);
+        Box::new(move |_| *lock(&outstanding) -= cost)
+    }
+
+    /// The lane's queue bound when its queue is at that bound, else `None`.
+    fn full_at(&self) -> Option<usize> {
+        let bound = self.service.policy().queue_bound?;
+        (self.service.queued_jobs() >= bound).then_some(bound)
+    }
+}
+
 /// One submission queue feeding N devices.
 ///
 /// Mirrors [`IntegrationService`] at the device-pool level: `submit` weighs
 /// the job with [`estimated_job_cost`] and dispatches it to a device
 /// according to the [`DispatchMode`]; every per-device lane is a full
 /// [`IntegrationService`], so per-job method overrides, priorities, deadlines
-/// and cancellation all work unchanged.  [`MultiDeviceService::integrate_batch`]
-/// plans a whole batch deterministically through [`plan_dispatch`].
+/// and cancellation all work unchanged.  Build one with
+/// [`ServiceBuilder::build_multi`].
 ///
 /// ```
-/// use pagani_core::{BatchJob, MultiDeviceService, PaganiConfig};
+/// use pagani_core::{BatchJob, JobHandle, PaganiConfig, ServiceBuilder};
 /// use pagani_device::Device;
 /// use pagani_quadrature::{FnIntegrand, Tolerances};
 ///
-/// let service = MultiDeviceService::new(
-///     vec![Device::test_small(), Device::test_small()],
-///     PaganiConfig::test_small(Tolerances::rel(1e-5)),
-/// );
-/// let jobs = [
+/// let service = ServiceBuilder::new(PaganiConfig::test_small(Tolerances::rel(1e-5)))
+///     .devices([Device::test_small(), Device::test_small()])
+///     .build_multi();
+/// let handles: Vec<JobHandle> = [
 ///     BatchJob::new(FnIntegrand::new(2, |x: &[f64]| x[0] + x[1])),
 ///     BatchJob::new(FnIntegrand::new(3, |x: &[f64]| x[0] * x[1] * x[2])),
-/// ];
-/// let outputs = service.integrate_batch(&jobs);
-/// assert!(outputs.iter().all(|o| o.result.converged()));
+/// ]
+/// .into_iter()
+/// .map(|job| service.submit(job))
+/// .collect();
+/// assert!(handles.iter().all(|h| h.wait().result.converged()));
 /// service.shutdown();
 /// ```
 #[derive(Debug)]
@@ -154,76 +134,7 @@ pub struct MultiDeviceService {
 }
 
 impl MultiDeviceService {
-    /// Start a cost-balanced service over `devices`, one lane (a full
-    /// [`IntegrationService`]) per device.  Thin delegate of
-    /// [`ServiceBuilder`].
-    ///
-    /// # Panics
-    /// Panics if `devices` is empty.
-    #[must_use]
-    pub fn new(devices: Vec<Device>, config: PaganiConfig) -> Self {
-        ServiceBuilder::new(config).devices(devices).build_multi()
-    }
-
-    /// Start a service with an explicit [`DispatchMode`].  Thin delegate of
-    /// [`ServiceBuilder`].
-    ///
-    /// # Panics
-    /// Panics if `devices` is empty.
-    #[must_use]
-    pub fn with_mode(devices: Vec<Device>, config: PaganiConfig, mode: DispatchMode) -> Self {
-        ServiceBuilder::new(config)
-            .devices(devices)
-            .dispatch(mode)
-            .build_multi()
-    }
-
-    /// Start a service with an explicit mode and a per-lane
-    /// [`ServicePolicy`] (each device's lane applies the policy
-    /// independently).  Thin delegate of [`ServiceBuilder`].
-    ///
-    /// # Panics
-    /// Panics if `devices` is empty.
-    #[must_use]
-    pub fn with_policy(
-        devices: Vec<Device>,
-        config: PaganiConfig,
-        mode: DispatchMode,
-        policy: ServicePolicy,
-    ) -> Self {
-        ServiceBuilder::new(config)
-            .devices(devices)
-            .dispatch(mode)
-            .policy(policy)
-            .build_multi()
-    }
-
-    /// Start a service whose lanes all share one [`ResultCache`]: a result
-    /// computed (or a partial tree persisted) on any device serves exact hits
-    /// and warm starts on every device.  See
-    /// [`IntegrationService::with_cache`] for the per-lane cache semantics.
-    /// Thin delegate of [`ServiceBuilder`].
-    ///
-    /// # Panics
-    /// Panics if `devices` is empty.
-    #[must_use]
-    pub fn with_cache(
-        devices: Vec<Device>,
-        config: PaganiConfig,
-        mode: DispatchMode,
-        policy: ServicePolicy,
-        cache: Arc<ResultCache>,
-    ) -> Self {
-        ServiceBuilder::new(config)
-            .devices(devices)
-            .dispatch(mode)
-            .policy(policy)
-            .cache(cache)
-            .build_multi()
-    }
-
-    /// The one real construction path, fed by
-    /// [`ServiceBuilder::build_multi`].
+    /// The construction path, fed by [`ServiceBuilder::build_multi`].
     pub(crate) fn from_builder(builder: ServiceBuilder) -> Self {
         let ServiceBuilder {
             config,
@@ -301,7 +212,7 @@ impl MultiDeviceService {
     }
 
     /// The pool-wide [`ResultCache`], when the service was built with
-    /// [`MultiDeviceService::with_cache`].
+    /// [`ServiceBuilder::cache`].
     #[must_use]
     pub fn result_cache(&self) -> Option<&Arc<ResultCache>> {
         self.cache.as_ref()
@@ -316,13 +227,7 @@ impl MultiDeviceService {
             }
             DispatchMode::CostBalanced => {
                 let costs = self.outstanding_costs();
-                let has_space = |i: usize| {
-                    let lane = &self.lanes[i];
-                    lane.service
-                        .policy()
-                        .queue_bound
-                        .is_none_or(|bound| lane.service.queued_jobs() < bound)
-                };
+                let has_space = |i: usize| self.lanes[i].full_at().is_none();
                 let least_loaded = |candidates: &mut dyn Iterator<Item = usize>| {
                     candidates.min_by(|&a, &b| {
                         costs[a]
@@ -340,7 +245,7 @@ impl MultiDeviceService {
     /// Dispatch `job` to a device and return its handle.
     ///
     /// `CostBalanced` picks the device with the least estimated outstanding
-    /// cost at this instant; under a bounded per-lane [`ServicePolicy`],
+    /// cost at this instant; under a bounded per-lane [`crate::ServicePolicy`],
     /// lanes whose queue is at its bound are skipped (best-effort — the
     /// occupancy snapshot can race a concurrent submitter) so a full cheap
     /// lane cannot block the call while another lane has room; only when
@@ -366,9 +271,10 @@ impl MultiDeviceService {
     #[must_use]
     pub fn submit(&self, job: BatchJob) -> JobHandle {
         if let Some(parts) = self.slab_parts(&job) {
-            return self.submit_slabbed(job, parts);
+            return self.submit_slabbed(&job, parts);
         }
-        self.submit_to(self.select_lane(), job)
+        let cost = self.model.weigh_job(&job, self.default_tolerances);
+        self.submit_weighted(self.select_lane(), job, cost)
     }
 
     /// [`MultiDeviceService::submit`] with refuse-instead-of-wait semantics:
@@ -395,32 +301,17 @@ impl MultiDeviceService {
             // admission is deliberately optimistic here — the model prices
             // whole jobs, not slabs, and a refusal based on the unsplit
             // footprint would reject exactly the jobs splitting rescues.
-            let full_bound = (0..self.lanes.len())
-                .map(|i| {
-                    let lane = &self.lanes[i];
-                    lane.service
-                        .policy()
-                        .queue_bound
-                        .filter(|&bound| lane.service.queued_jobs() >= bound)
-                })
-                .collect::<Option<Vec<usize>>>();
-            if let Some(bounds) = full_bound {
-                let bound = bounds.into_iter().min().unwrap_or(0);
+            let full_bounds: Option<Vec<usize>> = self.lanes.iter().map(Lane::full_at).collect();
+            if let Some(bound) = full_bounds.and_then(|bounds| bounds.into_iter().min()) {
                 return Err(Rejected::QueueFull(Box::new(QueueFull { bound, job })));
             }
-            return Ok(self.submit_slabbed(job, parts));
+            return Ok(self.submit_slabbed(&job, parts));
         }
-        let lane_index = self.select_lane();
-        let lane = &self.lanes[lane_index];
+        let lane = &self.lanes[self.select_lane()];
         let cost = self.model.weigh_job(&job, self.default_tolerances);
-        *lock(&lane.outstanding) += cost;
-        let outstanding = Arc::clone(&lane.outstanding);
-        let result = lane.service.try_submit_with_hook(
-            job,
-            Some(Box::new(move || {
-                *lock(&outstanding) -= cost;
-            })),
-        );
+        let result = lane
+            .service
+            .try_submit_with_hook(job, Some(lane.charge(cost)));
         if result.is_err() {
             // The lane never accepted the job, so its completion hook will
             // never run: revert the charge at exactly the charged value.
@@ -429,119 +320,35 @@ impl MultiDeviceService {
         result
     }
 
-    /// Dispatch `job` to the planned `lane`, charging and later retiring its
-    /// weight under the shared [`CostModel`].
-    fn submit_to(&self, lane_index: usize, job: BatchJob) -> JobHandle {
-        let cost = self.model.weigh_job(&job, self.default_tolerances);
-        self.submit_weighted(lane_index, job, cost)
-    }
-
-    /// [`MultiDeviceService::submit_to`] with an explicit charge — the slab
-    /// path apportions the parent's weight across children, so a child's
-    /// charge is its [`slab_weights`] share rather than its own model weight.
+    /// Dispatch `job` to `lane_index` with an explicit charge — the job's
+    /// own model weight, or a slab child's [`slab_weights`] share of its
+    /// parent's — retired when the job completes.
     fn submit_weighted(&self, lane_index: usize, job: BatchJob, cost: f64) -> JobHandle {
         let lane = &self.lanes[lane_index];
-        *lock(&lane.outstanding) += cost;
-        let outstanding = Arc::clone(&lane.outstanding);
-        lane.service.submit_with_hook(
-            job,
-            Some(Box::new(move || {
-                *lock(&outstanding) -= cost;
-            })),
-        )
+        lane.service.submit_with_hook(job, Some(lane.charge(cost)))
     }
 
-    /// How many slabs `job` must be cut into, or `None` when it fits on one
-    /// device (the overwhelmingly common case) or carries a per-job method
-    /// override (baseline methods have no slab-composition story).
+    /// The [`slab_count`] of `job` against the smallest lane's memory.
     fn slab_parts(&self, job: &BatchJob) -> Option<usize> {
-        if job.method().is_some() {
-            return None;
-        }
         let budget = self
             .lanes
             .iter()
             .map(|lane| lane.service.device().config().memory_capacity)
             .min()
-            .expect("the lane list is never empty") as f64;
-        let footprint = estimated_job_footprint_bytes(job, self.default_tolerances);
-        if footprint <= budget {
-            return None;
-        }
-        Some(((footprint / budget).ceil() as usize).clamp(2, 64))
+            .expect("the lane list is never empty");
+        slab_count(job, self.default_tolerances, budget as f64)
     }
 
-    /// Split an oversized job into `parts` slab children, dispatch each
-    /// through the ordinary lanes, and hand back a parent handle served by a
-    /// combiner thread that waits for the children **in slab order** and
-    /// publishes the [`combine_slab_outputs`] fold.
-    fn submit_slabbed(&self, job: BatchJob, parts: usize) -> JobHandle {
-        let slabs = MultiDevicePagani::partition(job.region(), parts);
-        let total_cost = self.model.weigh_job(&job, self.default_tolerances);
-        let weights = slab_weights(total_cost, &slabs);
-        let children: Vec<JobHandle> = slabs
-            .into_iter()
-            .zip(&weights)
-            .map(|(slab, &weight)| {
-                self.submit_weighted(self.select_lane(), job.clone().over(slab), weight)
-            })
-            .collect();
-        let tolerances = crate::cost::job_tolerances(&job, self.default_tolerances);
-        let parent = Arc::new(JobState::new());
-        let state = Arc::clone(&parent);
-        let waited = children.clone();
-        std::thread::Builder::new()
-            .name("pagani-slab-combiner".into())
-            .spawn(move || {
-                let mut outputs = Vec::with_capacity(waited.len());
-                for child in &waited {
-                    match std::panic::catch_unwind(AssertUnwindSafe(|| child.wait())) {
-                        Ok(output) => outputs.push(output),
-                        Err(payload) => {
-                            state.complete(JobOutcome::Panicked(panic_message(payload.as_ref())));
-                            return;
-                        }
-                    }
-                }
-                state.complete(JobOutcome::Finished(combine_slab_outputs(
-                    &outputs, tolerances,
-                )));
-            })
-            .expect("spawning the slab-combiner thread");
-        JobHandle::detached(
-            parent,
-            Some(Arc::new(move || {
-                for child in &children {
-                    child.cancel();
-                }
-            })),
+    /// Slab-split an oversized job, each child dispatched through the
+    /// ordinary lanes with its share of the parent's charge.
+    fn submit_slabbed(&self, job: &BatchJob, parts: usize) -> JobHandle {
+        submit_slabbed(
+            job,
+            parts,
+            &self.model,
+            self.default_tolerances,
+            |child, weight| self.submit_weighted(self.select_lane(), child, weight),
         )
-    }
-
-    /// Run a fixed batch of jobs across the pool, returning outputs in job
-    /// order.
-    ///
-    /// The batch is planned up front with [`plan_dispatch`], so the
-    /// job-to-device assignment is a pure function of the job list, the
-    /// dispatch mode and the shared [`CostModel`]'s state at planning time —
-    /// no completion-timing dependence, unlike streaming
-    /// [`MultiDeviceService::submit`] whose cost-balanced placement races
-    /// completions.  (On a fresh service the model is cold and the plan
-    /// reduces to the static [`estimated_cost`] weights — the fully
-    /// reproducible case the pinning tests use.)
-    #[must_use]
-    pub fn integrate_batch(&self, jobs: &[BatchJob]) -> Vec<PaganiOutput> {
-        let costs: Vec<f64> = jobs
-            .iter()
-            .map(|job| self.model.weigh_job(job, self.default_tolerances))
-            .collect();
-        let plan = plan_dispatch(&costs, self.lanes.len(), self.mode);
-        let handles: Vec<JobHandle> = jobs
-            .iter()
-            .zip(&plan)
-            .map(|(job, &lane)| self.submit_to(lane, job.clone()))
-            .collect();
-        handles.iter().map(JobHandle::wait).collect()
     }
 
     /// Graceful shutdown: every lane drains its submitted jobs and joins its
@@ -558,7 +365,6 @@ impl MultiDeviceService {
 pub struct MultiDevicePagani {
     devices: Vec<Device>,
     config: PaganiConfig,
-    dispatch: DispatchMode,
 }
 
 /// Result of a multi-device run: the combined result plus each device's output.
@@ -571,34 +377,14 @@ pub struct MultiDeviceOutput {
 }
 
 impl MultiDevicePagani {
-    /// Create a multi-device integrator (cost-balanced batch dispatch by
-    /// default; see [`MultiDevicePagani::with_dispatch`]).
+    /// Create a multi-device integrator.
     ///
     /// # Panics
     /// Panics if `devices` is empty.
     #[must_use]
     pub fn new(devices: Vec<Device>, config: PaganiConfig) -> Self {
         assert!(!devices.is_empty(), "at least one device is required");
-        Self {
-            devices,
-            config,
-            dispatch: DispatchMode::default(),
-        }
-    }
-
-    /// Choose how [`MultiDevicePagani::integrate_batch`] assigns jobs to
-    /// devices: [`DispatchMode::CostBalanced`] (the default) or the pinned
-    /// deterministic [`DispatchMode::RoundRobin`] fallback.
-    #[must_use]
-    pub fn with_dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
-        self
-    }
-
-    /// The batch dispatch mode in force.
-    #[must_use]
-    pub fn dispatch(&self) -> DispatchMode {
-        self.dispatch
+        Self { devices, config }
     }
 
     /// Number of devices in the pool.
@@ -641,36 +427,6 @@ impl MultiDevicePagani {
     pub fn integrate<F: Integrand + Sync + ?Sized>(&self, f: &F) -> MultiDeviceOutput {
         let (lo, hi) = f.default_bounds();
         self.integrate_region(f, &Region::new(lo, hi))
-    }
-
-    /// Run a batch of independent jobs across the device pool, returning
-    /// outputs in job order.
-    ///
-    /// Sugar over a transient [`MultiDeviceService`]: the batch is planned
-    /// with [`plan_dispatch`] under this integrator's [`DispatchMode`] —
-    /// cost-balanced greedy assignment by default, or round-robin (job `i` on
-    /// device `i mod n`, the pinned deterministic fallback) — then every job
-    /// runs against an isolated memory view of its device, so each output is
-    /// bit-identical to running that job alone on an identically-configured
-    /// device regardless of placement.
-    ///
-    /// **Heterogeneous pools:** when the devices differ (memory capacity
-    /// above all), a job's outcome *does* depend on which device serves it —
-    /// a heavy job planned onto a small device can exhaust memory where the
-    /// large device would converge.  The cost model weighs jobs, not
-    /// devices, so on mixed pools pin placement explicitly with
-    /// [`MultiDevicePagani::with_dispatch`]`(DispatchMode::RoundRobin)` (the
-    /// pre-cost-model behaviour: job `i` always on device `i mod n`).
-    #[must_use]
-    pub fn integrate_batch(&self, jobs: &[BatchJob]) -> Vec<PaganiOutput> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let service =
-            MultiDeviceService::with_mode(self.devices.clone(), self.config.clone(), self.dispatch);
-        let outputs = service.integrate_batch(jobs);
-        service.shutdown();
-        outputs
     }
 
     /// Integrate `f` over an explicit region, one slab per device, concurrently.
@@ -780,6 +536,79 @@ pub(crate) fn combine_slab_outputs(
         result: combine_results(outputs.iter().map(|o| &o.result), tolerances, wall_time),
         trace: ExecutionTrace::default(),
     }
+}
+
+/// How many slabs `job` must be cut into to fit in `budget` bytes of device
+/// memory, or `None` when its [`estimated_job_footprint_bytes`] fits whole
+/// (the overwhelmingly common case) or it carries a per-job method override
+/// (baseline methods have no slab-composition story).
+pub(crate) fn slab_count(
+    job: &BatchJob,
+    default_tolerances: Tolerances,
+    budget: f64,
+) -> Option<usize> {
+    if job.method().is_some() {
+        return None;
+    }
+    let footprint = estimated_job_footprint_bytes(job, default_tolerances);
+    if footprint <= budget {
+        return None;
+    }
+    Some(((footprint / budget).ceil() as usize).clamp(2, 64))
+}
+
+/// The slab path of every service front door: cut `job` into `parts`
+/// [`MultiDevicePagani::partition`] slabs and hand each child (inheriting
+/// the parent's priority and deadline) to `dispatch` together with its
+/// [`slab_weights`] share of the parent's `model` weight, so the children's
+/// charges sum to exactly what the whole job would have charged.  The
+/// returned parent handle is served by a combiner thread that waits for the
+/// children **in slab order** and publishes the [`combine_slab_outputs`]
+/// fold; cancelling it cancels every child.
+pub(crate) fn submit_slabbed(
+    job: &BatchJob,
+    parts: usize,
+    model: &CostModel,
+    default_tolerances: Tolerances,
+    mut dispatch: impl FnMut(BatchJob, f64) -> JobHandle,
+) -> JobHandle {
+    let slabs = MultiDevicePagani::partition(job.region(), parts);
+    let weights = slab_weights(model.weigh_job(job, default_tolerances), &slabs);
+    let children: Vec<JobHandle> = slabs
+        .into_iter()
+        .zip(weights)
+        .map(|(slab, weight)| dispatch(job.clone().over(slab), weight))
+        .collect();
+    let tolerances = job_tolerances(job, default_tolerances);
+    let parent = Arc::new(JobState::new());
+    let state = Arc::clone(&parent);
+    let waited = children.clone();
+    std::thread::Builder::new()
+        .name("pagani-slab-combiner".into())
+        .spawn(move || {
+            let mut outputs = Vec::with_capacity(waited.len());
+            for child in &waited {
+                match std::panic::catch_unwind(AssertUnwindSafe(|| child.wait())) {
+                    Ok(output) => outputs.push(output),
+                    Err(payload) => {
+                        state.complete(JobOutcome::Panicked(panic_message(payload.as_ref())));
+                        return;
+                    }
+                }
+            }
+            state.complete(JobOutcome::Finished(combine_slab_outputs(
+                &outputs, tolerances,
+            )));
+        })
+        .expect("spawning the slab-combiner thread");
+    JobHandle::detached(
+        parent,
+        Some(Arc::new(move || {
+            for child in &children {
+                child.cancel();
+            }
+        })),
+    )
 }
 
 #[cfg(test)]
@@ -986,45 +815,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_plan_is_a_pure_function_of_the_index() {
-        let costs = vec![1.0; 7];
-        assert_eq!(
-            plan_dispatch(&costs, 3, DispatchMode::RoundRobin),
-            vec![0, 1, 2, 0, 1, 2, 0]
-        );
-    }
-
-    #[test]
-    fn cost_balanced_plan_beats_round_robin_makespan_on_a_skewed_batch() {
-        // The adversarial mix for round-robin with 2 devices: heavy jobs on
-        // even indices, trivial jobs on odd ones — round-robin piles every
-        // heavy job onto device 0.
-        let heavy = estimated_cost(5, Tolerances::rel(1e-4));
-        let light = estimated_cost(2, Tolerances::rel(1e-3));
-        let costs: Vec<f64> = (0..16)
-            .map(|i| if i % 2 == 0 { heavy } else { light })
-            .collect();
-        let makespan = |plan: &[usize]| -> f64 {
-            let mut per_lane = [0.0f64; 2];
-            for (&lane, &cost) in plan.iter().zip(&costs) {
-                per_lane[lane] += cost;
-            }
-            per_lane.iter().fold(0.0f64, |a, &b| a.max(b))
-        };
-        let rr = makespan(&plan_dispatch(&costs, 2, DispatchMode::RoundRobin));
-        let balanced = makespan(&plan_dispatch(&costs, 2, DispatchMode::CostBalanced));
-        assert!(
-            balanced < 0.6 * rr,
-            "cost-balanced makespan {balanced} must clearly beat round-robin {rr}"
-        );
-        // Sanity: both plans place every job.
-        assert_eq!(
-            plan_dispatch(&costs, 2, DispatchMode::CostBalanced).len(),
-            16
-        );
-    }
-
-    #[test]
     fn multi_device_service_batch_is_bit_identical_across_dispatch_modes() {
         let f4 = std::sync::Arc::new(PaperIntegrand::f4(3));
         let f3 = std::sync::Arc::new(PaperIntegrand::f3(4));
@@ -1040,12 +830,16 @@ mod tests {
         let config = PaganiConfig::test_small(Tolerances::rel(1e-4));
         let mut per_mode = Vec::new();
         for mode in [DispatchMode::CostBalanced, DispatchMode::RoundRobin] {
-            let service = MultiDeviceService::with_mode(devices(2), config.clone(), mode);
+            let service = ServiceBuilder::new(config.clone())
+                .devices(devices(2))
+                .dispatch(mode)
+                .build_multi();
             assert_eq!(service.mode(), mode);
-            let bits: Vec<u64> = service
-                .integrate_batch(&jobs)
+            let handles: Vec<JobHandle> =
+                jobs.iter().map(|job| service.submit(job.clone())).collect();
+            let bits: Vec<u64> = handles
                 .iter()
-                .map(|o| o.result.estimate.to_bits())
+                .map(|handle| handle.wait().result.estimate.to_bits())
                 .collect();
             // All dispatched cost is retired once every handle has completed.
             assert!(service.outstanding_costs().iter().all(|&c| c.abs() < 1e-9));
@@ -1060,52 +854,43 @@ mod tests {
 
     #[test]
     fn streaming_submit_balances_outstanding_cost() {
-        // Two lanes, four identical heavy submissions with nothing completing
-        // in between (jobs are real, but dispatch happens immediately):
-        // cost-balanced streaming must alternate lanes rather than pile up.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // Two lanes, one heavy 4-D job then four light 2-D ones, all held in
+        // flight by a closed gate so nothing completes in between.
+        // Round-robin would stack two light jobs on the heavy job's lane;
+        // cost-balanced streaming must send every light job to the other
+        // lane, whose summed charge stays below the heavy one.
+        let gate = Arc::new(AtomicBool::new(false));
+        let held = |dim: usize| {
+            let gate = Arc::clone(&gate);
+            BatchJob::new(pagani_quadrature::FnIntegrand::new(
+                dim,
+                move |x: &[f64]| {
+                    while !gate.load(Ordering::Acquire) {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    x.iter().sum()
+                },
+            ))
+        };
         let config = PaganiConfig::test_small(Tolerances::rel(1e-4));
-        let service = MultiDeviceService::new(devices(2), config);
-        let handles: Vec<_> = (0..4)
-            .map(|_| service.submit(BatchJob::new(PaperIntegrand::f4(3))))
+        let service = ServiceBuilder::new(config.clone())
+            .devices(devices(2))
+            .build_multi();
+        let heavy = service.cost_model().weigh_job(&held(4), config.tolerances);
+        let light = service.cost_model().weigh_job(&held(2), config.tolerances);
+        let handles: Vec<JobHandle> = std::iter::once(held(4))
+            .chain((0..4).map(|_| held(2)))
+            .map(|job| service.submit(job))
             .collect();
+        let in_flight = service.outstanding_costs();
+        gate.store(true, Ordering::Release);
         for handle in &handles {
             assert!(handle.wait().result.converged());
         }
+        assert_eq!(in_flight, vec![heavy, 4.0 * light]);
+        assert_eq!(service.outstanding_costs(), vec![0.0, 0.0]);
         service.shutdown();
-    }
-
-    #[test]
-    fn batch_shards_across_devices_and_matches_single_device_results() {
-        let f4 = std::sync::Arc::new(PaperIntegrand::f4(3));
-        let f3 = std::sync::Arc::new(PaperIntegrand::f3(3));
-        let jobs = [
-            BatchJob::shared(f4.clone()),
-            BatchJob::shared(f3.clone()),
-            BatchJob::shared(f4.clone()),
-            BatchJob::shared(f3.clone()),
-            BatchJob::shared(f4.clone()),
-        ];
-        let config = PaganiConfig::test_small(Tolerances::rel(1e-4));
-        let multi = MultiDevicePagani::new(devices(2), config.clone());
-        let outputs = multi.integrate_batch(&jobs);
-        assert_eq!(outputs.len(), jobs.len());
-        // Every output matches the same job run alone on an equivalent device.
-        let lone_f4 = Pagani::new(devices(1).pop().unwrap(), config.clone()).integrate(f4.as_ref());
-        let lone_f3 = Pagani::new(devices(1).pop().unwrap(), config).integrate(f3.as_ref());
-        for (i, output) in outputs.iter().enumerate() {
-            let reference = if i % 2 == 0 { &lone_f4 } else { &lone_f3 };
-            assert_eq!(
-                output.result.estimate.to_bits(),
-                reference.result.estimate.to_bits(),
-                "job {i} diverged from its single-device run"
-            );
-        }
-    }
-
-    #[test]
-    fn empty_multi_device_batch_is_empty() {
-        let multi = MultiDevicePagani::new(devices(2), PaganiConfig::default());
-        assert!(multi.integrate_batch(&[]).is_empty());
     }
 
     proptest! {

@@ -29,22 +29,20 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use pagani_persist::{CacheKey, ResultCache, Snapshot};
+use pagani_persist::{ResultCache, Snapshot};
 use pagani_quadrature::{IntegrationResult, Termination, Tolerances};
 
 use crate::batch::BatchJob;
 use crate::builder::ServiceBuilder;
-use crate::cost::{
-    estimated_job_footprint_bytes, job_tolerances, remote_lane_load, slab_weights, CostModel,
-};
+use crate::cost::{remote_lane_load, CostModel};
 use crate::driver::PaganiOutput;
-use crate::multi_device::{combine_slab_outputs, MultiDevicePagani};
+use crate::multi_device::{slab_count, submit_slabbed};
 use crate::remote::wire::{
     priority_to_tag, tag_to_termination, Message, NO_DEADLINE, PROTOCOL_VERSION,
 };
 use crate::service::{
-    DeadlineInfeasible, JobHandle, JobOutcome, JobState, Observability, QueueFull, Rejected,
-    ServiceMetrics, ServicePolicy,
+    job_cache_key, JobHandle, JobOutcome, JobState, Observability, Rejected, ServiceMetrics,
+    ServicePolicy,
 };
 use crate::trace::ExecutionTrace;
 
@@ -81,8 +79,13 @@ impl Endpoint {
 struct Pending {
     job: BatchJob,
     state: Arc<JobState>,
-    endpoint: usize,
-    charge: f64,
+    /// The endpoint currently charged `weight` for this job, `None` while
+    /// it is between workers.
+    endpoint: Option<usize>,
+    /// What the job charges whichever endpoint holds it: its model weight,
+    /// or a slab child's share of its parent's.  Fixed at dispatch, so a
+    /// requeue charges the survivor exactly what the dead worker retired.
+    weight: f64,
 }
 
 #[derive(Debug)]
@@ -213,8 +216,9 @@ impl DistributedService {
     #[must_use]
     pub fn submit(&self, job: BatchJob) -> JobHandle {
         if let Some(parts) = self.slab_parts(&job) {
-            return self.submit_slabbed(job, parts);
+            return self.submit_slabbed(&job, parts);
         }
+        let weight = self.shared.model.weigh_job(&job, self.shared.tolerances);
         let mut pending = lock(&self.shared.pending);
         if let Some(bound) = self.shared.policy.queue_bound {
             while pending.len() >= bound && !self.shared.shutting_down.load(AtomicOrdering::SeqCst)
@@ -226,7 +230,7 @@ impl DistributedService {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         }
-        dispatch_locked(&self.shared, pending, job, false)
+        dispatch_locked(&self.shared, pending, job, weight)
     }
 
     /// [`DistributedService::submit`] with refuse-instead-of-wait semantics,
@@ -241,37 +245,18 @@ impl DistributedService {
     /// handing the job back unmodified.
     pub fn try_submit(&self, job: BatchJob) -> Result<JobHandle, Rejected> {
         let pending = lock(&self.shared.pending);
-        if let Some(bound) = self.shared.policy.queue_bound {
-            if pending.len() >= bound {
-                drop(pending);
-                self.shared
-                    .obs
-                    .rejected_queue_full
-                    .fetch_add(1, AtomicOrdering::Relaxed);
-                return Err(Rejected::QueueFull(Box::new(QueueFull { bound, job })));
-            }
-        }
-        if let Some(deadline) = job.deadline() {
-            if let Some(estimated) = self.estimated_completion(&job) {
-                if estimated > deadline {
-                    drop(pending);
-                    self.shared
-                        .obs
-                        .rejected_deadline_infeasible
-                        .fetch_add(1, AtomicOrdering::Relaxed);
-                    return Err(Rejected::DeadlineInfeasible(Box::new(DeadlineInfeasible {
-                        estimated,
-                        deadline,
-                        job,
-                    })));
-                }
-            }
-        }
+        let job =
+            self.shared
+                .obs
+                .admit(self.shared.policy.queue_bound, pending.len(), job, |job| {
+                    self.estimated_completion(job)
+                })?;
         if let Some(parts) = self.slab_parts(&job) {
             drop(pending);
-            return Ok(self.submit_slabbed(job, parts));
+            return Ok(self.submit_slabbed(&job, parts));
         }
-        Ok(dispatch_locked(&self.shared, pending, job, false))
+        let weight = self.shared.model.weigh_job(&job, self.shared.tolerances);
+        Ok(dispatch_locked(&self.shared, pending, job, weight))
     }
 
     /// Predicted time to complete `job` from now: the live workers' pooled
@@ -293,15 +278,6 @@ impl DistributedService {
         let backlog =
             Duration::from_secs_f64((outstanding / 1e6 / workers.max(1) as f64).clamp(0.0, 1e9));
         Some(backlog + own)
-    }
-
-    /// Run a fixed batch across the workers, returning outputs in job order
-    /// — the distributed analogue of
-    /// [`crate::MultiDeviceService::integrate_batch`].
-    #[must_use]
-    pub fn integrate_batch(&self, jobs: &[BatchJob]) -> Vec<PaganiOutput> {
-        let handles: Vec<JobHandle> = jobs.iter().map(|job| self.submit(job.clone())).collect();
-        handles.iter().map(JobHandle::wait).collect()
     }
 
     /// Graceful shutdown: wait for every in-flight job to complete, then
@@ -330,79 +306,31 @@ impl DistributedService {
         }
     }
 
-    /// How many slabs `job` needs, or `None` when some live worker can hold
-    /// it whole (or it carries a method override — no slab-composition story
-    /// for baselines).  Mirrors the [`crate::MultiDeviceService`] check with
-    /// the budget taken from the *largest* live worker: one big box should
-    /// serve a big job whole rather than splitting it.
+    /// The [`slab_count`] of `job` against the *largest* live worker's
+    /// memory (one big box should serve a big job whole rather than split
+    /// it), or `None` while no worker is alive.
     fn slab_parts(&self, job: &BatchJob) -> Option<usize> {
-        if job.method().is_some() {
-            return None;
-        }
         let budget = self
             .shared
             .endpoints
             .iter()
             .filter(|e| e.alive.load(AtomicOrdering::SeqCst))
             .map(|e| e.memory_capacity)
-            .max()? as f64;
-        let footprint = estimated_job_footprint_bytes(job, self.shared.tolerances);
-        if footprint <= budget {
-            return None;
-        }
-        Some(((footprint / budget).ceil() as usize).clamp(2, 64))
+            .max()?;
+        slab_count(job, self.shared.tolerances, budget as f64)
     }
 
     /// Slab-split an oversized job: children dispatch as independent wire
-    /// jobs (inheriting priority and deadline), a combiner thread waits in
-    /// slab order and publishes the [`combine_slab_outputs`] fold — the same
-    /// bit-determinism contract as the in-process slab path.
-    fn submit_slabbed(&self, job: BatchJob, parts: usize) -> JobHandle {
-        let slabs = MultiDevicePagani::partition(job.region(), parts);
-        let total_cost = self.shared.model.weigh_job(&job, self.shared.tolerances);
-        let weights = slab_weights(total_cost, &slabs);
-        let children: Vec<JobHandle> = slabs
-            .into_iter()
-            .zip(&weights)
-            .map(|(slab, _)| {
-                // Children carry their own wire charges (weigh_job of the
-                // child); the slab_weights apportionment documents the
-                // parent's split for ledger introspection.
-                let pending = lock(&self.shared.pending);
-                dispatch_locked(&self.shared, pending, job.clone().over(slab), false)
-            })
-            .collect();
-        let tolerances = job_tolerances(&job, self.shared.tolerances);
-        let parent = Arc::new(JobState::new());
-        let state = Arc::clone(&parent);
-        let waited = children.clone();
-        std::thread::Builder::new()
-            .name("pagani-slab-combiner".into())
-            .spawn(move || {
-                let mut outputs = Vec::with_capacity(waited.len());
-                for child in &waited {
-                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| child.wait())) {
-                        Ok(output) => outputs.push(output),
-                        Err(payload) => {
-                            state.complete(JobOutcome::Panicked(crate::service::panic_message(
-                                payload.as_ref(),
-                            )));
-                            return;
-                        }
-                    }
-                }
-                state.complete(JobOutcome::Finished(combine_slab_outputs(
-                    &outputs, tolerances,
-                )));
-            })
-            .expect("spawning the slab-combiner thread");
-        JobHandle::detached(
-            parent,
-            Some(Arc::new(move || {
-                for child in &children {
-                    child.cancel();
-                }
-            })),
+    /// jobs, each charging its share of the parent's weight.
+    fn submit_slabbed(&self, job: &BatchJob, parts: usize) -> JobHandle {
+        submit_slabbed(
+            job,
+            parts,
+            &self.shared.model,
+            self.shared.tolerances,
+            |child, weight| {
+                dispatch_locked(&self.shared, lock(&self.shared.pending), child, weight)
+            },
         )
     }
 }
@@ -446,23 +374,11 @@ fn connect(addr: &str) -> std::io::Result<Endpoint> {
     }
 }
 
-/// The front-end cache key of a job — same scheme as the local services'
-/// `job_cache_key`.
-fn cache_key(job: &BatchJob, tolerances: Tolerances) -> CacheKey {
-    CacheKey::new(
-        &job.integrand().name(),
-        job.region().lo(),
-        job.region().hi(),
-        tolerances.rel,
-        tolerances.abs,
-    )
-}
-
 /// Build the `Submit` frame for `job`, attaching the best persisted
 /// checkpoint when the front-end cache holds one.
 fn submit_frame(shared: &DistShared, job_id: u64, job: &BatchJob) -> Message {
     let snapshot_json = shared.cache.as_ref().and_then(|cache| {
-        let key = cache_key(job, shared.tolerances);
+        let key = job_cache_key(job, shared.tolerances);
         cache
             .lookup_snapshot(&key.integrand_id, &key.region_lo_bits, &key.region_hi_bits)
             .map(|snapshot| snapshot.to_json_string())
@@ -496,36 +412,37 @@ fn least_loaded(shared: &DistShared) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-/// Register `job` as pending (holding the lock so queue-bound checks stay
-/// exact), then ship it.  Returns a detached handle whose cancel hook
-/// forwards a `Cancel` frame to whichever worker currently holds the job.
+/// Register `job` as pending with its dispatch `weight` (holding the lock so
+/// queue-bound checks stay exact), then ship it.  Returns a detached handle
+/// whose cancel hook forwards a `Cancel` frame to whichever worker currently
+/// holds the job.
 fn dispatch_locked(
     shared: &Arc<DistShared>,
     mut pending: MutexGuard<'_, HashMap<u64, Pending>>,
     job: BatchJob,
-    requeue: bool,
+    weight: f64,
 ) -> JobHandle {
     let job_id = shared.next_job_id.fetch_add(1, AtomicOrdering::Relaxed);
     let state = Arc::new(JobState::new());
     pending.insert(
         job_id,
         Pending {
-            job: job.clone(),
+            job,
             state: Arc::clone(&state),
-            endpoint: usize::MAX, // patched by ship()
-            charge: 0.0,
+            endpoint: None,
+            weight,
         },
     );
     drop(pending);
     shared.obs.submitted.fetch_add(1, AtomicOrdering::Relaxed);
-    ship(shared, job_id, requeue);
+    ship(shared, job_id, false);
     let hook_shared = Arc::clone(shared);
     JobHandle::detached(
         state,
         Some(Arc::new(move || {
             let endpoint = lock(&hook_shared.pending)
                 .get(&job_id)
-                .map(|entry| entry.endpoint);
+                .and_then(|entry| entry.endpoint);
             if let Some(index) = endpoint {
                 if let Some(endpoint) = hook_shared.endpoints.get(index) {
                     let _ = endpoint.send(&Message::Cancel { job_id });
@@ -541,9 +458,6 @@ fn dispatch_locked(
 /// one left to run it.
 fn ship(shared: &Arc<DistShared>, job_id: u64, requeue: bool) {
     loop {
-        let Some(job) = lock(&shared.pending).get(&job_id).map(|p| p.job.clone()) else {
-            return; // completed (or failed) in the meantime
-        };
         let Some(index) = least_loaded(shared) else {
             let entry = lock(&shared.pending).remove(&job_id);
             if let Some(entry) = entry {
@@ -555,16 +469,17 @@ fn ship(shared: &Arc<DistShared>, job_id: u64, requeue: bool) {
             return;
         };
         let endpoint = &shared.endpoints[index];
-        let charge = shared.model.weigh_job(&job, shared.tolerances);
-        {
+        // Record the holder and charge it in one step, under the pending
+        // lock, so completion and requeue each retire exactly this charge.
+        let job = {
             let mut pending = lock(&shared.pending);
             let Some(entry) = pending.get_mut(&job_id) else {
-                return;
+                return; // completed (or failed) in the meantime
             };
-            entry.endpoint = index;
-            entry.charge = charge;
-        }
-        *lock(&endpoint.outstanding) += charge;
+            entry.endpoint = Some(index);
+            *lock(&endpoint.outstanding) += entry.weight;
+            entry.job.clone()
+        };
         let frame = submit_frame(shared, job_id, &job);
         if endpoint.send(&frame).is_ok() {
             if requeue {
@@ -579,12 +494,30 @@ fn ship(shared: &Arc<DistShared>, job_id: u64, requeue: bool) {
                 .fetch_add(1, AtomicOrdering::Relaxed);
             return;
         }
-        // The write failed: this endpoint is dead.  Retire the charge, mark
-        // it, wake its reader (which requeues *its* other jobs), and try the
-        // next survivor for this one.
-        *lock(&endpoint.outstanding) -= charge;
+        // The write failed: this endpoint is dead.  Mark it, wake its
+        // reader (which requeues *its* other jobs), retire this job's charge
+        // and try the next survivor — unless the reader's requeue got to the
+        // job first and owns it now.
         endpoint.alive.store(false, AtomicOrdering::SeqCst);
         let _ = endpoint.stream.shutdown(Shutdown::Both);
+        if !uncharge(shared, job_id, index) {
+            return;
+        }
+    }
+}
+
+/// If `job_id` is still pending and charged to endpoint `index`, retire that
+/// charge and mark the job as between workers; whoever wins this race
+/// re-ships it.
+fn uncharge(shared: &DistShared, job_id: u64, index: usize) -> bool {
+    let mut pending = lock(&shared.pending);
+    match pending.get_mut(&job_id) {
+        Some(entry) if entry.endpoint == Some(index) => {
+            *lock(&shared.endpoints[index].outstanding) -= entry.weight;
+            entry.endpoint = None;
+            true
+        }
+        _ => false,
     }
 }
 
@@ -655,20 +588,14 @@ fn reader_loop(shared: &Arc<DistShared>, index: usize) {
     let _ = endpoint.stream.shutdown(Shutdown::Both);
     let mut orphans: Vec<u64> = lock(&shared.pending)
         .iter()
-        .filter(|(_, entry)| entry.endpoint == index)
+        .filter(|(_, entry)| entry.endpoint == Some(index))
         .map(|(&job_id, _)| job_id)
         .collect();
     orphans.sort_unstable();
     for job_id in orphans {
-        {
-            let mut pending = lock(&shared.pending);
-            let Some(entry) = pending.get_mut(&job_id) else {
-                continue;
-            };
-            *lock(&endpoint.outstanding) -= entry.charge;
-            entry.charge = 0.0;
+        if uncharge(shared, job_id, index) {
+            ship(shared, job_id, true);
         }
-        ship(shared, job_id, true);
     }
 }
 
@@ -683,8 +610,8 @@ fn complete_job(
     let Some(entry) = lock(&shared.pending).remove(&job_id) else {
         return;
     };
-    if let Some(endpoint) = shared.endpoints.get(entry.endpoint) {
-        *lock(&endpoint.outstanding) -= entry.charge;
+    if let Some(index) = entry.endpoint {
+        *lock(&shared.endpoints[index].outstanding) -= entry.weight;
     }
     if let JobOutcome::Finished(output) = &outcome {
         let cancelled = output.result.termination == Termination::Cancelled;
@@ -701,7 +628,7 @@ fn complete_job(
             if let Ok(snapshot) = Snapshot::from_json_str(json) {
                 if snapshot.validate().is_ok() {
                     cache.store(
-                        cache_key(&entry.job, shared.tolerances),
+                        job_cache_key(&entry.job, shared.tolerances),
                         None,
                         Some(snapshot),
                     );
@@ -744,15 +671,74 @@ fn heartbeat_loop(shared: &Arc<DistShared>, index: usize, interval: Duration) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PaganiConfig;
+    use crate::remote::{IntegrandRegistry, RemoteWorker};
+    use pagani_device::{Device, DeviceConfig};
+    use pagani_quadrature::FnIntegrand;
 
     #[test]
     fn endpoint_addresses_survive_construction() {
         // `connect` is exercised end-to-end in tests/distributed_semantics.rs
         // (it needs a live worker); here pin the pure pieces.
-        let key = cache_key(
+        let key = job_cache_key(
             &BatchJob::new(pagani_integrands::paper::PaperIntegrand::f4(3)),
             Tolerances::rel(1e-4),
         );
         assert_eq!(key.region_lo_bits.len(), 3);
+    }
+
+    /// The front-end's summed endpoint charge.
+    fn charged(front: &DistributedService) -> f64 {
+        front
+            .shared
+            .endpoints
+            .iter()
+            .map(|e| *lock(&e.outstanding))
+            .sum()
+    }
+
+    #[test]
+    fn slab_children_charge_exactly_the_parent_weight() {
+        // A 5-D job at 1e-6 estimates to ~4 MiB of regions, so on a 1 MiB
+        // worker it splits into several slab children; a closed gate holds
+        // them all in flight while the ledger is read.
+        let gate = Arc::new(AtomicBool::new(false));
+        let held = || {
+            let gate = Arc::clone(&gate);
+            FnIntegrand::new(5, move |x: &[f64]| {
+                while !gate.load(AtomicOrdering::Acquire) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                x.iter().sum()
+            })
+            .named("slab-charge")
+        };
+        let registry = Arc::new(IntegrandRegistry::new());
+        registry.register(held());
+        let config = PaganiConfig::test_small(Tolerances::rel(1e-6));
+        let worker = RemoteWorker::bind(
+            "127.0.0.1:0",
+            ServiceBuilder::new(config.clone()).device(Device::new(
+                DeviceConfig::test_small().with_memory_capacity(1 << 20),
+            )),
+            registry,
+        )
+        .expect("bind a loopback worker");
+        let front = ServiceBuilder::new(config.clone())
+            .endpoint(worker.local_addr().to_string())
+            .build_distributed()
+            .expect("connect the front-end");
+
+        let job = BatchJob::new(held());
+        let parent_weight = front.cost_model().weigh_job(&job, config.tolerances);
+        let handle = front.submit(job);
+        let (children, in_flight) = (front.queued_jobs(), charged(&front));
+        gate.store(true, AtomicOrdering::Release);
+        assert!(handle.wait().result.converged());
+        assert!(children >= 2, "the job must slab-split");
+        assert_eq!(in_flight, parent_weight);
+        assert_eq!(charged(&front), 0.0);
+        front.shutdown();
+        worker.shutdown();
     }
 }

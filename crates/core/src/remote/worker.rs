@@ -8,12 +8,17 @@
 //! [`Message::JobDone`] frames.  Because the service is the same one a
 //! single-process deployment uses, a result computed here is bit-identical
 //! to the local run — the wire adds transport, never arithmetic.
+//!
+//! Each connection runs two threads: a handler reading frames, and a
+//! writer sending every outgoing frame from an unbounded queue.  A job's
+//! outcome is queued by the service's completion hook on the worker that
+//! ran it, so no thread waits per job, and a front-end that stops reading
+//! stalls only its own writer — never the service's workers.
 
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
@@ -24,9 +29,9 @@ use crate::batch::BatchJob;
 use crate::builder::ServiceBuilder;
 use crate::remote::registry::IntegrandRegistry;
 use crate::remote::wire::{
-    tag_to_priority, termination_to_tag, Message, WireError, NO_DEADLINE, PROTOCOL_VERSION,
+    tag_to_priority, termination_to_tag, Message, NO_DEADLINE, PROTOCOL_VERSION,
 };
-use crate::service::{panic_message, IntegrationService, JobHandle};
+use crate::service::{job_cache_key, CompletionHook, IntegrationService, JobHandle, JobOutcome};
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
@@ -42,8 +47,22 @@ const DEFAULT_WORKER_CACHE_BYTES: usize = 64 << 20;
 #[derive(Debug)]
 struct Connection {
     stream: TcpStream,
-    writer: Mutex<TcpStream>,
-    inflight: Mutex<HashMap<u64, JobHandle>>,
+    /// In-flight jobs by wire id.  A job's handle is filed when `submit`
+    /// returns and its report is queued by the completion hook, in either
+    /// order: whichever comes second removes the entry the first one left
+    /// (`None` marks a job that reported before its handle was filed).
+    inflight: Mutex<HashMap<u64, Option<JobHandle>>>,
+}
+
+impl Connection {
+    /// File `entry` for `job_id`, or — when the other side of the
+    /// submit/report race already filed one — retire the job instead.
+    fn settle(&self, job_id: u64, entry: Option<JobHandle>) {
+        let mut inflight = lock(&self.inflight);
+        if inflight.remove(&job_id).is_none() {
+            inflight.insert(job_id, entry);
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -53,7 +72,8 @@ struct WorkerShared {
     cache: Arc<ResultCache>,
     shutting_down: AtomicBool,
     connections: Mutex<Vec<Arc<Connection>>>,
-    /// Connection-handler and result-waiter threads, joined at shutdown.
+    /// Connection-handler threads, one per accepted connection, joined at
+    /// shutdown.
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -189,12 +209,8 @@ fn acceptor_loop(listener: &TcpListener, shared: &Arc<WorkerShared>) {
             return;
         }
         let _ = stream.set_nodelay(true);
-        let Ok(writer) = stream.try_clone() else {
-            continue;
-        };
         let connection = Arc::new(Connection {
             stream,
-            writer: Mutex::new(writer),
             inflight: Mutex::new(HashMap::new()),
         });
         lock(&shared.connections).push(Arc::clone(&connection));
@@ -207,46 +223,56 @@ fn acceptor_loop(listener: &TcpListener, shared: &Arc<WorkerShared>) {
     }
 }
 
-fn connection_loop(shared: &Arc<WorkerShared>, connection: &Arc<Connection>) {
-    let Ok(mut reader) = connection.stream.try_clone() else {
+fn connection_loop(shared: &WorkerShared, connection: &Arc<Connection>) {
+    let (Ok(reader), Ok(writer)) = (connection.stream.try_clone(), connection.stream.try_clone())
+    else {
         return;
     };
+    let (outbox, outgoing) = mpsc::channel();
+    let writer = std::thread::Builder::new()
+        .name("pagani-remote-writer".into())
+        .spawn(move || writer_loop(writer, &outgoing))
+        .expect("spawning the remote writer thread");
+    serve(shared, connection, reader, outbox);
+    // The writer drains once the last sender is gone: this thread's went
+    // with `serve`, each job's goes when its completion hook has run.
+    let _ = writer.join();
+    let _ = connection.stream.shutdown(Shutdown::Both);
+    lock(&shared.connections).retain(|c| !Arc::ptr_eq(c, connection));
+}
+
+/// Send every queued frame in order, until every sender is gone or the
+/// connection refuses a write (later reports are then dropped unsent).
+fn writer_loop(mut writer: TcpStream, outgoing: &Receiver<Message>) {
+    for message in outgoing {
+        if message.write_to(&mut writer).is_err() {
+            return;
+        }
+    }
+}
+
+/// Read and answer frames until the connection ends, then cancel the jobs
+/// it still has in flight — the front-end will requeue them elsewhere.
+fn serve(
+    shared: &WorkerShared,
+    connection: &Arc<Connection>,
+    mut reader: TcpStream,
+    outbox: Sender<Message>,
+) {
     while let Ok(message) = Message::read_from(&mut reader) {
         let keep_going = match message {
-            Message::Hello { version } => handle_hello(shared, connection, version),
-            Message::Submit {
-                job_id,
-                integrand,
-                dim,
-                lo_bits,
-                hi_bits,
-                priority,
-                deadline_micros,
-                snapshot_json,
-            } => {
-                handle_submit(
-                    shared,
-                    connection,
-                    SubmitFrame {
-                        job_id,
-                        integrand,
-                        dim,
-                        lo_bits,
-                        hi_bits,
-                        priority,
-                        deadline_micros,
-                        snapshot_json,
-                    },
-                );
+            Message::Hello { version } => handle_hello(shared, &outbox, version),
+            submit @ Message::Submit { .. } => {
+                handle_submit(shared, connection, &outbox, submit);
                 true
             }
             Message::Cancel { job_id } => {
-                if let Some(handle) = lock(&connection.inflight).get(&job_id) {
+                if let Some(Some(handle)) = lock(&connection.inflight).get(&job_id) {
                     handle.cancel();
                 }
                 true
             }
-            Message::Heartbeat { seq } => send(connection, &Message::HeartbeatAck { seq }).is_ok(),
+            Message::Heartbeat { seq } => outbox.send(Message::HeartbeatAck { seq }).is_ok(),
             // Anything else is a protocol confusion; drop the connection
             // rather than guess.
             _ => false,
@@ -255,73 +281,73 @@ fn connection_loop(shared: &Arc<WorkerShared>, connection: &Arc<Connection>) {
             break;
         }
     }
-    // Connection gone (EOF, error, or protocol breach): the front-end can no
-    // longer receive these results, so cancel its in-flight jobs — it will
-    // requeue them elsewhere.
-    let orphaned: Vec<JobHandle> = lock(&connection.inflight).drain().map(|(_, h)| h).collect();
+    let orphaned: Vec<JobHandle> = lock(&connection.inflight)
+        .drain()
+        .filter_map(|(_, handle)| handle)
+        .collect();
     for handle in orphaned {
         handle.cancel();
     }
-    let _ = connection.stream.shutdown(Shutdown::Both);
-    lock(&shared.connections).retain(|c| !Arc::ptr_eq(c, connection));
 }
 
-fn handle_hello(shared: &Arc<WorkerShared>, connection: &Arc<Connection>, version: u32) -> bool {
+fn handle_hello(shared: &WorkerShared, outbox: &Sender<Message>, version: u32) -> bool {
     if version == PROTOCOL_VERSION {
-        send(
-            connection,
-            &Message::HelloAck {
+        outbox
+            .send(Message::HelloAck {
                 version: PROTOCOL_VERSION,
                 memory_capacity: shared.service.device().config().memory_capacity as u64,
                 workers: shared.service.worker_count() as u32,
-            },
-        )
-        .is_ok()
+            })
+            .is_ok()
     } else {
-        let _ = send(
-            connection,
-            &Message::HelloReject {
-                version: PROTOCOL_VERSION,
-                message: format!("worker speaks wire protocol v{PROTOCOL_VERSION}, got v{version}"),
-            },
-        );
+        let _ = outbox.send(Message::HelloReject {
+            version: PROTOCOL_VERSION,
+            message: format!("worker speaks wire protocol v{PROTOCOL_VERSION}, got v{version}"),
+        });
         false
     }
 }
 
-/// The fields of one `Submit` frame, bundled to keep signatures readable.
-struct SubmitFrame {
-    job_id: u64,
-    integrand: String,
-    dim: u32,
-    lo_bits: Vec<u64>,
-    hi_bits: Vec<u64>,
-    priority: u8,
-    deadline_micros: u64,
-    snapshot_json: Option<String>,
-}
-
-fn handle_submit(shared: &Arc<WorkerShared>, connection: &Arc<Connection>, frame: SubmitFrame) {
-    let job_id = frame.job_id;
+/// Resolve and validate one `Message::Submit` frame (other frames are
+/// ignored), then submit its job with a completion hook reporting the
+/// outcome back over `outbox`.
+fn handle_submit(
+    shared: &WorkerShared,
+    connection: &Arc<Connection>,
+    outbox: &Sender<Message>,
+    submit: Message,
+) {
+    let Message::Submit {
+        job_id,
+        integrand: name,
+        dim,
+        lo_bits,
+        hi_bits,
+        priority,
+        deadline_micros,
+        snapshot_json,
+    } = submit
+    else {
+        return;
+    };
     let refuse = |message: String| {
-        let _ = send(connection, &Message::JobFailed { job_id, message });
+        let _ = outbox.send(Message::JobFailed { job_id, message });
     };
-    let Some(integrand) = shared.registry.get(&frame.integrand) else {
-        return refuse(format!("unknown integrand {:?}", frame.integrand));
+    let Some(integrand) = shared.registry.get(&name) else {
+        return refuse(format!("unknown integrand {name:?}"));
     };
-    let dim = frame.dim as usize;
+    let dim = dim as usize;
     if integrand.dim() != dim {
         return refuse(format!(
-            "integrand {:?} is {}-dimensional, job says {dim}",
-            frame.integrand,
+            "integrand {name:?} is {}-dimensional, job says {dim}",
             integrand.dim()
         ));
     }
-    if frame.lo_bits.len() != dim || frame.hi_bits.len() != dim {
+    if lo_bits.len() != dim || hi_bits.len() != dim {
         return refuse(format!("region bounds do not match dim {dim}"));
     }
-    let lo: Vec<f64> = frame.lo_bits.iter().copied().map(f64::from_bits).collect();
-    let hi: Vec<f64> = frame.hi_bits.iter().copied().map(f64::from_bits).collect();
+    let lo: Vec<f64> = lo_bits.into_iter().map(f64::from_bits).collect();
+    let hi: Vec<f64> = hi_bits.into_iter().map(f64::from_bits).collect();
     if lo
         .iter()
         .zip(&hi)
@@ -329,112 +355,125 @@ fn handle_submit(shared: &Arc<WorkerShared>, connection: &Arc<Connection>, frame
     {
         return refuse("degenerate region bounds".to_owned());
     }
-    let priority = match tag_to_priority(frame.priority) {
-        Ok(priority) => priority,
-        Err(_) => return refuse(format!("unknown priority tag {}", frame.priority)),
+    let Ok(priority) = tag_to_priority(priority) else {
+        return refuse(format!("unknown priority tag {priority}"));
     };
-
-    // A shipped warm-start snapshot goes into the worker's cache *before*
-    // submission, so the service's ordinary warm-start machinery resumes the
-    // checkpointed tree instead of restarting from scratch.
-    if let Some(json) = &frame.snapshot_json {
-        match Snapshot::from_json_str(json).and_then(|s| s.validate().map(|()| s)) {
-            Ok(snapshot) => {
-                let tolerances = shared.service.config().tolerances;
-                shared.cache.store(
-                    CacheKey::new(&frame.integrand, &lo, &hi, tolerances.rel, tolerances.abs),
-                    None,
-                    Some(snapshot),
-                );
-            }
-            Err(err) => {
-                // A bad snapshot is not fatal — run the job cold.
-                let _ = err;
-            }
-        }
-    }
-
     let mut job = BatchJob::shared(integrand)
         .over(Region::new(lo, hi))
         .with_priority(priority);
-    if frame.deadline_micros != NO_DEADLINE {
-        job = job.with_deadline(std::time::Duration::from_micros(frame.deadline_micros));
+    if deadline_micros != NO_DEADLINE {
+        job = job.with_deadline(std::time::Duration::from_micros(deadline_micros));
     }
-    let handle = shared.service.submit(job);
-    lock(&connection.inflight).insert(job_id, handle.clone());
+    let key = job_cache_key(&job, shared.service.config().tolerances);
 
-    let waiter_shared = Arc::clone(shared);
-    let waiter_conn = Arc::clone(connection);
-    let waiter = std::thread::Builder::new()
-        .name("pagani-remote-result".into())
-        .spawn(move || {
-            wait_and_report(
-                &waiter_shared,
-                &waiter_conn,
-                job_id,
-                &handle,
-                &frame.integrand,
-                &frame.lo_bits,
-                &frame.hi_bits,
-            );
+    // A shipped warm-start snapshot goes into the worker's cache *before*
+    // submission, so the service's ordinary warm-start machinery resumes the
+    // checkpointed tree instead of restarting from scratch.  A bad snapshot
+    // is not fatal — the job runs cold.
+    if let Some(json) = &snapshot_json {
+        if let Ok(snapshot) = Snapshot::from_json_str(json).and_then(|s| s.validate().map(|()| s)) {
+            shared.cache.store(key.clone(), None, Some(snapshot));
+        }
+    }
+
+    let on_complete: CompletionHook = {
+        let connection = Arc::clone(connection);
+        let outbox = outbox.clone();
+        let cache = Arc::clone(&shared.cache);
+        Box::new(move |outcome| {
+            connection.settle(job_id, None);
+            let _ = outbox.send(report(job_id, outcome, &cache, &key));
         })
-        .expect("spawning the remote result-waiter thread");
-    lock(&shared.threads).push(waiter);
+    };
+    let handle = shared.service.submit_with_hook(job, Some(on_complete));
+    connection.settle(job_id, Some(handle));
 }
 
-/// Block on one job and stream its outcome back, then retire it from the
-/// connection's in-flight set.
-fn wait_and_report(
-    shared: &Arc<WorkerShared>,
-    connection: &Arc<Connection>,
-    job_id: u64,
-    handle: &JobHandle,
-    integrand: &str,
-    lo_bits: &[u64],
-    hi_bits: &[u64],
-) {
-    let reply = match std::panic::catch_unwind(AssertUnwindSafe(|| handle.wait())) {
-        Ok(output) => {
-            let result = &output.result;
-            // Interrupted runs ship their persisted checkpoint back so the
-            // front-end can resume the job on another worker (the service
-            // stored it in the worker cache when the run wound down).
-            let snapshot_json = matches!(
-                result.termination,
-                Termination::Cancelled | Termination::MemoryExhausted
-            )
-            .then(|| {
-                shared
-                    .cache
-                    .lookup_snapshot(integrand, lo_bits, hi_bits)
-                    .map(|snapshot| snapshot.to_json_string())
-            })
-            .flatten();
-            Message::JobDone {
+/// The frame reporting one job's outcome.  Interrupted runs carry their
+/// persisted checkpoint back so the front-end can resume the job on another
+/// worker (the service stored it in the worker cache when the run wound
+/// down).
+fn report(job_id: u64, outcome: &JobOutcome, cache: &ResultCache, key: &CacheKey) -> Message {
+    let result = match outcome {
+        JobOutcome::Finished(output) => &output.result,
+        JobOutcome::Panicked(message) => {
+            return Message::JobFailed {
                 job_id,
-                estimate_bits: result.estimate.to_bits(),
-                error_bits: result.error_estimate.to_bits(),
-                termination: termination_to_tag(result.termination),
-                iterations: result.iterations as u64,
-                function_evaluations: result.function_evaluations,
-                regions_generated: result.regions_generated,
-                active_regions_final: result.active_regions_final as u64,
-                wall_micros: result.wall_time.as_micros().min(u128::from(u64::MAX)) as u64,
-                snapshot_json,
+                message: message.clone(),
             }
         }
-        Err(payload) => Message::JobFailed {
-            job_id,
-            message: panic_message(payload.as_ref()),
-        },
     };
-    lock(&connection.inflight).remove(&job_id);
-    let _ = send(connection, &reply);
+    let snapshot_json = matches!(
+        result.termination,
+        Termination::Cancelled | Termination::MemoryExhausted
+    )
+    .then(|| cache.lookup_snapshot(&key.integrand_id, &key.region_lo_bits, &key.region_hi_bits))
+    .flatten()
+    .map(|snapshot| snapshot.to_json_string());
+    Message::JobDone {
+        job_id,
+        estimate_bits: result.estimate.to_bits(),
+        error_bits: result.error_estimate.to_bits(),
+        termination: termination_to_tag(result.termination),
+        iterations: result.iterations as u64,
+        function_evaluations: result.function_evaluations,
+        regions_generated: result.regions_generated,
+        active_regions_final: result.active_regions_final as u64,
+        wall_micros: result.wall_time.as_micros().min(u128::from(u64::MAX)) as u64,
+        snapshot_json,
+    }
 }
 
-fn send(connection: &Connection, message: &Message) -> Result<(), WireError> {
-    let mut writer = lock(&connection.writer);
-    message.write_to(&mut *writer)?;
-    writer.flush()?;
-    Ok(())
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::PaganiConfig;
+    use pagani_device::Device;
+    use pagani_integrands::paper::PaperIntegrand;
+    use pagani_quadrature::Tolerances;
+    use std::time::{Duration, Instant};
+
+    #[test]
+    fn a_connection_keeps_no_thread_or_entry_per_job() {
+        let config = PaganiConfig::test_small(Tolerances::rel(1e-4));
+        let worker = RemoteWorker::bind(
+            "127.0.0.1:0",
+            ServiceBuilder::new(config.clone()).device(Device::test_small()),
+            Arc::new(IntegrandRegistry::with_paper_suite(3)),
+        )
+        .expect("bind a loopback worker");
+        let front = ServiceBuilder::new(config)
+            .endpoint(worker.local_addr().to_string())
+            .build_distributed()
+            .expect("connect the front-end");
+        let handles: Vec<JobHandle> = (0..300)
+            .map(|i| {
+                front.submit(BatchJob::new(if i % 2 == 0 {
+                    PaperIntegrand::f3(2)
+                } else {
+                    PaperIntegrand::f4(3)
+                }))
+            })
+            .collect();
+        for handle in &handles {
+            assert!(handle.wait().result.converged());
+        }
+        // Every job has reported; a filing racing its own report settles
+        // right after, and then nothing per job may remain.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while lock(&worker.shared.connections)
+            .iter()
+            .any(|c| !lock(&c.inflight).is_empty())
+        {
+            assert!(Instant::now() < deadline, "finished jobs are still filed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            lock(&worker.shared.threads).len(),
+            1,
+            "one handler for the one connection, no thread per job"
+        );
+        front.shutdown();
+        worker.shutdown();
+    }
 }

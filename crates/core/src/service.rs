@@ -52,14 +52,13 @@
 //! top of this queue.
 //!
 //! ```
-//! use pagani_core::{BatchJob, IntegrationService, PaganiConfig};
+//! use pagani_core::{BatchJob, PaganiConfig, ServiceBuilder};
 //! use pagani_device::Device;
 //! use pagani_quadrature::{FnIntegrand, Tolerances};
 //!
-//! let service = IntegrationService::new(
-//!     Device::test_small(),
-//!     PaganiConfig::test_small(Tolerances::rel(1e-6)),
-//! );
+//! let service = ServiceBuilder::new(PaganiConfig::test_small(Tolerances::rel(1e-6)))
+//!     .device(Device::test_small())
+//!     .build();
 //! let job = BatchJob::new(FnIntegrand::new(2, |x: &[f64]| x[0] + x[1]));
 //! let handle = service.submit(job);
 //! let output = handle.wait();
@@ -75,7 +74,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pagani_device::Device;
-use pagani_persist::{CacheKey, CachedResult, ResultCache, Snapshot, WarmStartInfo};
+use pagani_persist::{CacheKey, CachedResult, ResultCache};
 use pagani_quadrature::{IntegrationResult, Termination, Tolerances};
 
 use crate::arena::ScratchArena;
@@ -429,6 +428,38 @@ impl Observability {
         }
     }
 
+    /// The admission check of every refuse-instead-of-wait front door, in
+    /// order: capacity (`queued` jobs against `bound`), then — for a job
+    /// carrying a deadline — feasibility against `estimate`, the front door's
+    /// predicted completion time (`None` while its model is cold, which
+    /// admits).  A refusal is counted here and hands the job back inside
+    /// [`Rejected`]; an admitted job is returned for enqueueing.
+    pub(crate) fn admit(
+        &self,
+        bound: Option<usize>,
+        queued: usize,
+        job: BatchJob,
+        estimate: impl FnOnce(&BatchJob) -> Option<Duration>,
+    ) -> Result<BatchJob, Rejected> {
+        if let Some(bound) = bound.filter(|&bound| queued >= bound) {
+            self.rejected_queue_full
+                .fetch_add(1, AtomicOrdering::Relaxed);
+            return Err(Rejected::QueueFull(Box::new(QueueFull { bound, job })));
+        }
+        if let Some(deadline) = job.deadline() {
+            if let Some(estimated) = estimate(&job).filter(|&estimated| estimated > deadline) {
+                self.rejected_deadline_infeasible
+                    .fetch_add(1, AtomicOrdering::Relaxed);
+                return Err(Rejected::DeadlineInfeasible(Box::new(DeadlineInfeasible {
+                    estimated,
+                    deadline,
+                    job,
+                })));
+            }
+        }
+        Ok(job)
+    }
+
     /// Render the counters as a [`ServiceMetrics`] snapshot.
     pub(crate) fn snapshot(&self, queue_depth: usize) -> ServiceMetrics {
         let outstanding_micros = *lock(&self.outstanding_micros);
@@ -628,9 +659,11 @@ impl JobHandle {
     }
 }
 
-/// A completion hook, run on the worker after the job's outcome is published
-/// (the multi-device dispatcher uses it to retire the job's estimated cost).
-pub(crate) type CompletionHook = Box<dyn FnOnce() + Send>;
+/// A completion hook, run on the worker with the job's outcome just before
+/// that outcome is published: the multi-device dispatcher uses it to retire
+/// the job's estimated cost, the remote worker to report the outcome over
+/// the wire.
+pub(crate) type CompletionHook = Box<dyn FnOnce(&JobOutcome) + Send>;
 
 struct QueuedJob {
     job: BatchJob,
@@ -763,77 +796,11 @@ pub struct IntegrationService {
 }
 
 impl IntegrationService {
-    /// Start a service on `device`; the worker count defaults to the device's
-    /// effective worker-pool width (more service workers than that buy no
-    /// extra parallelism — the admission gate bounds in-flight jobs anyway).
-    ///
-    /// Thin delegate of [`crate::ServiceBuilder`] — the one construction path
-    /// all three service types share.
-    #[must_use]
-    pub fn new(device: Device, config: PaganiConfig) -> Self {
-        crate::ServiceBuilder::new(config).device(device).build()
-    }
-
-    /// Start a service with an explicit worker-thread count (minimum 1).
-    #[must_use]
-    pub fn with_workers(device: Device, config: PaganiConfig, workers: usize) -> Self {
-        crate::ServiceBuilder::new(config)
-            .device(device)
-            .workers(workers)
-            .build()
-    }
-
-    /// Start a service with an explicit [`ServicePolicy`].
-    #[must_use]
-    pub fn with_policy(device: Device, config: PaganiConfig, policy: ServicePolicy) -> Self {
-        crate::ServiceBuilder::new(config)
-            .device(device)
-            .policy(policy)
-            .build()
-    }
-
-    /// Start a service backed by a shared [`ResultCache`].
-    ///
-    /// With a cache attached the default job path changes in three ways (all
-    /// invisible to callers except in wall time and [`ServiceMetrics`]):
-    ///
-    /// 1. an **exact hit** — same integrand name, region and tolerance as a
-    ///    cached converged run — is served without touching the device;
-    /// 2. a **miss with a usable snapshot** for the same integrand and region
-    ///    (any tolerance) *warm-starts* from that snapshot's region tree
-    ///    instead of the root, provided the snapshot's frozen error leaves
-    ///    headroom under this job's budget;
-    /// 3. every run **persists** its final tree — converged trees for future
-    ///    warm starts, partial trees from cancelled/deadline-shed runs so a
-    ///    retry continues rather than recomputes.
-    ///
-    /// Deadline admission prices jobs by *remaining* work: an exact hit costs
-    /// nothing, a feasible warm start costs its full prediction minus the
-    /// snapshot's predicted-work credit.
-    ///
-    /// Cache identity is `Integrand::name()` — callers mixing distinct
-    /// closures through one cached service must name them uniquely
-    /// (`FnIntegrand::named`).  Jobs with a per-job method override bypass
-    /// the cache entirely: the cache key cannot see the override's
-    /// configuration.
-    #[must_use]
-    pub fn with_cache(
-        device: Device,
-        config: PaganiConfig,
-        policy: ServicePolicy,
-        cache: Arc<ResultCache>,
-    ) -> Self {
-        crate::ServiceBuilder::new(config)
-            .device(device)
-            .policy(policy)
-            .cache(cache)
-            .build()
-    }
-
     /// Start a service sharing an externally owned [`CostModel`] (and
-    /// optionally a [`ResultCache`]) — the multi-device dispatcher passes one
-    /// of each to every lane so buckets pool their learning and results
-    /// across devices.
+    /// optionally a [`ResultCache`]) — the one construction path, fed by
+    /// [`crate::ServiceBuilder::build`] and by every lane of a
+    /// [`crate::MultiDeviceService`], which passes each lane the same model
+    /// and cache so buckets pool their learning and results across devices.
     #[must_use]
     pub(crate) fn with_policy_and_model(
         device: Device,
@@ -944,15 +911,14 @@ impl IntegrationService {
     /// this and handles the `Err`.
     ///
     /// ```
-    /// use pagani_core::{BatchJob, IntegrationService, PaganiConfig, Rejected, ServicePolicy};
+    /// use pagani_core::{BatchJob, PaganiConfig, Rejected, ServiceBuilder};
     /// use pagani_device::Device;
     /// use pagani_quadrature::{FnIntegrand, Tolerances};
     ///
-    /// let service = IntegrationService::with_policy(
-    ///     Device::test_small(),
-    ///     PaganiConfig::test_small(Tolerances::rel(1e-6)),
-    ///     ServicePolicy::new().with_queue_bound(4),
-    /// );
+    /// let service = ServiceBuilder::new(PaganiConfig::test_small(Tolerances::rel(1e-6)))
+    ///     .device(Device::test_small())
+    ///     .queue_bound(4)
+    ///     .build();
     /// let job = BatchJob::new(FnIntegrand::new(2, |x: &[f64]| x[0] + x[1]));
     /// match service.try_submit(job) {
     ///     Ok(handle) => assert!(handle.wait().result.converged()),
@@ -982,30 +948,12 @@ impl IntegrationService {
         on_complete: Option<CompletionHook>,
     ) -> Result<JobHandle, Rejected> {
         let queue = lock(&self.shared.queue);
-        if let Some(bound) = self.shared.policy.queue_bound {
-            if queue.jobs.len() >= bound {
-                self.shared
-                    .obs
-                    .rejected_queue_full
-                    .fetch_add(1, AtomicOrdering::Relaxed);
-                return Err(Rejected::QueueFull(Box::new(QueueFull { bound, job })));
-            }
-        }
-        if let Some(deadline) = job.deadline() {
-            if let Some(estimated) = self.estimated_completion(&job) {
-                if estimated > deadline {
-                    self.shared
-                        .obs
-                        .rejected_deadline_infeasible
-                        .fetch_add(1, AtomicOrdering::Relaxed);
-                    return Err(Rejected::DeadlineInfeasible(Box::new(DeadlineInfeasible {
-                        estimated,
-                        deadline,
-                        job,
-                    })));
-                }
-            }
-        }
+        let job = self.shared.obs.admit(
+            self.shared.policy.queue_bound,
+            queue.jobs.len(),
+            job,
+            |job| self.estimated_completion(job),
+        )?;
         Ok(self.enqueue(queue, job, on_complete))
     }
 
@@ -1044,14 +992,15 @@ impl IntegrationService {
         if job.method().is_some() {
             return Some(full);
         }
-        let key = job_cache_key(&self.shared, job);
+        let tolerances = self.shared.config.tolerances;
+        let key = job_cache_key(job, tolerances);
         if cache.contains_result(&key) {
             return Some(Duration::ZERO);
         }
         let info =
             cache.peek_warm_start(&key.integrand_id, &key.region_lo_bits, &key.region_hi_bits);
         if let Some(info) = info {
-            if warm_info_feasible(&info, self.shared.config.tolerances) {
+            if warm_start_feasible(info.latest_estimate, info.finished_error, tolerances) {
                 // Work banked at the snapshot's own tolerance is work this job
                 // will not redo.  Keep a 10% floor: resuming still re-runs the
                 // snapshot's final generation and the tail of refinement.
@@ -1074,14 +1023,13 @@ impl IntegrationService {
     /// A point-in-time [`ServiceMetrics`] snapshot.
     ///
     /// ```
-    /// use pagani_core::{BatchJob, IntegrationService, PaganiConfig, Priority};
+    /// use pagani_core::{BatchJob, PaganiConfig, Priority, ServiceBuilder};
     /// use pagani_device::Device;
     /// use pagani_quadrature::{FnIntegrand, Tolerances};
     ///
-    /// let service = IntegrationService::new(
-    ///     Device::test_small(),
-    ///     PaganiConfig::test_small(Tolerances::rel(1e-6)),
-    /// );
+    /// let service = ServiceBuilder::new(PaganiConfig::test_small(Tolerances::rel(1e-6)))
+    ///     .device(Device::test_small())
+    ///     .build();
     /// let job = BatchJob::new(FnIntegrand::new(2, |x: &[f64]| x[0] + x[1]));
     /// service.submit(job).wait();
     ///
@@ -1109,14 +1057,13 @@ impl IntegrationService {
     ///
     /// ```
     /// use std::time::Duration;
-    /// use pagani_core::{CostKey, IntegrationService, PaganiConfig};
+    /// use pagani_core::{CostKey, PaganiConfig, ServiceBuilder};
     /// use pagani_device::Device;
     /// use pagani_quadrature::Tolerances;
     ///
-    /// let service = IntegrationService::new(
-    ///     Device::test_small(),
-    ///     PaganiConfig::test_small(Tolerances::rel(1e-6)),
-    /// );
+    /// let service = ServiceBuilder::new(PaganiConfig::test_small(Tolerances::rel(1e-6)))
+    ///     .device(Device::test_small())
+    ///     .build();
     /// let key = CostKey::new("warmup", 2, Tolerances::rel(1e-6));
     /// service.cost_model().record(&key, Duration::from_millis(5));
     /// assert_eq!(service.cost_model().observations(), 1);
@@ -1297,7 +1244,7 @@ fn worker_loop(shared: &ServiceShared) {
         // shared state touched during the unwind is panic-safe — the arena
         // shelves only value-transparent scratch storage and the job's
         // isolated device view is discarded wholesale.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_job(shared, &arena, &job, &state.cancel)
         }));
         // Retire the admission charge at exactly the value it was charged at
@@ -1306,7 +1253,7 @@ fn worker_loop(shared: &ServiceShared) {
         // accounting.
         *lock(&shared.obs.outstanding_micros) -= charge_micros;
         shared.obs.completed.fetch_add(1, AtomicOrdering::Relaxed);
-        if let Ok((output, from_cache)) = &outcome {
+        if let Ok((output, from_cache)) = &run {
             if output.result.termination == Termination::Cancelled {
                 // A cancelled run's partial wall time would bias the model
                 // low: count it, learn nothing from it.
@@ -1328,17 +1275,18 @@ fn worker_loop(shared: &ServiceShared) {
                 }
             }
         }
+        let outcome = match run {
+            Ok((output, _)) => JobOutcome::Finished(output),
+            Err(payload) => JobOutcome::Panicked(panic_message(payload.as_ref())),
+        };
         // The hook runs before the outcome is published so that anyone who
         // observed the job as complete (via wait/try_result) also observes
         // its side effects — the multi-device dispatcher relies on the job's
         // estimated cost being retired by the time a wait() returns.
         if let Some(hook) = on_complete {
-            hook();
+            hook(&outcome);
         }
-        state.complete(match outcome {
-            Ok((output, _)) => JobOutcome::Finished(output),
-            Err(payload) => JobOutcome::Panicked(panic_message(payload.as_ref())),
-        });
+        state.complete(outcome);
     }
 }
 
@@ -1357,7 +1305,7 @@ fn run_job(
     // memory view exists, so a hit performs zero device launches.
     if job.method().is_none() {
         if let Some(cache) = &shared.cache {
-            let key = job_cache_key(shared, job);
+            let key = job_cache_key(job, shared.config.tolerances);
             if let Some(hit) = cache.lookup_result(&key) {
                 shared.obs.cache_hits.fetch_add(1, AtomicOrdering::Relaxed);
                 shared
@@ -1426,10 +1374,11 @@ fn run_cached_job(
     job: &BatchJob,
     cancel: &CancelToken,
 ) -> PaganiOutput {
-    let key = job_cache_key(shared, job);
+    let tolerances = shared.config.tolerances;
+    let key = job_cache_key(job, tolerances);
     let warm = cache
         .lookup_snapshot(&key.integrand_id, &key.region_lo_bits, &key.region_hi_bits)
-        .filter(|snap| warm_start_feasible(snap, shared.config.tolerances));
+        .filter(|snap| warm_start_feasible(snap.latest_estimate, snap.finished_error, tolerances));
     let resumable = match warm {
         Some(snapshot) => match pagani.resume_from(job.integrand(), &snapshot, arena, cancel) {
             Ok(out) => {
@@ -1462,10 +1411,11 @@ fn run_cached_job(
 }
 
 /// The cache key of a default-path job: integrand name, region corners and
-/// the service-wide tolerances (per-job method overrides never reach the
-/// cache).
-fn job_cache_key(shared: &ServiceShared, job: &BatchJob) -> CacheKey {
-    let tolerances = shared.config.tolerances;
+/// the service-wide `tolerances` (per-job method overrides never reach the
+/// cache).  Every layer that touches a cache — the local services, the
+/// distributed front-end's crash-recovery store and the remote worker —
+/// keys it here.
+pub(crate) fn job_cache_key(job: &BatchJob, tolerances: Tolerances) -> CacheKey {
     CacheKey::new(
         &job.integrand().name(),
         job.region().lo(),
@@ -1475,20 +1425,15 @@ fn job_cache_key(shared: &ServiceShared, job: &BatchJob) -> CacheKey {
     )
 }
 
-/// Whether a snapshot can still converge under `tolerances`: its frozen
-/// finished error must leave at least half the allowed total error as
-/// headroom for the regions still being refined.  A snapshot from a looser
-/// run may have committed more error than a tighter budget allows — resuming
-/// it could never converge, so such jobs run cold instead.
-pub(crate) fn warm_start_feasible(snapshot: &Snapshot, tolerances: Tolerances) -> bool {
-    let allowed = (snapshot.latest_estimate.abs() * tolerances.rel).max(tolerances.abs);
-    snapshot.finished_error <= 0.5 * allowed
-}
-
-/// [`warm_start_feasible`] over the cache's non-bumping peek summary.
-fn warm_info_feasible(info: &WarmStartInfo, tolerances: Tolerances) -> bool {
-    let allowed = (info.latest_estimate.abs() * tolerances.rel).max(tolerances.abs);
-    info.finished_error <= 0.5 * allowed
+/// Whether a snapshot — its best estimate and frozen finished error — can
+/// still converge under `tolerances`: the frozen error must leave at least
+/// half the allowed total error as headroom for the regions still being
+/// refined.  A snapshot from a looser run may have committed more error
+/// than a tighter budget allows — resuming it could never converge, so such
+/// jobs run cold instead.
+fn warm_start_feasible(latest_estimate: f64, finished_error: f64, tolerances: Tolerances) -> bool {
+    let allowed = (latest_estimate.abs() * tolerances.rel).max(tolerances.abs);
+    finished_error <= 0.5 * allowed
 }
 
 /// Rehydrate a cached converged result into a job output.  The trace is
@@ -1608,7 +1553,19 @@ mod tests {
                 .with_memory_capacity(32 << 20)
                 .with_worker_threads(workers),
         );
-        IntegrationService::new(device, PaganiConfig::test_small(Tolerances::rel(1e-4)))
+        crate::ServiceBuilder::new(PaganiConfig::test_small(Tolerances::rel(1e-4)))
+            .device(device)
+            .build()
+    }
+
+    /// A single-worker service on a single-worker device, with `policy`.
+    fn one_worker(tolerances: Tolerances, policy: ServicePolicy) -> IntegrationService {
+        crate::ServiceBuilder::new(PaganiConfig::test_small(tolerances))
+            .device(Device::new(
+                DeviceConfig::test_small().with_worker_threads(1),
+            ))
+            .policy(policy.with_workers(1))
+            .build()
     }
 
     #[test]
@@ -1712,11 +1669,7 @@ mod tests {
                 1.0
             })
         };
-        let service = IntegrationService::with_workers(
-            Device::new(DeviceConfig::test_small().with_worker_threads(1)),
-            PaganiConfig::test_small(Tolerances::rel(1e-3)),
-            1,
-        );
+        let service = one_worker(Tolerances::rel(1e-3), ServicePolicy::new());
         let _running = service.submit(BatchJob::new(blocker));
         while !started.load(Ordering::Acquire) {
             std::thread::yield_now();
@@ -1749,10 +1702,9 @@ mod tests {
             }
             1.0
         });
-        let service = IntegrationService::with_policy(
-            Device::new(DeviceConfig::test_small().with_worker_threads(1)),
-            PaganiConfig::test_small(Tolerances::rel(1e-3)),
-            ServicePolicy::new().with_workers(1).with_queue_bound(2),
+        let service = one_worker(
+            Tolerances::rel(1e-3),
+            ServicePolicy::new().with_queue_bound(2),
         );
         // The blocker is *claimed* (not queued) once the worker picks it up.
         let running = service.submit(BatchJob::new(blocker));
@@ -1802,10 +1754,9 @@ mod tests {
             }
             1.0
         });
-        let service = IntegrationService::with_policy(
-            Device::new(DeviceConfig::test_small().with_worker_threads(1)),
-            PaganiConfig::test_small(Tolerances::rel(1e-3)),
-            ServicePolicy::new().with_workers(1).with_queue_bound(1),
+        let service = one_worker(
+            Tolerances::rel(1e-3),
+            ServicePolicy::new().with_queue_bound(1),
         );
         let running = service.submit(BatchJob::new(blocker));
         while !started.load(Ordering::Acquire) {
@@ -1852,11 +1803,7 @@ mod tests {
             std::thread::sleep(Duration::from_micros(200));
             (x[0] * x[1] * x[2]).sin().mul_add(0.1, 1.0)
         });
-        let service = IntegrationService::with_workers(
-            Device::new(DeviceConfig::test_small().with_worker_threads(1)),
-            PaganiConfig::test_small(Tolerances::rel(1e-12)),
-            1,
-        );
+        let service = one_worker(Tolerances::rel(1e-12), ServicePolicy::new());
         let handle = service.submit(BatchJob::new(slow).with_deadline(Duration::from_millis(50)));
         let output = handle.wait();
         assert_eq!(output.result.termination, Termination::Cancelled);
@@ -1879,11 +1826,7 @@ mod tests {
             }
             1.0
         });
-        let service = IntegrationService::with_workers(
-            Device::new(DeviceConfig::test_small().with_worker_threads(1)),
-            PaganiConfig::test_small(Tolerances::rel(1e-4)),
-            1,
-        );
+        let service = one_worker(Tolerances::rel(1e-4), ServicePolicy::new());
         let running = service.submit(BatchJob::new(blocker));
         while !started.load(Ordering::Acquire) {
             std::thread::yield_now();

@@ -114,7 +114,11 @@ fn main() {
         .build_distributed()
         .expect("connect to both workers");
 
-    let remote_outputs = frontend.integrate_batch(&mixed_batch());
+    let remote_handles: Vec<JobHandle> = mixed_batch()
+        .into_iter()
+        .map(|job| frontend.submit(job))
+        .collect();
+    let remote_outputs: Vec<PaganiOutput> = remote_handles.iter().map(JobHandle::wait).collect();
     let mut drift = 0usize;
     for (local_out, remote_out) in local_outputs.iter().zip(&remote_outputs) {
         if local_out.result.estimate.to_bits() != remote_out.result.estimate.to_bits()

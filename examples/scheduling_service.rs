@@ -94,7 +94,8 @@ fn main() {
             }
         })
         .collect();
-    let outputs = pool.integrate_batch(&jobs);
+    let handles: Vec<JobHandle> = jobs.iter().map(|job| pool.submit(job.clone())).collect();
+    let outputs: Vec<PaganiOutput> = handles.iter().map(JobHandle::wait).collect();
     println!(
         "\nmulti-device cost-balanced batch ({} devices):",
         pool.device_count()

@@ -1,7 +1,7 @@
 //! The persistence layer end to end: cold run → free exact hit → warm-started
 //! tighter-tolerance run.
 //!
-//! A service built with [`IntegrationService::with_cache`] persists every
+//! A service built with [`ServiceBuilder::cache`] persists every
 //! converged region tree into a shared [`ResultCache`].  Resubmitting the same
 //! request is then served from the cache without touching the device, and a
 //! *tighter*-tolerance request for the same integral resumes from the cached

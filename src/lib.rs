@@ -60,9 +60,8 @@
 //! ```
 //! use pagani::prelude::*;
 //!
-//! let device = Device::test_small();
 //! let config = PaganiConfig::test_small(Tolerances::rel(1e-5));
-//! let service = IntegrationService::new(device, config);
+//! let service = ServiceBuilder::new(config).device(Device::test_small()).build();
 //! let handle = service.submit(BatchJob::new(FnIntegrand::new(2, |x: &[f64]| x[0] + x[1])));
 //! assert!(handle.wait().result.converged());
 //! service.shutdown();
@@ -173,12 +172,12 @@ pub mod prelude {
         QmcConfig, TwoPhase, TwoPhaseConfig,
     };
     pub use pagani_core::{
-        integrate_batch, BatchJob, BatchRunner, CancelToken, Capabilities, CostKey, CostModel,
-        DispatchMode, DistributedService, HeuristicFiltering, IntegrandRegistry,
-        IntegrationService, Integrator, IntegratorFactory, JobHandle, MultiDeviceOutput,
-        MultiDevicePagani, MultiDeviceService, Pagani, PaganiConfig, PaganiOutput, Priority,
-        QueueFull, Rejected, RemoteWorker, ResultCache, ScratchArena, ServiceBuilder,
-        ServiceMetrics, ServicePolicy, Snapshot, WaitStats,
+        integrate_batch, BatchJob, CancelToken, Capabilities, CostKey, CostModel, DispatchMode,
+        DistributedService, HeuristicFiltering, IntegrandRegistry, IntegrationService, Integrator,
+        IntegratorFactory, JobHandle, MultiDeviceOutput, MultiDevicePagani, MultiDeviceService,
+        Pagani, PaganiConfig, PaganiOutput, Priority, QueueFull, Rejected, RemoteWorker,
+        ResultCache, ScratchArena, ServiceBuilder, ServiceMetrics, ServicePolicy, Snapshot,
+        WaitStats,
     };
     pub use pagani_device::{ComputeBackend, Device, DeviceConfig};
     pub use pagani_integrands::paper::PaperIntegrand;
@@ -211,8 +210,9 @@ mod tests {
         let integrator = IntegratorBuilder::pagani(PaganiConfig::test_small(Tolerances::rel(1e-6)))
             .build(&device);
         assert!(integrator.integrate(&f).converged());
-        let service =
-            IntegrationService::new(device, PaganiConfig::test_small(Tolerances::rel(1e-6)));
+        let service = ServiceBuilder::new(PaganiConfig::test_small(Tolerances::rel(1e-6)))
+            .device(device)
+            .build();
         let handle = service.submit(BatchJob::new(f));
         assert!(handle.wait().result.converged());
         service.shutdown();

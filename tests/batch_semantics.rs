@@ -133,9 +133,15 @@ fn repeated_batches_on_one_runner_are_bit_identical() {
     // second batch on the same runner must reproduce the first bit for bit.
     let jobs_src = workload();
     let jobs = jobs_for(&jobs_src);
-    let runner = BatchRunner::new(device_with_workers(2), config());
-    let first: Vec<Fingerprint> = runner.run(&jobs).iter().map(fingerprint).collect();
-    let second: Vec<Fingerprint> = runner.run(&jobs).iter().map(fingerprint).collect();
+    let device = device_with_workers(2);
+    let run = || -> Vec<Fingerprint> {
+        pagani::integrate_batch(&device, &config(), &jobs)
+            .iter()
+            .map(fingerprint)
+            .collect()
+    };
+    let first = run();
+    let second = run();
     assert_eq!(first, second);
 }
 
@@ -147,9 +153,13 @@ fn oversubscribed_concurrency_is_gated_not_oversubscribed() {
     let jobs = jobs_for(&jobs_src);
     let device = device_with_workers(2);
     assert_eq!(device.submission_gate().capacity(), 2);
-    let gated = BatchRunner::new(device.clone(), config())
-        .with_concurrency(16)
-        .run(&jobs);
+    let service = ServiceBuilder::new(config())
+        .device(device.clone())
+        .workers(16)
+        .build();
+    let handles: Vec<JobHandle> = jobs.iter().map(|job| service.submit(job.clone())).collect();
+    let gated: Vec<PaganiOutput> = handles.iter().map(JobHandle::wait).collect();
+    service.shutdown();
     let pagani = Pagani::new(device.clone(), config());
     for (f, out) in jobs_src.iter().zip(&gated) {
         assert_eq!(
@@ -170,12 +180,15 @@ fn multi_device_batch_matches_single_device_batch() {
             .iter()
             .map(fingerprint)
             .collect();
-    let multi = MultiDevicePagani::new((0..3).map(|_| device_with_workers(2)).collect(), config());
-    let sharded: Vec<Fingerprint> = multi
-        .integrate_batch(&jobs)
+    let multi = ServiceBuilder::new(config())
+        .devices((0..3).map(|_| device_with_workers(2)))
+        .build_multi();
+    let handles: Vec<JobHandle> = jobs.iter().map(|job| multi.submit(job.clone())).collect();
+    let sharded: Vec<Fingerprint> = handles
         .iter()
-        .map(fingerprint)
+        .map(|handle| fingerprint(&handle.wait()))
         .collect();
+    multi.shutdown();
     assert_eq!(
         single, sharded,
         "sharding jobs across devices changed results"

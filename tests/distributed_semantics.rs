@@ -145,7 +145,12 @@ fn remote_results_are_bit_identical_to_local_runs() {
         assert_eq!(frontend.endpoint_count(), 2);
         assert_eq!(frontend.endpoints_alive(), 2);
 
-        let remote_outputs = frontend.integrate_batch(&mixed_batch());
+        let remote_handles: Vec<JobHandle> = mixed_batch()
+            .into_iter()
+            .map(|job| frontend.submit(job))
+            .collect();
+        let remote_outputs: Vec<PaganiOutput> =
+            remote_handles.iter().map(JobHandle::wait).collect();
         let metrics = frontend.metrics();
         assert_eq!(metrics.completed, local_outputs.len() as u64);
         assert!(

@@ -620,7 +620,8 @@ fn multi_device_round_robin_placement_is_pinned() {
         .devices(devices)
         .dispatch(DispatchMode::RoundRobin)
         .build_multi();
-    let outputs = service.integrate_batch(&jobs);
+    let handles: Vec<JobHandle> = jobs.iter().map(|job| service.submit(job.clone())).collect();
+    let outputs: Vec<PaganiOutput> = handles.iter().map(JobHandle::wait).collect();
     service.shutdown();
     let reference = Pagani::new(device_with_workers(2), config());
     for (i, (job, output)) in jobs.iter().zip(&outputs).enumerate() {
@@ -650,20 +651,24 @@ fn cost_balanced_dispatch_never_changes_results() {
         let balanced = ServiceBuilder::new(config())
             .devices(make_devices())
             .build_multi();
-        let balanced_bits: Vec<u64> = balanced
-            .integrate_batch(&jobs)
+        let balanced_handles: Vec<JobHandle> = jobs
             .iter()
-            .map(|o| o.result.estimate.to_bits())
+            .map(|job| balanced.submit(job.clone()))
+            .collect();
+        let balanced_bits: Vec<u64> = balanced_handles
+            .iter()
+            .map(|handle| handle.wait().result.estimate.to_bits())
             .collect();
         balanced.shutdown();
         let pinned = ServiceBuilder::new(config())
             .devices(make_devices())
             .dispatch(DispatchMode::RoundRobin)
             .build_multi();
-        let pinned_bits: Vec<u64> = pinned
-            .integrate_batch(&jobs)
+        let pinned_handles: Vec<JobHandle> =
+            jobs.iter().map(|job| pinned.submit(job.clone())).collect();
+        let pinned_bits: Vec<u64> = pinned_handles
             .iter()
-            .map(|o| o.result.estimate.to_bits())
+            .map(|handle| handle.wait().result.estimate.to_bits())
             .collect();
         pinned.shutdown();
         assert_eq!(
