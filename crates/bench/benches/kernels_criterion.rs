@@ -79,14 +79,15 @@ fn bench_region_list(c: &mut Criterion) {
     let mut group = c.benchmark_group("region_list");
     group.sample_size(20);
     let pool = MemoryPool::new(4 << 30);
-    let list = RegionList::initial_split(&Region::unit_cube(5), 8, &pool).unwrap();
+    let arena = ScratchArena::new();
+    let list = RegionList::initial_split(&Region::unit_cube(5), 8, &pool, &arena).unwrap();
     let axes: Vec<usize> = (0..list.len()).map(|i| i % 5).collect();
     let mask: Vec<u8> = (0..list.len()).map(|i| (i % 2) as u8).collect();
     group.bench_function("split_all_32k_5d", |b| {
-        b.iter(|| black_box(list.split_all(&axes, &pool).unwrap().len()))
+        b.iter(|| black_box(list.split_all(&axes, &pool, &arena).unwrap().len()))
     });
     group.bench_function("filter_32k_5d", |b| {
-        b.iter(|| black_box(list.filter(&mask, &pool).unwrap().len()))
+        b.iter(|| black_box(list.filter(&mask, &pool, &arena).unwrap().len()))
     });
     group.finish();
 }

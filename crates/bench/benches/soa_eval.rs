@@ -1,6 +1,6 @@
 //! Scalar-path vs batched structure-of-arrays evaluation.
 //!
-//! The backend redesign replaced `evaluate_all_in`'s per-region closure
+//! The backend redesign replaced `evaluate_all`'s per-region closure
 //! launches (one boxed `RuleEstimate` per block, collected into a fresh `Vec`
 //! every generation) with one batched `launch_batch` over packed
 //! centre/half-width buffers.  This group pins the payoff: `scalar_*`
@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use pagani_core::evaluate::evaluate_all_in;
+use pagani_core::evaluate::evaluate_all;
 use pagani_core::region_list::RegionList;
 use pagani_core::ScratchArena;
 use pagani_device::{Device, DeviceConfig};
@@ -47,7 +47,7 @@ fn with_block_scratch<R>(dim: usize, body: impl FnOnce(&mut BlockScratch) -> R) 
     out
 }
 
-/// Faithful replica of the pre-refactor `evaluate_all_in`: one closure launch
+/// Faithful replica of the pre-refactor `evaluate_all`: one closure launch
 /// per generation returning a `Vec` of estimates, unpacked on the host.
 fn evaluate_all_scalar<F: Integrand + ?Sized>(
     device: &Device,
@@ -107,9 +107,10 @@ fn bench_soa_eval(c: &mut Criterion) {
     let dim = 2usize;
     let rule = GenzMalik::new(dim);
     let integrand = FnIntegrand::new(dim, |x: &[f64]| x[0] * x[1] + 1.0);
-    let list = RegionList::initial_split(&Region::unit_cube(dim), 64, device.memory()).unwrap();
-    assert_eq!(list.len(), 4096);
     let arena = ScratchArena::new();
+    let list =
+        RegionList::initial_split(&Region::unit_cube(dim), 64, device.memory(), &arena).unwrap();
+    assert_eq!(list.len(), 4096);
 
     group.bench_function("scalar_4096_2d", |b| {
         b.iter(|| {
@@ -120,7 +121,7 @@ fn bench_soa_eval(c: &mut Criterion) {
     });
     group.bench_function("batched_4096_2d", |b| {
         b.iter(|| {
-            let eval = evaluate_all_in(&device, &rule, &integrand, &list, &arena)
+            let eval = evaluate_all(&device, &rule, &integrand, &list, &arena)
                 .expect("batched launch is never empty");
             let total: f64 = eval.integrals.iter().sum();
             eval.retire(&arena);

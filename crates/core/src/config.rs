@@ -39,8 +39,6 @@ pub struct PaganiConfig {
     /// Whether Berntsen's two-level error refinement is applied (ablation knob;
     /// the paper always applies it).
     pub two_level_errors: bool,
-    /// Record per-iteration statistics and threshold-search probes in the trace.
-    pub collect_trace: bool,
 }
 
 impl PaganiConfig {
@@ -55,7 +53,6 @@ impl PaganiConfig {
             rel_err_filtering: true,
             heuristic_filtering: HeuristicFiltering::Full,
             two_level_errors: true,
-            collect_trace: true,
         }
     }
 

@@ -1,10 +1,17 @@
 //! The PAGANI driver: Algorithm 2 of the paper.
+//!
+//! Every public entry point ends up in one private `Run`: the per-run state
+//! (the current generation, its parent integrals and the eight loop
+//! scalars) and one function per phase of a breadth-first generation,
+//! called in Algorithm 2 order.  Every place the loop can stop hands its
+//! termination and resume point to one exit, `Run::finish`, which captures
+//! the final snapshot, returns storage to the arena and builds the result.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use pagani_device::{scan, Device, DeviceError};
+use pagani_device::{scan, Device, DeviceError, DeviceResult};
 use pagani_persist::{Snapshot, SnapshotError, SNAPSHOT_FORMAT_VERSION};
 use pagani_quadrature::two_level::refine_generation;
 use pagani_quadrature::{GenzMalik, Integrand, IntegrationResult, Region, Termination};
@@ -12,7 +19,7 @@ use pagani_quadrature::{GenzMalik, Integrand, IntegrationResult, Region, Termina
 use crate::arena::ScratchArena;
 use crate::classify::{active_count, rel_err_classify_into};
 use crate::config::{HeuristicFiltering, PaganiConfig};
-use crate::evaluate::evaluate_all_in;
+use crate::evaluate::{evaluate_all, Evaluation};
 use crate::integrator::{check_cancelled, ensure_matching_dims};
 use crate::region_list::RegionList;
 use crate::resume::{ResumableOutput, ResumeError};
@@ -58,57 +65,8 @@ impl CancelToken {
 pub struct PaganiOutput {
     /// Estimate, error estimate, termination status and counters.
     pub result: IntegrationResult,
-    /// Per-iteration statistics and threshold-search probes (empty when
-    /// `collect_trace` is disabled).
+    /// Per-iteration statistics and threshold-search probes.
     pub trace: ExecutionTrace,
-}
-
-/// Loop-carried driver state, split out so a resumed run can restore it from
-/// a [`Snapshot`] and a fresh run can start it from zero.  The region list
-/// itself travels separately (it lives in device memory).
-struct LoopInit {
-    finished_estimate: f64,
-    finished_error: f64,
-    threshold_frozen_error: f64,
-    function_evaluations: u64,
-    regions_generated: u64,
-    previous_cumulative: Option<f64>,
-    parent_integrals: Option<Vec<f64>>,
-    start_iteration: usize,
-    latest_estimate: f64,
-    latest_error: f64,
-}
-
-impl LoopInit {
-    fn fresh(initial_regions: u64) -> Self {
-        LoopInit {
-            finished_estimate: 0.0,
-            finished_error: 0.0,
-            threshold_frozen_error: 0.0,
-            function_evaluations: 0,
-            regions_generated: initial_regions,
-            previous_cumulative: None,
-            parent_integrals: None,
-            start_iteration: 0,
-            latest_estimate: 0.0,
-            latest_error: f64::INFINITY,
-        }
-    }
-
-    fn from_snapshot(snapshot: &Snapshot) -> Self {
-        LoopInit {
-            finished_estimate: snapshot.finished_estimate,
-            finished_error: snapshot.finished_error,
-            threshold_frozen_error: snapshot.threshold_frozen_error,
-            function_evaluations: snapshot.function_evaluations,
-            regions_generated: snapshot.regions_generated,
-            previous_cumulative: snapshot.previous_cumulative,
-            parent_integrals: snapshot.parent_integrals.clone(),
-            start_iteration: snapshot.next_iteration,
-            latest_estimate: snapshot.latest_estimate,
-            latest_error: snapshot.latest_error,
-        }
-    }
 }
 
 /// What (if anything) to snapshot during a run.  `None` is the plain path:
@@ -122,20 +80,79 @@ struct SnapshotPlan<'a> {
     region: &'a Region,
 }
 
-/// The loop-carried scalars a snapshot records, bundled so each capture site
-/// can pass either the values saved at the top of the iteration or the
-/// current ones.  All `Copy`, so saving them every iteration is free of float
-/// arithmetic and heap traffic.
+/// The loop-carried scalars of a run: everything a [`Snapshot`] records
+/// besides the region tree and the next iteration.  All `Copy`, so saving
+/// them at the top of every generation is free of float arithmetic and heap
+/// traffic.
 #[derive(Clone, Copy)]
-struct SnapAccumulators {
+struct Scalars {
+    /// Finished-region accumulators (v_f, e_f).
     finished_estimate: f64,
     finished_error: f64,
+    /// Error frozen specifically by the heuristic threshold classification.
+    /// It is capped at half of the allowed total error so that
+    /// relative-error filtering (whose commitments are proportional to the
+    /// frozen integral mass) always has headroom left and convergence is
+    /// never ruled out by the heuristic alone.
     threshold_frozen_error: f64,
     function_evaluations: u64,
     regions_generated: u64,
+    /// The previous generation's cumulative estimate (`None` before the
+    /// first fold), for the estimate-converged trigger.
     previous_cumulative: Option<f64>,
+    /// Best cumulative estimates seen so far (active + finished); this is
+    /// what a non-converged run reports, matching the paper's "return the
+    /// latest integral and error estimate with a flag" behaviour (§3.5.2).
     latest_estimate: f64,
     latest_error: f64,
+}
+
+impl Scalars {
+    fn fresh(initial_regions: u64) -> Self {
+        Scalars {
+            finished_estimate: 0.0,
+            finished_error: 0.0,
+            threshold_frozen_error: 0.0,
+            function_evaluations: 0,
+            regions_generated: initial_regions,
+            previous_cumulative: None,
+            latest_estimate: 0.0,
+            latest_error: f64::INFINITY,
+        }
+    }
+
+    fn from_snapshot(snapshot: &Snapshot) -> Self {
+        Scalars {
+            finished_estimate: snapshot.finished_estimate,
+            finished_error: snapshot.finished_error,
+            threshold_frozen_error: snapshot.threshold_frozen_error,
+            function_evaluations: snapshot.function_evaluations,
+            regions_generated: snapshot.regions_generated,
+            previous_cumulative: snapshot.previous_cumulative,
+            latest_estimate: snapshot.latest_estimate,
+            latest_error: snapshot.latest_error,
+        }
+    }
+}
+
+/// Where the loop stopped: the termination to report, and the resume point
+/// the final snapshot records — generation `next_iteration` of the run's
+/// current list and parents, entered with `scalars`.
+#[derive(Clone, Copy)]
+struct Stop {
+    termination: Termination,
+    next_iteration: usize,
+    scalars: Scalars,
+}
+
+impl Stop {
+    /// The same resume point, reporting `termination`.
+    fn reporting(self, termination: Termination) -> Self {
+        Stop {
+            termination,
+            ..self
+        }
+    }
 }
 
 /// The PAGANI integrator.
@@ -209,26 +226,7 @@ impl Pagani {
         arena: &ScratchArena,
         cancel: &CancelToken,
     ) -> PaganiOutput {
-        ensure_matching_dims(f, region);
-        let start = Instant::now();
-        match self.start_list(f.dim(), region, arena) {
-            Ok(list) => {
-                let init = LoopInit::fresh(list.len() as u64);
-                self.run_from(f, arena, cancel, list, init, None, start)
-                    .output
-            }
-            Err(err) => self.bail_out(
-                0.0,
-                0.0,
-                Termination::MemoryExhausted,
-                0,
-                0,
-                0,
-                start,
-                ExecutionTrace::default(),
-                Some(err),
-            ),
-        }
+        self.run_fresh(f, region, arena, cancel, None).output
     }
 
     /// Integrate `f` over an explicit region while capturing resumable
@@ -256,34 +254,12 @@ impl Pagani {
         cancel: &CancelToken,
         checkpoint_every: usize,
     ) -> ResumableOutput {
-        ensure_matching_dims(f, region);
-        let start = Instant::now();
         let plan = SnapshotPlan {
             checkpoint_every,
             integrand_id: f.name(),
             region,
         };
-        match self.start_list(f.dim(), region, arena) {
-            Ok(list) => {
-                let init = LoopInit::fresh(list.len() as u64);
-                self.run_from(f, arena, cancel, list, init, Some(&plan), start)
-            }
-            Err(err) => ResumableOutput {
-                output: self.bail_out(
-                    0.0,
-                    0.0,
-                    Termination::MemoryExhausted,
-                    0,
-                    0,
-                    0,
-                    start,
-                    ExecutionTrace::default(),
-                    Some(err),
-                ),
-                checkpoints: Vec::new(),
-                final_snapshot: None,
-            },
-        }
+        self.run_fresh(f, region, arena, cancel, Some(plan))
     }
 
     /// Resume an integration from a [`Snapshot`], continuing exactly where
@@ -322,12 +298,11 @@ impl Pagani {
             return Err(ResumeError::EmptySnapshot);
         }
         let region = Region::new(snapshot.region_lo.clone(), snapshot.region_hi.clone());
-        let pool = self.device.memory().clone();
         let list = RegionList::from_flat_in(
             snapshot.dim,
             &snapshot.lefts,
             &snapshot.lengths,
-            &pool,
+            self.device.memory(),
             arena,
         )
         .map_err(|_| ResumeError::OutOfMemory)?;
@@ -336,8 +311,46 @@ impl Pagani {
             integrand_id: f.name(),
             region: &region,
         };
-        let init = LoopInit::from_snapshot(snapshot);
-        Ok(self.run_from(f, arena, cancel, list, init, Some(&plan), start))
+        let mut run = Run::new(self, f, arena, cancel, Some(plan), start, list);
+        run.parents = snapshot.parent_integrals.clone();
+        run.scalars = Scalars::from_snapshot(snapshot);
+        run.iterations = snapshot.next_iteration;
+        Ok(run.run())
+    }
+
+    /// A run from the initial split of `region`.  When not even one region
+    /// fits in device memory there is no tree to run or snapshot, and the
+    /// run ends before its first generation.
+    fn run_fresh<F: Integrand + ?Sized>(
+        &self,
+        f: &F,
+        region: &Region,
+        arena: &ScratchArena,
+        cancel: &CancelToken,
+        plan: Option<SnapshotPlan<'_>>,
+    ) -> ResumableOutput {
+        ensure_matching_dims(f, region);
+        let start = Instant::now();
+        match self.start_list(f.dim(), region, arena) {
+            Ok(list) => Run::new(self, f, arena, cancel, plan, start, list).run(),
+            Err(_) => ResumableOutput {
+                output: PaganiOutput {
+                    result: IntegrationResult {
+                        estimate: 0.0,
+                        error_estimate: 0.0,
+                        termination: Termination::MemoryExhausted,
+                        iterations: 0,
+                        function_evaluations: 0,
+                        regions_generated: 0,
+                        active_regions_final: 0,
+                        wall_time: start.elapsed(),
+                    },
+                    trace: ExecutionTrace::default(),
+                },
+                checkpoints: Vec::new(),
+                final_snapshot: None,
+            },
+        }
     }
 
     /// Initial uniform split (Algorithm 2, lines 2-4), backing off the
@@ -348,542 +361,432 @@ impl Pagani {
         region: &Region,
         arena: &ScratchArena,
     ) -> Result<RegionList, DeviceError> {
-        let pool = self.device.memory().clone();
+        let pool = self.device.memory();
         let mut d = self.config.resolve_splits_per_axis(dim);
         loop {
-            match RegionList::initial_split_in(region, d, &pool, arena) {
+            match RegionList::initial_split(region, d, pool, arena) {
                 Ok(list) => return Ok(list),
                 Err(DeviceError::OutOfDeviceMemory { .. }) if d > 1 => d -= 1,
                 Err(err) => return Err(err),
             }
         }
     }
+}
 
-    /// The breadth-first driver loop (Algorithm 2, lines 5-24), entered at
-    /// `init.start_iteration` with loop-carried state from `init` — zeroed
-    /// for a fresh run, restored from a snapshot for a resumed one.  With
-    /// `plan: None` no capture code runs and the float path is exactly the
-    /// historical `integrate_region_with` body.
-    #[allow(clippy::too_many_arguments)]
-    fn run_from<F: Integrand + ?Sized>(
-        &self,
-        f: &F,
-        arena: &ScratchArena,
-        cancel: &CancelToken,
-        mut list: RegionList,
-        init: LoopInit,
-        plan: Option<&SnapshotPlan<'_>>,
+/// One run of the breadth-first driver loop (Algorithm 2, lines 5-24): the
+/// generation about to be evaluated, its parent integrals and the loop
+/// scalars, plus the trace and checkpoints gathered so far.
+struct Run<'a, F: ?Sized> {
+    pagani: &'a Pagani,
+    f: &'a F,
+    arena: &'a ScratchArena,
+    cancel: &'a CancelToken,
+    plan: Option<SnapshotPlan<'a>>,
+    rule: GenzMalik,
+    start: Instant,
+    /// The generation about to be evaluated.
+    list: RegionList,
+    /// Parent integral estimates aligned with the sibling layout of `list`;
+    /// `None` for a generation without parents (the first one, or split
+    /// survivors resumed from a snapshot), which skips two-level refinement.
+    parents: Option<Vec<f64>>,
+    scalars: Scalars,
+    /// Generations run so far, counting those before a resume.
+    iterations: usize,
+    trace: ExecutionTrace,
+    checkpoints: Vec<Snapshot>,
+}
+
+impl<'a, F: Integrand + ?Sized> Run<'a, F> {
+    /// A run about to evaluate generation 0 of `list` from zeroed scalars.
+    fn new(
+        pagani: &'a Pagani,
+        f: &'a F,
+        arena: &'a ScratchArena,
+        cancel: &'a CancelToken,
+        plan: Option<SnapshotPlan<'a>>,
         start: Instant,
-    ) -> ResumableOutput {
-        let dim = list.dim();
-        let rule = GenzMalik::new(dim);
-        let pool = self.device.memory().clone();
-        let tolerances = self.config.tolerances;
-        let mut trace = ExecutionTrace::default();
-        let mut checkpoints: Vec<Snapshot> = Vec::new();
-        let mut final_snapshot: Option<Snapshot> = None;
+        list: RegionList,
+    ) -> Self {
+        Run {
+            pagani,
+            f,
+            arena,
+            cancel,
+            plan,
+            rule: GenzMalik::new(list.dim()),
+            start,
+            scalars: Scalars::fresh(list.len() as u64),
+            list,
+            parents: None,
+            iterations: 0,
+            trace: ExecutionTrace::default(),
+            checkpoints: Vec::new(),
+        }
+    }
 
-        // Finished-region accumulators (v_f, e_f) and per-run counters.
-        let mut finished_estimate = init.finished_estimate;
-        let mut finished_error = init.finished_error;
-        // Error frozen specifically by the heuristic threshold classification.  It is
-        // capped at half of the allowed total error so that relative-error filtering
-        // (whose commitments are proportional to the frozen integral mass) always has
-        // headroom left and convergence is never ruled out by the heuristic alone.
-        let mut threshold_frozen_error = init.threshold_frozen_error;
-        let mut function_evaluations = init.function_evaluations;
-        let mut regions_generated = init.regions_generated;
-        let mut previous_cumulative: Option<f64> = init.previous_cumulative;
-        // Parent integral estimates aligned with the sibling layout of `list`
-        // (None on the first iteration, which has no parents).
-        let mut parent_integrals: Option<Vec<f64>> = init.parent_integrals;
-
-        let mut iterations_run = init.start_iteration;
-        let mut termination = Termination::MaxIterations;
-        // Best cumulative estimates seen so far (active + finished); this is what a
-        // non-converged run reports, matching the paper's "return the latest integral
-        // and error estimate with a flag" behaviour (§3.5.2).
-        let mut latest_estimate = init.latest_estimate;
-        let mut latest_error = init.latest_error;
-
-        for iteration in init.start_iteration..self.config.max_iterations {
-            // Loop-carried scalars as of the top of this iteration: every
-            // capture that means "about to run iteration `iteration`" uses
-            // these, so a resumed run re-enters with untouched state.
-            let entry_acc = SnapAccumulators {
-                finished_estimate,
-                finished_error,
-                threshold_frozen_error,
-                function_evaluations,
-                regions_generated,
-                previous_cumulative,
-                latest_estimate,
-                latest_error,
-            };
-            // --- Cooperative cancellation (iteration boundary). -----------------
-            if let Some(cancelled) = check_cancelled(cancel) {
-                termination = cancelled;
-                if let Some(plan) = plan {
-                    final_snapshot = Some(self.capture_snapshot(
-                        plan,
-                        &list,
-                        parent_integrals.as_deref(),
-                        entry_acc,
-                        iteration,
-                        false,
-                    ));
-                }
-                break;
+    /// Run generations from `self.iterations` until one stops the loop or the
+    /// iteration budget runs out, then leave through `finish`.
+    fn run(mut self) -> ResumableOutput {
+        let first = self.iterations;
+        while self.iterations < self.pagani.config.max_iterations {
+            if let Err(stop) = self.generation(first) {
+                return self.finish(stop);
             }
-            if let Some(plan) = plan {
-                if plan.checkpoint_every > 0
-                    && iteration > init.start_iteration
-                    && (iteration - init.start_iteration) % plan.checkpoint_every == 0
-                {
-                    checkpoints.push(self.capture_snapshot(
-                        plan,
-                        &list,
-                        parent_integrals.as_deref(),
-                        entry_acc,
-                        iteration,
-                        false,
-                    ));
-                }
-            }
-            iterations_run = iteration + 1;
+        }
+        // The budget ran out: the surviving generation is the resume point.
+        let stop = self.stop(Termination::MaxIterations);
+        self.finish(stop)
+    }
 
-            // --- Evaluate all regions (line 10). --------------------------------
-            let evaluation = match evaluate_all_in(&self.device, &rule, f, &list, arena) {
-                Ok(e) => e,
-                Err(_) => {
-                    if let Some(plan) = plan {
-                        final_snapshot = Some(self.capture_snapshot(
-                            plan,
-                            &list,
-                            parent_integrals.as_deref(),
-                            entry_acc,
-                            iteration,
-                            false,
-                        ));
-                    }
-                    break;
-                }
-            };
-            function_evaluations += evaluation.function_evaluations;
-            let integrals = evaluation.integrals;
-            let mut errors = evaluation.errors;
-            let split_axes = evaluation.split_axes;
+    /// A stop reporting `termination` that resumes where the run is now:
+    /// generation `iterations` of the current list and parents, entered
+    /// with the current scalars.
+    fn stop(&self, termination: Termination) -> Stop {
+        Stop {
+            termination,
+            next_iteration: self.iterations,
+            scalars: self.scalars,
+        }
+    }
 
-            // --- Two-level error refinement (line 11). --------------------------
-            if self.config.two_level_errors {
-                if let Some(parents) = &parent_integrals {
-                    debug_assert_eq!(parents.len() * 2, integrals.len());
-                    self.device.timed_section("postprocess.refine_error", || {
-                        refine_generation(&integrals, &mut errors, parents);
-                    });
-                }
-            }
-
-            // --- Relative-error classification (line 12). -----------------------
-            let mut mask = arena.take_mask(integrals.len());
-            self.device.timed_section("postprocess.classify", || {
-                rel_err_classify_into(
-                    &integrals,
-                    &errors,
-                    tolerances,
-                    self.config.rel_err_filtering,
-                    &mut mask,
-                );
+    /// One breadth-first generation (Algorithm 2, lines 6-23), one phase per
+    /// call.  A stop before the fold resumes by re-running this generation
+    /// from the scalars it started with.
+    fn generation(&mut self, first: usize) -> Result<(), Stop> {
+        let iteration = self.iterations;
+        let rerun = self.stop(Termination::MaxIterations);
+        if let Some(cancelled) = check_cancelled(self.cancel) {
+            return Err(rerun.reporting(cancelled));
+        }
+        self.checkpoint(iteration, first);
+        self.iterations += 1;
+        let mut eval = self.evaluate().map_err(|_| rerun)?;
+        self.refine(&mut eval);
+        let mut mask = self.classify(&eval);
+        let outcome = self
+            .reduce(iteration, &eval, &mask, rerun)
+            .and_then(|(estimate, error)| {
+                let searched = self.threshold(iteration, &eval, &mut mask, error);
+                self.fold(&eval, &mask, estimate, error);
+                self.record(iteration, &mask, searched);
+                self.filter_and_split(&eval, &mask, rerun)
             });
+        eval.retire(self.arena);
+        self.arena.put_mask(mask);
+        outcome
+    }
 
-            // --- Global reductions and termination (lines 13-16). ---------------
-            let (iter_estimate, iter_error) =
-                self.device.timed_section("postprocess.reduce", || {
-                    (
-                        self.device.reduce_sum(&integrals),
-                        self.device.reduce_sum(&errors),
-                    )
-                });
-            let cumulative_estimate = iter_estimate + finished_estimate;
-            let cumulative_error = iter_error + finished_error;
-            latest_estimate = cumulative_estimate;
-            latest_error = cumulative_error;
-            if tolerances.satisfied_by(cumulative_estimate, cumulative_error) {
-                termination = Termination::Converged;
-                self.push_iteration_record(
-                    &mut trace,
-                    iteration,
-                    list.len(),
-                    active_count(&mask),
-                    cumulative_estimate,
-                    cumulative_error,
-                    finished_estimate,
-                    finished_error,
-                    false,
-                );
-                if let Some(plan) = plan {
-                    // Pre-fold state: resuming re-runs this generation, so a
-                    // tighter tolerance can keep refining the same tree.
-                    final_snapshot = Some(self.capture_snapshot(
-                        plan,
-                        &list,
-                        parent_integrals.as_deref(),
-                        entry_acc,
-                        iteration,
-                        true,
-                    ));
-                }
-                finished_estimate = cumulative_estimate;
-                finished_error = cumulative_error;
-                arena.put_f64(integrals);
-                arena.put_f64(errors);
-                arena.put_axes(split_axes);
-                arena.put_mask(mask);
-                break;
-            }
+    /// Capture a periodic checkpoint (state "about to run `iteration`") every
+    /// `checkpoint_every` generations after the first one run.
+    fn checkpoint(&mut self, iteration: usize, first: usize) {
+        let Some(plan) = &self.plan else { return };
+        let every = plan.checkpoint_every;
+        if every > 0 && iteration > first && (iteration - first) % every == 0 {
+            let checkpoint = self.capture(plan, iteration, self.scalars, false);
+            self.checkpoints.push(checkpoint);
+        }
+    }
 
-            // --- Heuristic threshold classification (line 17, §3.5.2). ----------
-            let active_now = active_count(&mask);
-            let estimate_converged = previous_cumulative.is_some_and(|prev| {
-                (cumulative_estimate - prev).abs() <= cumulative_estimate.abs() * tolerances.rel
+    /// Line 10: apply the Genz–Malik rule to every region of the generation.
+    fn evaluate(&mut self) -> DeviceResult<Evaluation> {
+        let device = &self.pagani.device;
+        let eval = evaluate_all(device, &self.rule, self.f, &self.list, self.arena)?;
+        self.scalars.function_evaluations += eval.function_evaluations;
+        Ok(eval)
+    }
+
+    /// Line 11: Berntsen's two-level refinement of the raw errors against
+    /// the parent integrals.
+    fn refine(&self, eval: &mut Evaluation) {
+        if !self.pagani.config.two_level_errors {
+            return;
+        }
+        if let Some(parents) = &self.parents {
+            debug_assert_eq!(parents.len() * 2, eval.integrals.len());
+            let device = &self.pagani.device;
+            device.timed_section("postprocess.refine_error", || {
+                refine_generation(&eval.integrals, &mut eval.errors, parents);
             });
-            // Splitting keeps the filtered copy and the doubled generation alive at
-            // the same time as the current list, so require room for 3× the active
-            // geometry on top of what is already allocated.
-            let bytes_needed = RegionList::bytes_for(3 * active_now, dim);
-            let memory_pressure = !pool.can_allocate(bytes_needed);
-            let trigger = match self.config.heuristic_filtering {
-                HeuristicFiltering::Disabled => None,
-                HeuristicFiltering::MemoryExhaustionOnly => {
-                    memory_pressure.then_some(ThresholdTrigger::MemoryPressure)
-                }
-                HeuristicFiltering::Full => {
-                    if memory_pressure {
-                        Some(ThresholdTrigger::MemoryPressure)
-                    } else if estimate_converged {
-                        Some(ThresholdTrigger::EstimateConverged)
-                    } else {
-                        None
-                    }
-                }
-            };
-            let mut threshold_invoked = false;
-            if let Some(trigger) = trigger {
-                let allowed_total_error =
-                    (cumulative_estimate.abs() * tolerances.rel).max(tolerances.abs);
-                let headroom = allowed_total_error - finished_error;
-                let error_budget = match trigger {
-                    // Integral already solved: be conservative so that relative-error
-                    // filtering keeps enough headroom of its own.
-                    ThresholdTrigger::EstimateConverged => {
-                        headroom.min(0.5 * allowed_total_error - threshold_frozen_error)
-                    }
-                    // Memory is the binding constraint: spend whatever headroom is
-                    // left rather than fail outright.
-                    ThresholdTrigger::MemoryPressure => headroom,
-                };
-                let outcome = self.device.timed_section("threshold.search", || {
-                    threshold_classify(
-                        &mask,
-                        &errors,
-                        error_budget,
-                        iter_error,
-                        ThresholdPolicy::default(),
-                        arena,
-                    )
-                });
-                threshold_invoked = true;
-                if self.config.collect_trace {
-                    trace.threshold_searches.push(ThresholdSearchRecord {
-                        iteration,
-                        trigger,
-                        probes: outcome.probes.clone(),
-                        successful: outcome.successful,
-                    });
-                }
-                if outcome.successful {
-                    threshold_frozen_error += outcome.newly_committed_error;
-                    arena.put_mask(std::mem::replace(&mut mask, outcome.mask));
-                }
-            }
+        }
+    }
 
-            // --- Accumulate finished contributions (lines 18-19). ---------------
-            let (active_estimate, active_error) =
-                self.device.timed_section("postprocess.reduce", || {
-                    (
-                        self.device.reduce_masked_sum(&integrals, &mask),
-                        self.device.reduce_masked_sum(&errors, &mask),
-                    )
-                });
-            finished_estimate += iter_estimate - active_estimate;
-            finished_error += iter_error - active_error;
-            previous_cumulative = Some(cumulative_estimate);
-
-            self.push_iteration_record(
-                &mut trace,
-                iteration,
-                list.len(),
-                active_count(&mask),
-                cumulative_estimate,
-                cumulative_error,
-                finished_estimate,
-                finished_error,
-                threshold_invoked,
+    /// Line 12: classify each region active or finished by its relative error.
+    fn classify(&self, eval: &Evaluation) -> Vec<u8> {
+        let Pagani { device, config } = self.pagani;
+        let mut mask = self.arena.take_mask(eval.integrals.len());
+        device.timed_section("postprocess.classify", || {
+            rel_err_classify_into(
+                &eval.integrals,
+                &eval.errors,
+                config.tolerances,
+                config.rel_err_filtering,
+                &mut mask,
             );
+        });
+        mask
+    }
 
-            // --- Filter out finished regions (line 20). --------------------------
-            if active_count(&mask) == 0 {
-                // Everything was classified finished; the cumulative estimates are
-                // final.  (With same-sign estimates this implies convergence by
-                // Lemma 3.1; otherwise report the budget-based status.)
-                termination = if tolerances.satisfied_by(finished_estimate, finished_error) {
-                    Termination::Converged
-                } else {
-                    Termination::MaxIterations
-                };
-                if let Some(plan) = plan {
-                    // The folded totals are final, but the pre-fold tree is
-                    // still the right warm-start state for a tighter run.
-                    final_snapshot = Some(self.capture_snapshot(
-                        plan,
-                        &list,
-                        parent_integrals.as_deref(),
-                        entry_acc,
-                        iteration,
-                        termination == Termination::Converged,
-                    ));
-                }
-                arena.put_f64(integrals);
-                arena.put_f64(errors);
-                arena.put_axes(split_axes);
-                arena.put_mask(mask);
-                break;
+    /// Lines 13-16: reduce the generation's estimates, add the finished
+    /// totals to get the cumulative (latest) ones, and test those against the
+    /// tolerances.  A converged generation is recorded, folded whole into the
+    /// finished totals and stops the run; otherwise this returns the
+    /// generation's own sums.
+    fn reduce(
+        &mut self,
+        iteration: usize,
+        eval: &Evaluation,
+        mask: &[u8],
+        rerun: Stop,
+    ) -> Result<(f64, f64), Stop> {
+        let device = &self.pagani.device;
+        let (estimate, error) = device.timed_section("postprocess.reduce", || {
+            (
+                device.reduce_sum(&eval.integrals),
+                device.reduce_sum(&eval.errors),
+            )
+        });
+        let tolerances = self.pagani.config.tolerances;
+        let scalars = &mut self.scalars;
+        scalars.latest_estimate = estimate + scalars.finished_estimate;
+        scalars.latest_error = error + scalars.finished_error;
+        if !tolerances.satisfied_by(scalars.latest_estimate, scalars.latest_error) {
+            return Ok((estimate, error));
+        }
+        self.record(iteration, mask, false);
+        self.scalars.finished_estimate = self.scalars.latest_estimate;
+        self.scalars.finished_error = self.scalars.latest_error;
+        Err(rerun.reporting(Termination::Converged))
+    }
+
+    /// Line 17 (§3.5.2): the heuristic threshold classification, run when
+    /// the estimate has converged or the next split would exhaust memory.
+    /// Returns whether it ran.
+    fn threshold(
+        &mut self,
+        iteration: usize,
+        eval: &Evaluation,
+        mask: &mut Vec<u8>,
+        generation_error: f64,
+    ) -> bool {
+        let config = &self.pagani.config;
+        let tolerances = config.tolerances;
+        let cumulative = self.scalars.latest_estimate;
+        let estimate_converged = self
+            .scalars
+            .previous_cumulative
+            .is_some_and(|prev| (cumulative - prev).abs() <= cumulative.abs() * tolerances.rel);
+        // Splitting keeps the filtered copy and the doubled generation alive at
+        // the same time as the current list, so require room for 3× the active
+        // geometry on top of what is already allocated.
+        let bytes_needed = RegionList::bytes_for(3 * active_count(mask), self.list.dim());
+        let memory_pressure = !self.pagani.device.memory().can_allocate(bytes_needed);
+        let trigger = match config.heuristic_filtering {
+            HeuristicFiltering::Disabled => return false,
+            _ if memory_pressure => ThresholdTrigger::MemoryPressure,
+            HeuristicFiltering::Full if estimate_converged => ThresholdTrigger::EstimateConverged,
+            _ => return false,
+        };
+        let allowed_total_error = (cumulative.abs() * tolerances.rel).max(tolerances.abs);
+        let headroom = allowed_total_error - self.scalars.finished_error;
+        let error_budget = match trigger {
+            // Integral already solved: be conservative so that relative-error
+            // filtering keeps enough headroom of its own.
+            ThresholdTrigger::EstimateConverged => {
+                headroom.min(0.5 * allowed_total_error - self.scalars.threshold_frozen_error)
             }
-            let filter_result = self
-                .device
-                .timed_section("filter.compact", || list.filter_in(&mask, &pool, arena));
-            let filtered = match filter_result {
-                Ok(filtered) => filtered,
-                Err(_) => {
-                    termination = Termination::MemoryExhausted;
-                    if let Some(plan) = plan {
-                        final_snapshot = Some(self.capture_snapshot(
-                            plan,
-                            &list,
-                            parent_integrals.as_deref(),
-                            entry_acc,
-                            iteration,
-                            false,
-                        ));
-                    }
-                    break;
-                }
+            // Memory is the binding constraint: spend whatever headroom is
+            // left rather than fail outright.
+            ThresholdTrigger::MemoryPressure => headroom,
+        };
+        let arena = self.arena;
+        let outcome = self.pagani.device.timed_section("threshold.search", || {
+            threshold_classify(
+                mask,
+                &eval.errors,
+                error_budget,
+                generation_error,
+                ThresholdPolicy::default(),
+                arena,
+            )
+        });
+        self.trace.threshold_searches.push(ThresholdSearchRecord {
+            iteration,
+            trigger,
+            probes: outcome.probes,
+            successful: outcome.successful,
+        });
+        if outcome.successful {
+            self.scalars.threshold_frozen_error += outcome.newly_committed_error;
+            arena.put_mask(std::mem::replace(mask, outcome.mask));
+        }
+        true
+    }
+
+    /// Lines 18-19: add the finished regions' contributions to the finished
+    /// totals.
+    fn fold(&mut self, eval: &Evaluation, mask: &[u8], estimate: f64, error: f64) {
+        let device = &self.pagani.device;
+        let (active_estimate, active_error) = device.timed_section("postprocess.reduce", || {
+            (
+                device.reduce_masked_sum(&eval.integrals, mask),
+                device.reduce_masked_sum(&eval.errors, mask),
+            )
+        });
+        self.scalars.finished_estimate += estimate - active_estimate;
+        self.scalars.finished_error += error - active_error;
+        self.scalars.previous_cumulative = Some(self.scalars.latest_estimate);
+    }
+
+    /// Lines 20-23: drop the finished regions, then split every active one
+    /// along its rule-selected axis; the active regions' integrals become the
+    /// children's parents.
+    fn filter_and_split(
+        &mut self,
+        eval: &Evaluation,
+        mask: &[u8],
+        rerun: Stop,
+    ) -> Result<(), Stop> {
+        let active = active_count(mask);
+        if active == 0 {
+            // Everything was classified finished; the cumulative estimates are
+            // final.  (With same-sign estimates this implies convergence by
+            // Lemma 3.1; otherwise report the budget-based status.)  The
+            // pre-fold tree is still the right warm-start state for a tighter
+            // run.
+            let (estimate, error) = (self.scalars.finished_estimate, self.scalars.finished_error);
+            let termination = if self.pagani.config.tolerances.satisfied_by(estimate, error) {
+                Termination::Converged
+            } else {
+                Termination::MaxIterations
             };
-            let mut active_integrals = arena.take_f64(active_now);
-            scan::compact_by_mask_into(&integrals, &mask, &mut active_integrals);
-            let mut active_axes = arena.take_axes(active_now);
-            scan::compact_by_mask_into(&split_axes, &mask, &mut active_axes);
-            list.retire(arena);
-
-            // --- Update parents and split every active region (lines 21-23). -----
-            let split_result = self.device.timed_section("filter.split", || {
-                filtered.split_all_in(&active_axes, &pool, arena)
-            });
-            match split_result {
-                Ok(children) => {
-                    regions_generated += children.len() as u64;
-                    if let Some(old) = parent_integrals.replace(active_integrals) {
-                        arena.put_f64(old);
-                    }
-                    filtered.retire(arena);
-                    list = children;
-                }
-                Err(_) => {
-                    // Memory exhausted and no further subdivision possible (§3.5.2).
-                    termination = Termination::MemoryExhausted;
-                    list = filtered;
-                    if let Some(plan) = plan {
-                        // The pre-split geometry is gone; persist the
-                        // filtered survivors with this iteration's
-                        // accumulators instead.  No parents: the first
-                        // resumed generation skips two-level refinement.
-                        let acc = SnapAccumulators {
-                            finished_estimate,
-                            finished_error,
-                            threshold_frozen_error,
-                            function_evaluations,
-                            regions_generated,
-                            previous_cumulative,
-                            latest_estimate,
-                            latest_error,
-                        };
-                        final_snapshot = Some(self.capture_snapshot(
-                            plan,
-                            &list,
-                            None,
-                            acc,
-                            iterations_run,
-                            false,
-                        ));
-                    }
-                    break;
-                }
-            }
-
-            // --- Shelve this generation's arrays for the next one. ---------------
-            arena.put_f64(integrals);
-            arena.put_f64(errors);
-            arena.put_axes(split_axes);
-            arena.put_mask(mask);
-            arena.put_axes(active_axes);
+            return Err(rerun.reporting(termination));
         }
-        // Natural iteration exhaustion: no break captured a snapshot, but the
-        // surviving generation is still a valid resume point.
-        if let Some(plan) = plan {
-            if final_snapshot.is_none() && !list.is_empty() {
-                let acc = SnapAccumulators {
-                    finished_estimate,
-                    finished_error,
-                    threshold_frozen_error,
-                    function_evaluations,
-                    regions_generated,
-                    previous_cumulative,
-                    latest_estimate,
-                    latest_error,
-                };
-                final_snapshot = Some(self.capture_snapshot(
-                    plan,
-                    &list,
-                    parent_integrals.as_deref(),
-                    acc,
-                    iterations_run,
-                    false,
-                ));
+        let (device, arena) = (&self.pagani.device, self.arena);
+        let pool = device.memory();
+        let filtered = device
+            .timed_section("filter.compact", || self.list.filter(mask, pool, arena))
+            .map_err(|_| rerun.reporting(Termination::MemoryExhausted))?;
+        let mut active_integrals = arena.take_f64(active);
+        scan::compact_by_mask_into(&eval.integrals, mask, &mut active_integrals);
+        let mut active_axes = arena.take_axes(active);
+        scan::compact_by_mask_into(&eval.split_axes, mask, &mut active_axes);
+        std::mem::replace(&mut self.list, filtered).retire(arena);
+        let split = device.timed_section("filter.split", || {
+            self.list.split_all(&active_axes, pool, arena)
+        });
+        arena.put_axes(active_axes);
+        let Ok(children) = split else {
+            // Memory exhausted and no further subdivision possible (§3.5.2).
+            // The survivors, with this generation's scalars and no parents,
+            // are where a resumed run picks up.
+            arena.put_f64(active_integrals);
+            if let Some(parents) = self.parents.take() {
+                arena.put_f64(parents);
             }
-        }
-        // The surviving list and parent array go back to the arena so the next
-        // job on this arena starts from recycled storage.
-        list.retire(arena);
-        if let Some(parents) = parent_integrals.take() {
+            return Err(self.stop(Termination::MemoryExhausted));
+        };
+        self.scalars.regions_generated += children.len() as u64;
+        std::mem::replace(&mut self.list, children).retire(arena);
+        if let Some(parents) = self.parents.replace(active_integrals) {
             arena.put_f64(parents);
         }
+        Ok(())
+    }
 
-        // A converged run already folded everything into the finished accumulators; a
-        // non-converged run reports the latest cumulative (active + finished) totals.
-        if termination != Termination::Converged {
-            finished_estimate = latest_estimate;
-            finished_error = latest_error;
+    /// Append this generation's [`IterationRecord`] to the trace.
+    fn record(&mut self, iteration: usize, mask: &[u8], threshold_invoked: bool) {
+        self.trace.iterations.push(IterationRecord {
+            iteration,
+            regions_processed: self.list.len(),
+            active_after_classify: active_count(mask),
+            cumulative_estimate: self.scalars.latest_estimate,
+            cumulative_error: self.scalars.latest_error,
+            finished_estimate: self.scalars.finished_estimate,
+            finished_error: self.scalars.finished_error,
+            memory_used: self.pagani.device.memory().usage().used,
+            threshold_invoked,
+        });
+    }
+
+    /// The single exit: capture the final snapshot at the stop's resume
+    /// point, return the surviving list and parents to the arena, and build
+    /// the result.
+    fn finish(self, stop: Stop) -> ResumableOutput {
+        let converged = stop.termination == Termination::Converged;
+        let final_snapshot = self
+            .plan
+            .as_ref()
+            .map(|plan| self.capture(plan, stop.next_iteration, stop.scalars, converged));
+        self.list.retire(self.arena);
+        if let Some(parents) = self.parents {
+            self.arena.put_f64(parents);
         }
-
+        // A converged run already folded everything into the finished
+        // totals; any other run reports the latest cumulative (active +
+        // finished) totals.
+        let scalars = self.scalars;
+        let (estimate, error_estimate) = if converged {
+            (scalars.finished_estimate, scalars.finished_error)
+        } else {
+            (scalars.latest_estimate, scalars.latest_error)
+        };
         let result = IntegrationResult {
-            estimate: finished_estimate,
-            error_estimate: finished_error,
-            termination,
-            iterations: iterations_run,
-            function_evaluations,
-            regions_generated,
-            active_regions_final: trace
+            estimate,
+            error_estimate,
+            termination: stop.termination,
+            iterations: self.iterations,
+            function_evaluations: scalars.function_evaluations,
+            regions_generated: scalars.regions_generated,
+            active_regions_final: self
+                .trace
                 .iterations
                 .last()
                 .map_or(0, |r| r.active_after_classify),
-            wall_time: start.elapsed(),
+            wall_time: self.start.elapsed(),
         };
         ResumableOutput {
-            output: PaganiOutput { result, trace },
-            checkpoints,
+            output: PaganiOutput {
+                result,
+                trace: self.trace,
+            },
+            checkpoints: self.checkpoints,
             final_snapshot,
         }
     }
 
-    /// Copy driver state into a [`Snapshot`].  Pure data movement — no float
+    /// Copy the current list and parents, with `scalars` and
+    /// `next_iteration`, into a [`Snapshot`].  Pure data movement — no float
     /// arithmetic — so capture cannot perturb the result.
-    fn capture_snapshot(
+    fn capture(
         &self,
         plan: &SnapshotPlan<'_>,
-        list: &RegionList,
-        parent_integrals: Option<&[f64]>,
-        acc: SnapAccumulators,
         next_iteration: usize,
+        scalars: Scalars,
         converged: bool,
     ) -> Snapshot {
+        let config = &self.pagani.config;
         Snapshot {
             version: SNAPSHOT_FORMAT_VERSION,
             integrand_id: plan.integrand_id.clone(),
             region_lo: plan.region.lo().to_vec(),
             region_hi: plan.region.hi().to_vec(),
-            rel_tol: self.config.tolerances.rel,
-            abs_tol: self.config.tolerances.abs,
+            rel_tol: config.tolerances.rel,
+            abs_tol: config.tolerances.abs,
             converged,
-            dim: list.dim(),
-            lefts: list.lefts().to_vec(),
-            lengths: list.lengths().to_vec(),
-            parent_integrals: parent_integrals.map(<[f64]>::to_vec),
-            finished_estimate: acc.finished_estimate,
-            finished_error: acc.finished_error,
-            threshold_frozen_error: acc.threshold_frozen_error,
-            function_evaluations: acc.function_evaluations,
-            regions_generated: acc.regions_generated,
-            previous_cumulative: acc.previous_cumulative,
+            dim: self.list.dim(),
+            lefts: self.list.lefts().to_vec(),
+            lengths: self.list.lengths().to_vec(),
+            parent_integrals: self.parents.clone(),
+            finished_estimate: scalars.finished_estimate,
+            finished_error: scalars.finished_error,
+            threshold_frozen_error: scalars.threshold_frozen_error,
+            function_evaluations: scalars.function_evaluations,
+            regions_generated: scalars.regions_generated,
+            previous_cumulative: scalars.previous_cumulative,
             next_iteration,
-            latest_estimate: acc.latest_estimate,
-            latest_error: acc.latest_error,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push_iteration_record(
-        &self,
-        trace: &mut ExecutionTrace,
-        iteration: usize,
-        regions_processed: usize,
-        active_after_classify: usize,
-        cumulative_estimate: f64,
-        cumulative_error: f64,
-        finished_estimate: f64,
-        finished_error: f64,
-        threshold_invoked: bool,
-    ) {
-        if !self.config.collect_trace {
-            return;
-        }
-        trace.iterations.push(IterationRecord {
-            iteration,
-            regions_processed,
-            active_after_classify,
-            cumulative_estimate,
-            cumulative_error,
-            finished_estimate,
-            finished_error,
-            memory_used: self.device.memory().usage().used,
-            threshold_invoked,
-        });
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn bail_out(
-        &self,
-        estimate: f64,
-        error: f64,
-        termination: Termination,
-        iterations: usize,
-        function_evaluations: u64,
-        regions_generated: u64,
-        start: Instant,
-        trace: ExecutionTrace,
-        _cause: Option<DeviceError>,
-    ) -> PaganiOutput {
-        PaganiOutput {
-            result: IntegrationResult {
-                estimate,
-                error_estimate: error,
-                termination,
-                iterations,
-                function_evaluations,
-                regions_generated,
-                active_regions_final: 0,
-                wall_time: start.elapsed(),
-            },
-            trace,
+            latest_estimate: scalars.latest_estimate,
+            latest_error: scalars.latest_error,
         }
     }
 }
@@ -997,18 +900,6 @@ mod tests {
         for pair in out.trace.iterations.windows(2) {
             assert!(pair[1].regions_processed <= 2 * pair[0].regions_processed);
         }
-    }
-
-    #[test]
-    fn trace_collection_can_be_disabled() {
-        let config = PaganiConfig::test_small(Tolerances::rel(1e-3));
-        let config = PaganiConfig {
-            collect_trace: false,
-            ..config
-        };
-        let pagani = Pagani::new(Device::test_small(), config);
-        let out = pagani.integrate(&PaperIntegrand::f4(3));
-        assert!(out.trace.iterations.is_empty());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!
 //! Two layers of storage are recycled on the hot path: the pack, the lane buffer
 //! and the per-generation output arrays come from a [`ScratchArena`] (see
-//! [`evaluate_all_in`]), and the per-block rule scratch ([`EvalScratch`]) is
+//! [`evaluate_all`]), and the per-block rule scratch ([`EvalScratch`]) is
 //! cached per worker thread, mirroring how a CUDA block reuses its shared-memory
 //! scratch across kernel launches instead of re-allocating it per region.
 
@@ -158,27 +158,15 @@ fn with_block_scratch<R>(dim: usize, body: impl FnOnce(&mut EvalScratch) -> R) -
     out
 }
 
-/// Evaluate all regions of `list` with `rule`, one block per region.
+/// Evaluate all regions of `list` with `rule`, one block per region, drawing
+/// the pack, lane and output arrays from `arena`: pack the generation into a
+/// [`RegionPack`], issue **one** batched [`Device::launch_batch`] over it, and
+/// unpack the flat lanes in block order.
 ///
 /// # Errors
 /// Propagates launch errors from the device (an empty list is rejected as an empty
 /// launch, mirroring a zero-block CUDA launch).
 pub fn evaluate_all<F: Integrand + ?Sized>(
-    device: &Device,
-    rule: &GenzMalik,
-    integrand: &F,
-    list: &RegionList,
-) -> DeviceResult<Evaluation> {
-    evaluate_all_in(device, rule, integrand, list, &ScratchArena::default())
-}
-
-/// [`evaluate_all`] drawing the pack, lane and output arrays from `arena`:
-/// pack the generation into a [`RegionPack`], issue **one** batched
-/// [`Device::launch_batch`] over it, and unpack the flat lanes in block order.
-///
-/// # Errors
-/// Propagates launch errors from the device.
-pub fn evaluate_all_in<F: Integrand + ?Sized>(
     device: &Device,
     rule: &GenzMalik,
     integrand: &F,
@@ -235,7 +223,13 @@ mod tests {
 
     fn setup(dim: usize, d: usize) -> (Device, RegionList, GenzMalik) {
         let device = Device::test_small();
-        let list = RegionList::initial_split(&Region::unit_cube(dim), d, device.memory()).unwrap();
+        let list = RegionList::initial_split(
+            &Region::unit_cube(dim),
+            d,
+            device.memory(),
+            &ScratchArena::new(),
+        )
+        .unwrap();
         let rule = GenzMalik::new(dim);
         (device, list, rule)
     }
@@ -244,7 +238,7 @@ mod tests {
     fn constant_integrand_sums_to_volume() {
         let (device, list, rule) = setup(3, 4);
         let f = FnIntegrand::new(3, |_: &[f64]| 2.0);
-        let eval = evaluate_all(&device, &rule, &f, &list).unwrap();
+        let eval = evaluate_all(&device, &rule, &f, &list, &ScratchArena::new()).unwrap();
         assert_eq!(eval.integrals.len(), 64);
         let total: f64 = eval.integrals.iter().sum();
         assert!((total - 2.0).abs() < 1e-10);
@@ -256,7 +250,7 @@ mod tests {
     fn per_region_estimates_sum_to_global_estimate_for_smooth_integrand() {
         let (device, list, rule) = setup(2, 8);
         let f = FnIntegrand::new(2, |x: &[f64]| (3.0 * x[0]).sin() * (2.0 * x[1]).cos() + 1.0);
-        let eval = evaluate_all(&device, &rule, &f, &list).unwrap();
+        let eval = evaluate_all(&device, &rule, &f, &list, &ScratchArena::new()).unwrap();
         let total: f64 = eval.integrals.iter().sum();
         // Analytic: ∫ sin(3x)dx ∫ cos(2y)dy + 1 = ((1-cos3)/3)(sin2/2) + 1
         let exact = (1.0 - 3.0f64.cos()) / 3.0 * (2.0f64.sin() / 2.0) + 1.0;
@@ -268,7 +262,7 @@ mod tests {
         let (device, list, rule) = setup(3, 2);
         // Sharp variation along axis 2 only.
         let f = FnIntegrand::new(3, |x: &[f64]| (-200.0 * (x[2] - 0.5).powi(2)).exp());
-        let eval = evaluate_all(&device, &rule, &f, &list).unwrap();
+        let eval = evaluate_all(&device, &rule, &f, &list, &ScratchArena::new()).unwrap();
         let votes = eval.split_axes.iter().filter(|&&a| a == 2).count();
         assert!(
             votes >= eval.split_axes.len() / 2,
@@ -281,7 +275,7 @@ mod tests {
     fn evaluation_is_profiled_under_the_evaluate_kernel() {
         let (device, list, rule) = setup(2, 4);
         let f = FnIntegrand::new(2, |x: &[f64]| x[0] * x[1]);
-        let _ = evaluate_all(&device, &rule, &f, &list).unwrap();
+        let _ = evaluate_all(&device, &rule, &f, &list, &ScratchArena::new()).unwrap();
         let timing = device.profile().kernel("evaluate").unwrap();
         assert_eq!(timing.launches, 1);
         assert_eq!(timing.blocks, 16);
@@ -319,14 +313,14 @@ mod tests {
     fn arena_path_is_bit_identical_and_recycles() {
         let (device, list, rule) = setup(3, 4);
         let f = FnIntegrand::new(3, |x: &[f64]| (7.0 * x[0]).sin() + x[1] * x[2]);
-        let plain = evaluate_all(&device, &rule, &f, &list).unwrap();
+        let plain = evaluate_all(&device, &rule, &f, &list, &ScratchArena::new()).unwrap();
         let arena = ScratchArena::new();
-        let first = evaluate_all_in(&device, &rule, &f, &list, &arena).unwrap();
+        let first = evaluate_all(&device, &rule, &f, &list, &arena).unwrap();
         assert_eq!(plain.integrals, first.integrals);
         assert_eq!(plain.errors, first.errors);
         assert_eq!(plain.split_axes, first.split_axes);
         first.retire(&arena);
-        let second = evaluate_all_in(&device, &rule, &f, &list, &arena).unwrap();
+        let second = evaluate_all(&device, &rule, &f, &list, &arena).unwrap();
         assert_eq!(plain.integrals, second.integrals);
         assert!(
             arena.reuse_hits() >= 3,

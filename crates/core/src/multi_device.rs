@@ -40,7 +40,7 @@ use crate::config::PaganiConfig;
 pub use crate::cost::{estimated_cost, estimated_job_cost};
 use crate::cost::{estimated_job_footprint_bytes, job_tolerances, slab_weights, CostModel};
 use crate::driver::{Pagani, PaganiOutput};
-use crate::integrator::ensure_matching_dims;
+use crate::integrator::{ensure_matching_dims, worst_termination};
 use crate::service::{
     panic_message, CompletionHook, IntegrationService, JobHandle, JobOutcome, JobState, QueueFull,
     Rejected, ServiceMetrics,
@@ -475,7 +475,8 @@ impl MultiDevicePagani {
 /// bit-determinism contract — f64 addition does not commute in the last ulp).
 ///
 /// The combined run converged if every slab did, or if the summed errors
-/// happen to satisfy the tolerance anyway.
+/// happen to satisfy the tolerance anyway; otherwise it reports the most
+/// severe slab termination ([`worst_termination`]).
 fn combine_results<'a>(
     results: impl Iterator<Item = &'a IntegrationResult>,
     tolerances: Tolerances,
@@ -487,7 +488,7 @@ fn combine_results<'a>(
     let mut regions_generated = 0;
     let mut iterations = 0;
     let mut active_final = 0;
-    let mut worst_termination = Termination::Converged;
+    let mut worst = Termination::Converged;
     for result in results {
         estimate += result.estimate;
         error += result.error_estimate;
@@ -495,16 +496,12 @@ fn combine_results<'a>(
         regions_generated += result.regions_generated;
         iterations = iterations.max(result.iterations);
         active_final += result.active_regions_final;
-        if !result.converged() {
-            worst_termination = result.termination;
-        }
+        worst = worst_termination(worst, result.termination);
     }
-    let termination = if worst_termination == Termination::Converged
-        || tolerances.satisfied_by(estimate, error)
-    {
+    let termination = if tolerances.satisfied_by(estimate, error) {
         Termination::Converged
     } else {
-        worst_termination
+        worst
     };
     IntegrationResult {
         estimate,
@@ -891,6 +888,32 @@ mod tests {
         assert_eq!(in_flight, vec![heavy, 4.0 * light]);
         assert_eq!(service.outstanding_costs(), vec![0.0, 0.0]);
         service.shutdown();
+    }
+
+    #[test]
+    fn slab_fold_reports_the_most_severe_termination() {
+        let slab = |termination| IntegrationResult {
+            estimate: 1.0,
+            error_estimate: 1.0,
+            termination,
+            iterations: 1,
+            function_evaluations: 1,
+            regions_generated: 1,
+            active_regions_final: 1,
+            wall_time: Duration::ZERO,
+        };
+        let slabs = [
+            slab(Termination::MemoryExhausted),
+            slab(Termination::MaxIterations),
+        ];
+        for order in [[0, 1], [1, 0]] {
+            let combined = combine_results(
+                order.iter().map(|&i| &slabs[i]),
+                Tolerances::rel(1e-6),
+                Duration::ZERO,
+            );
+            assert_eq!(combined.termination, Termination::MemoryExhausted);
+        }
     }
 
     proptest! {

@@ -61,19 +61,12 @@ impl RegionList {
         2 * count * dim * std::mem::size_of::<f64>()
     }
 
-    /// Build the initial list by uniformly splitting `root` into `d` parts per axis.
+    /// Build the initial list by uniformly splitting `root` into `d` parts per
+    /// axis, drawing its backing storage from `arena`.
     ///
     /// # Errors
     /// Returns `OutOfDeviceMemory` if the `d^dim` regions do not fit in the pool.
-    pub fn initial_split(root: &Region, d: usize, pool: &MemoryPool) -> DeviceResult<Self> {
-        Self::initial_split_in(root, d, pool, &ScratchArena::default())
-    }
-
-    /// [`RegionList::initial_split`] drawing its backing storage from `arena`.
-    ///
-    /// # Errors
-    /// Returns `OutOfDeviceMemory` if the `d^dim` regions do not fit in the pool.
-    pub fn initial_split_in(
+    pub fn initial_split(
         root: &Region,
         d: usize,
         pool: &MemoryPool,
@@ -249,7 +242,8 @@ impl RegionList {
             .sum()
     }
 
-    /// Keep only the regions whose `mask` entry is non-zero.
+    /// Keep only the regions whose `mask` entry is non-zero, drawing the
+    /// compacted copy's storage from `arena`.
     ///
     /// # Errors
     /// Returns `OutOfDeviceMemory` if the compacted copy does not fit (the original
@@ -257,18 +251,7 @@ impl RegionList {
     ///
     /// # Panics
     /// Panics if `mask.len() != self.len()`.
-    pub fn filter(&self, mask: &[u8], pool: &MemoryPool) -> DeviceResult<Self> {
-        self.filter_in(mask, pool, &ScratchArena::default())
-    }
-
-    /// [`RegionList::filter`] drawing the compacted copy's storage from `arena`.
-    ///
-    /// # Errors
-    /// Returns `OutOfDeviceMemory` if the compacted copy does not fit.
-    ///
-    /// # Panics
-    /// Panics if `mask.len() != self.len()`.
-    pub fn filter_in(
+    pub fn filter(
         &self,
         mask: &[u8],
         pool: &MemoryPool,
@@ -300,7 +283,8 @@ impl RegionList {
     }
 
     /// Split every region in half along its per-region `axes` entry, producing the
-    /// next generation in the sibling layout described in the module docs.
+    /// next generation in the sibling layout described in the module docs and
+    /// drawing the children's storage from `arena`.
     ///
     /// # Errors
     /// Returns `OutOfDeviceMemory` if the doubled list does not fit while this one is
@@ -308,19 +292,7 @@ impl RegionList {
     ///
     /// # Panics
     /// Panics if `axes.len() != self.len()` or any axis is out of range.
-    pub fn split_all(&self, axes: &[usize], pool: &MemoryPool) -> DeviceResult<Self> {
-        self.split_all_in(axes, pool, &ScratchArena::default())
-    }
-
-    /// [`RegionList::split_all`] drawing the children's storage from `arena`.
-    ///
-    /// # Errors
-    /// Returns `OutOfDeviceMemory` if the doubled list does not fit while this
-    /// one is still allocated.
-    ///
-    /// # Panics
-    /// Panics if `axes.len() != self.len()` or any axis is out of range.
-    pub fn split_all_in(
+    pub fn split_all(
         &self,
         axes: &[usize],
         pool: &MemoryPool,
@@ -382,7 +354,7 @@ mod tests {
     fn initial_split_covers_the_root() {
         let pool = big_pool();
         let root = Region::unit_cube(3);
-        let list = RegionList::initial_split(&root, 4, &pool).unwrap();
+        let list = RegionList::initial_split(&root, 4, &pool, &ScratchArena::new()).unwrap();
         assert_eq!(list.len(), 64);
         assert_eq!(list.dim(), 3);
         assert!((list.total_volume() - 1.0).abs() < 1e-12);
@@ -392,7 +364,7 @@ mod tests {
     fn initial_split_charges_memory() {
         let pool = big_pool();
         let root = Region::unit_cube(2);
-        let list = RegionList::initial_split(&root, 8, &pool).unwrap();
+        let list = RegionList::initial_split(&root, 8, &pool, &ScratchArena::new()).unwrap();
         assert_eq!(list.charged_bytes(), RegionList::bytes_for(64, 2));
         assert_eq!(pool.usage().used, list.charged_bytes());
     }
@@ -401,14 +373,14 @@ mod tests {
     fn out_of_memory_surfaces() {
         let pool = MemoryPool::new(128);
         let root = Region::unit_cube(3);
-        assert!(RegionList::initial_split(&root, 8, &pool).is_err());
+        assert!(RegionList::initial_split(&root, 8, &pool, &ScratchArena::new()).is_err());
     }
 
     #[test]
     fn region_roundtrip() {
         let pool = big_pool();
         let root = Region::new(vec![-1.0, 2.0], vec![1.0, 6.0]);
-        let list = RegionList::initial_split(&root, 2, &pool).unwrap();
+        let list = RegionList::initial_split(&root, 2, &pool, &ScratchArena::new()).unwrap();
         // Region 0 is the lowest-corner cell.
         let r0 = list.region(0);
         assert_eq!(r0.lo(), &[-1.0, 2.0]);
@@ -439,7 +411,9 @@ mod tests {
             Region::new(vec![2.0, 0.0], vec![4.0, 2.0]),
         ];
         let list = RegionList::from_regions(&regions, &pool).unwrap();
-        let children = list.split_all(&[0, 1], &pool).unwrap();
+        let children = list
+            .split_all(&[0, 1], &pool, &ScratchArena::new())
+            .unwrap();
         assert_eq!(children.len(), 4);
         // Parent 0 split along axis 0: left child occupies [0, 0.5].
         assert_eq!(children.region(0).hi()[0], 0.5);
@@ -454,9 +428,9 @@ mod tests {
     #[test]
     fn filter_keeps_marked_regions_in_order() {
         let pool = big_pool();
-        let root = Region::unit_cube(1);
-        let list = RegionList::initial_split(&root, 4, &pool).unwrap();
-        let filtered = list.filter(&[0, 1, 0, 1], &pool).unwrap();
+        let arena = ScratchArena::new();
+        let list = RegionList::initial_split(&Region::unit_cube(1), 4, &pool, &arena).unwrap();
+        let filtered = list.filter(&[0, 1, 0, 1], &pool, &arena).unwrap();
         assert_eq!(filtered.len(), 2);
         assert_eq!(filtered.region(0).lo()[0], 0.25);
         assert_eq!(filtered.region(1).lo()[0], 0.75);
@@ -466,8 +440,9 @@ mod tests {
     fn memory_is_released_when_lists_drop() {
         let pool = big_pool();
         {
-            let list = RegionList::initial_split(&Region::unit_cube(3), 4, &pool).unwrap();
-            let children = list.split_all(&vec![0; list.len()], &pool).unwrap();
+            let arena = ScratchArena::new();
+            let list = RegionList::initial_split(&Region::unit_cube(3), 4, &pool, &arena).unwrap();
+            let children = list.split_all(&vec![0; list.len()], &pool, &arena).unwrap();
             assert!(pool.usage().used >= children.charged_bytes());
         }
         assert_eq!(pool.usage().used, 0);
@@ -476,10 +451,16 @@ mod tests {
     #[test]
     fn arena_path_produces_identical_geometry() {
         let pool = big_pool();
+        let fresh = || ScratchArena::new();
+        // A recycled arena: a retired generation's storage is on its shelves.
         let arena = ScratchArena::new();
         let root = Region::unit_cube(3);
-        let plain = RegionList::initial_split(&root, 4, &pool).unwrap();
-        let arenad = RegionList::initial_split_in(&root, 4, &pool, &arena).unwrap();
+        RegionList::initial_split(&root, 5, &pool, &arena)
+            .unwrap()
+            .retire(&arena);
+        let plain = RegionList::initial_split(&root, 4, &pool, &fresh()).unwrap();
+        let arenad = RegionList::initial_split(&root, 4, &pool, &arena).unwrap();
+        assert!(arena.reuse_hits() >= 2, "hits {}", arena.reuse_hits());
         assert_eq!(plain.len(), arenad.len());
         for i in 0..plain.len() {
             assert_eq!(plain.lefts_of(i), arenad.lefts_of(i));
@@ -487,13 +468,13 @@ mod tests {
         }
         let axes = vec![0usize; plain.len()];
         let mask: Vec<u8> = (0..plain.len()).map(|i| (i % 2) as u8).collect();
-        let plain_children = plain.split_all(&axes, &pool).unwrap();
-        let arena_children = arenad.split_all_in(&axes, &pool, &arena).unwrap();
+        let plain_children = plain.split_all(&axes, &pool, &fresh()).unwrap();
+        let arena_children = arenad.split_all(&axes, &pool, &arena).unwrap();
         for i in 0..plain_children.len() {
             assert_eq!(plain_children.lefts_of(i), arena_children.lefts_of(i));
         }
-        let plain_filtered = plain.filter(&mask, &pool).unwrap();
-        let arena_filtered = arenad.filter_in(&mask, &pool, &arena).unwrap();
+        let plain_filtered = plain.filter(&mask, &pool, &fresh()).unwrap();
+        let arena_filtered = arenad.filter(&mask, &pool, &arena).unwrap();
         assert_eq!(plain_filtered.len(), arena_filtered.len());
         for i in 0..plain_filtered.len() {
             assert_eq!(plain_filtered.lefts_of(i), arena_filtered.lefts_of(i));
@@ -504,13 +485,13 @@ mod tests {
     fn retire_releases_charge_and_enables_reuse() {
         let pool = big_pool();
         let arena = ScratchArena::new();
-        let list = RegionList::initial_split_in(&Region::unit_cube(3), 4, &pool, &arena).unwrap();
+        let list = RegionList::initial_split(&Region::unit_cube(3), 4, &pool, &arena).unwrap();
         let bytes = list.charged_bytes();
         assert_eq!(pool.usage().used, bytes);
         list.retire(&arena);
         assert_eq!(pool.usage().used, 0);
         // The next generation of the same shape is served from the shelf.
-        let _again = RegionList::initial_split_in(&Region::unit_cube(3), 4, &pool, &arena).unwrap();
+        let _again = RegionList::initial_split(&Region::unit_cube(3), 4, &pool, &arena).unwrap();
         assert!(arena.reuse_hits() >= 2, "hits {}", arena.reuse_hits());
     }
 
@@ -520,8 +501,9 @@ mod tests {
         let dim = 2;
         let initial = RegionList::bytes_for(16, dim);
         let pool = MemoryPool::new(initial + RegionList::bytes_for(8, dim));
-        let list = RegionList::initial_split(&Region::unit_cube(dim), 4, &pool).unwrap();
-        assert!(list.split_all(&[0; 16], &pool).is_err());
+        let arena = ScratchArena::new();
+        let list = RegionList::initial_split(&Region::unit_cube(dim), 4, &pool, &arena).unwrap();
+        assert!(list.split_all(&[0; 16], &pool, &arena).is_err());
     }
 
     proptest! {
@@ -534,9 +516,10 @@ mod tests {
             axis_seed in 0usize..1000,
         ) {
             let pool = MemoryPool::new(256 << 20);
-            let list = RegionList::initial_split(&Region::unit_cube(dim), d, &pool).unwrap();
+            let arena = ScratchArena::new();
+            let list = RegionList::initial_split(&Region::unit_cube(dim), d, &pool, &arena).unwrap();
             let axes: Vec<usize> = (0..list.len()).map(|i| (axis_seed + i) % dim).collect();
-            let children = list.split_all(&axes, &pool).unwrap();
+            let children = list.split_all(&axes, &pool, &arena).unwrap();
             prop_assert_eq!(children.len(), 2 * list.len());
             prop_assert!((children.total_volume() - list.total_volume()).abs() < 1e-10);
         }
@@ -547,13 +530,14 @@ mod tests {
             seed in 0u64..u64::MAX,
         ) {
             let pool = MemoryPool::new(64 << 20);
-            let list = RegionList::initial_split(&Region::unit_cube(2), d, &pool).unwrap();
+            let arena = ScratchArena::new();
+            let list = RegionList::initial_split(&Region::unit_cube(2), d, &pool, &arena).unwrap();
             let mask: Vec<u8> = (0..list.len()).map(|i| ((seed >> (i % 59)) & 1) as u8).collect();
             let expected: f64 = (0..list.len())
                 .filter(|&i| mask[i] != 0)
                 .map(|i| list.lengths_of(i).iter().product::<f64>())
                 .sum();
-            let filtered = list.filter(&mask, &pool).unwrap();
+            let filtered = list.filter(&mask, &pool, &arena).unwrap();
             prop_assert!((filtered.total_volume() - expected).abs() < 1e-12);
         }
     }

@@ -3,7 +3,7 @@
 //! The trace is what the benchmark harness mines to regenerate Figure 3 (the threshold
 //! search), Figure 9 (generated sub-regions), the tree-shape comparison of Figure 2
 //! and the §4.3.2 performance breakdown.  Collecting it costs a few scalars per
-//! iteration and can be disabled in [`crate::PaganiConfig`].
+//! iteration, and every run collects it.
 
 /// One probe of the threshold search (one dotted line of the paper's Figure 3).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -18,9 +18,10 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use pagani::core::trace::ThresholdTrigger;
 use pagani::persist::SNAPSHOT_FORMAT_VERSION;
 use pagani::prelude::*;
-use pagani::{CountingBackend, CpuBackend};
+use pagani::{CountingBackend, CpuBackend, ResumableOutput};
 use proptest::prelude::*;
 
 mod common;
@@ -408,4 +409,245 @@ fn multi_device_pool_shares_one_cache() {
     assert_eq!(hits, 1);
     assert!(service.result_cache().is_some());
     service.shutdown();
+}
+
+/// What a run reports, and leaves behind, at the place its driver loop
+/// stopped.
+#[derive(Debug, PartialEq)]
+struct ExitPin {
+    termination: Termination,
+    iterations: usize,
+    regions_generated: u64,
+    function_evaluations: u64,
+    active_regions_final: usize,
+    estimate_bits: u64,
+    error_bits: u64,
+    /// Threshold searches triggered by estimate convergence.
+    converged_searches: usize,
+    /// Threshold searches triggered by memory pressure.
+    pressure_searches: usize,
+    snapshot_next_iteration: usize,
+    snapshot_converged: bool,
+    snapshot_regions: usize,
+    snapshot_has_parents: bool,
+}
+
+impl ExitPin {
+    fn of(out: &ResumableOutput) -> Self {
+        let result = &out.output.result;
+        let searches = |trigger| {
+            out.output
+                .trace
+                .threshold_searches
+                .iter()
+                .filter(|record| record.trigger == trigger)
+                .count()
+        };
+        let snapshot = out
+            .final_snapshot
+            .as_ref()
+            .expect("every exit leaves a final snapshot");
+        ExitPin {
+            termination: result.termination,
+            iterations: result.iterations,
+            regions_generated: result.regions_generated,
+            function_evaluations: result.function_evaluations,
+            active_regions_final: result.active_regions_final,
+            estimate_bits: result.estimate.to_bits(),
+            error_bits: result.error_estimate.to_bits(),
+            converged_searches: searches(ThresholdTrigger::EstimateConverged),
+            pressure_searches: searches(ThresholdTrigger::MemoryPressure),
+            snapshot_next_iteration: snapshot.next_iteration,
+            snapshot_converged: snapshot.converged,
+            snapshot_regions: snapshot.lefts.len() / snapshot.dim,
+            snapshot_has_parents: snapshot.parent_integrals.is_some(),
+        }
+    }
+}
+
+/// Each reachable exit of the driver loop — convergence at the reduce
+/// check (in a later generation and in generation 0), every region
+/// finished, a failed split, a failed filter, an exhausted iteration budget
+/// and cancellation — pinned by its result and final snapshot, at every
+/// worker count.
+#[test]
+fn every_driver_exit_is_pinned_with_its_final_snapshot() {
+    for workers in worker_matrix(&[1, 2, 8]) {
+        let device = |mib: usize| {
+            Device::new(
+                DeviceConfig::test_small()
+                    .with_memory_capacity(mib << 20)
+                    .with_worker_threads(workers),
+            )
+        };
+        let config = |rel: f64| PaganiConfig::test_small(Tolerances::rel(rel));
+        let (f1, f4, f4_5d) = (
+            PaperIntegrand::f1(3),
+            PaperIntegrand::f4(3),
+            PaperIntegrand::f4(5),
+        );
+        let wave = FnIntegrand::new(2, |x: &[f64]| (2.0 * std::f64::consts::PI * x[0]).sin());
+        let live = CancelToken::new();
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        let budget = PaganiConfig {
+            max_iterations: 3,
+            ..config(1e-8)
+        };
+        let cases: [(&str, Pagani, &dyn Integrand, &CancelToken, ExitPin); 7] = [
+            (
+                "converged",
+                Pagani::new(device(32), config(1e-4)),
+                &f4,
+                &live,
+                ExitPin {
+                    termination: Termination::Converged,
+                    iterations: 9,
+                    regions_generated: 2920,
+                    function_evaluations: 96360,
+                    active_regions_final: 128,
+                    estimate_bits: 4555209543749405893,
+                    error_bits: 4493250838362965338,
+                    converged_searches: 2,
+                    pressure_searches: 0,
+                    snapshot_next_iteration: 8,
+                    snapshot_converged: true,
+                    snapshot_regions: 176,
+                    snapshot_has_parents: true,
+                },
+            ),
+            (
+                "converged_generation_0",
+                Pagani::new(device(32), config(1e-4).without_rel_err_filtering()),
+                &f1,
+                &live,
+                ExitPin {
+                    termination: Termination::Converged,
+                    iterations: 1,
+                    regions_generated: 216,
+                    function_evaluations: 7128,
+                    active_regions_final: 216,
+                    estimate_bits: 13826331700024640034,
+                    error_bits: 4498582374545772544,
+                    converged_searches: 0,
+                    pressure_searches: 0,
+                    snapshot_next_iteration: 0,
+                    snapshot_converged: true,
+                    snapshot_regions: 216,
+                    snapshot_has_parents: false,
+                },
+            ),
+            (
+                "all_finished",
+                Pagani::new(device(32), config(1e-3)),
+                &wave,
+                &live,
+                ExitPin {
+                    termination: Termination::MaxIterations,
+                    iterations: 1,
+                    regions_generated: 256,
+                    function_evaluations: 4352,
+                    active_regions_final: 0,
+                    estimate_bits: 13584861985358479360,
+                    error_bits: 4473553326989901824,
+                    converged_searches: 0,
+                    pressure_searches: 0,
+                    snapshot_next_iteration: 0,
+                    snapshot_converged: false,
+                    snapshot_regions: 256,
+                    snapshot_has_parents: false,
+                },
+            ),
+            (
+                "split_failed",
+                Pagani::new(device(2), config(1e-6)),
+                &f4_5d,
+                &live,
+                ExitPin {
+                    termination: Termination::MemoryExhausted,
+                    iterations: 16,
+                    regions_generated: 43773,
+                    function_evaluations: 4070889,
+                    active_regions_final: 9344,
+                    estimate_bits: 4521066059163763247,
+                    error_bits: 4482864200322057913,
+                    converged_searches: 0,
+                    pressure_searches: 2,
+                    snapshot_next_iteration: 16,
+                    snapshot_converged: false,
+                    snapshot_regions: 9344,
+                    snapshot_has_parents: false,
+                },
+            ),
+            (
+                "filter_failed",
+                Pagani::new(device(1), config(1e-6)),
+                &f4_5d,
+                &live,
+                ExitPin {
+                    termination: Termination::MemoryExhausted,
+                    iterations: 16,
+                    regions_generated: 31805,
+                    function_evaluations: 2957865,
+                    active_regions_final: 8576,
+                    estimate_bits: 4521066059224594720,
+                    error_bits: 4482864451060943928,
+                    converged_searches: 0,
+                    pressure_searches: 4,
+                    snapshot_next_iteration: 15,
+                    snapshot_converged: false,
+                    snapshot_regions: 8576,
+                    snapshot_has_parents: true,
+                },
+            ),
+            (
+                "budget",
+                Pagani::new(device(32), budget),
+                &f4,
+                &live,
+                ExitPin {
+                    termination: Termination::MaxIterations,
+                    iterations: 3,
+                    regions_generated: 568,
+                    function_evaluations: 13464,
+                    active_regions_final: 80,
+                    estimate_bits: 4555416390597418583,
+                    error_bits: 4548635310217410168,
+                    converged_searches: 0,
+                    pressure_searches: 0,
+                    snapshot_next_iteration: 3,
+                    snapshot_converged: false,
+                    snapshot_regions: 160,
+                    snapshot_has_parents: true,
+                },
+            ),
+            (
+                "cancelled",
+                Pagani::new(device(32), config(1e-4)),
+                &f4,
+                &cancelled,
+                ExitPin {
+                    termination: Termination::Cancelled,
+                    iterations: 0,
+                    regions_generated: 216,
+                    function_evaluations: 0,
+                    active_regions_final: 0,
+                    estimate_bits: 0,
+                    error_bits: f64::INFINITY.to_bits(),
+                    converged_searches: 0,
+                    pressure_searches: 0,
+                    snapshot_next_iteration: 0,
+                    snapshot_converged: false,
+                    snapshot_regions: 216,
+                    snapshot_has_parents: false,
+                },
+            ),
+        ];
+        for (name, pagani, f, cancel, expected) in cases {
+            let (lo, hi) = f.default_bounds();
+            let region = Region::new(lo, hi);
+            let out = pagani.integrate_resumable(f, &region, &ScratchArena::new(), cancel, 0);
+            assert_eq!(ExitPin::of(&out), expected, "{name}, workers {workers}");
+        }
+    }
 }

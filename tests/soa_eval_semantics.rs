@@ -104,13 +104,14 @@ proptest! {
         depth in 1usize..4,
     ) {
         let device = common::device_with_workers(1);
+        let arena = pagani::prelude::ScratchArena::new();
         let list = RegionList::initial_split(
             &pagani::quadrature::Region::unit_cube(dim),
             depth,
             device.memory(),
+            &arena,
         )
         .unwrap();
-        let arena = pagani::prelude::ScratchArena::new();
         let pack = RegionPack::pack(&list, &arena);
         prop_assert_eq!(pack.len(), list.len());
         prop_assert_eq!(pack.dim(), dim);
