@@ -128,11 +128,11 @@ impl BatchJob {
         self
     }
 
-    /// Give the job a deadline, measured from submission.  A job that has not
-    /// completed when the deadline fires is cancelled cooperatively — it
-    /// reports [`pagani_quadrature::Termination::Cancelled`] with whatever
-    /// partial statistics it had accumulated, exactly as if
-    /// [`crate::service::JobHandle::cancel`] had been called at that instant.
+    /// Give the job a deadline, measured from submission.  It rides on the
+    /// job's [`crate::CancelToken`], which counts as cancelled once it has
+    /// passed: the job stops at its claim or next checkpoint and reports
+    /// [`pagani_quadrature::Termination::Cancelled`] with its partial
+    /// statistics, as if [`crate::JobHandle::cancel`] had been called.
     #[must_use]
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);

@@ -32,7 +32,7 @@ use pagani_persist::ResultCache;
 use crate::config::PaganiConfig;
 use crate::cost::CostModel;
 use crate::multi_device::{DispatchMode, MultiDeviceService};
-use crate::remote::{DistributedService, IntegrandRegistry};
+use crate::remote::DistributedService;
 use crate::service::{IntegrationService, ServicePolicy};
 
 /// The default interval between heartbeat probes on a remote connection.
@@ -57,7 +57,6 @@ pub struct ServiceBuilder {
     pub(crate) cache: Option<Arc<ResultCache>>,
     pub(crate) model: Option<Arc<CostModel>>,
     pub(crate) endpoints: Vec<String>,
-    pub(crate) registry: Option<Arc<IntegrandRegistry>>,
     pub(crate) heartbeat_interval: Duration,
 }
 
@@ -75,7 +74,6 @@ impl ServiceBuilder {
             cache: None,
             model: None,
             endpoints: Vec::new(),
-            registry: None,
             heartbeat_interval: DEFAULT_HEARTBEAT_INTERVAL,
         }
     }
@@ -101,8 +99,9 @@ impl ServiceBuilder {
         self
     }
 
-    /// Bound the submission queue (per lane; at the front-end for the
-    /// distributed service) — sugar for [`ServicePolicy::with_queue_bound`].
+    /// Bound the queue of every lane — unclaimed jobs on a device, jobs in
+    /// flight on a remote worker — checked on the lane a job is placed on;
+    /// sugar for [`ServicePolicy::with_queue_bound`].
     #[must_use]
     pub fn queue_bound(mut self, bound: usize) -> Self {
         self.policy = self.policy.with_queue_bound(bound);
@@ -187,16 +186,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// The [`IntegrandRegistry`] naming the integrands jobs may reference —
-    /// required by [`crate::remote::RemoteWorker`]; optional at the front-end
-    /// (jobs there carry their integrand and only its *name* crosses the
-    /// wire).
-    #[must_use]
-    pub fn registry(mut self, registry: Arc<IntegrandRegistry>) -> Self {
-        self.registry = Some(registry);
-        self
-    }
-
     /// Interval between heartbeat probes on each remote connection
     /// (distributed topologies only; minimum 10 ms).
     #[must_use]
@@ -211,7 +200,7 @@ impl ServiceBuilder {
     /// Panics unless exactly one device was supplied and no remote endpoints
     /// were configured.
     #[must_use]
-    pub fn build(mut self) -> IntegrationService {
+    pub fn build(self) -> IntegrationService {
         assert!(
             self.endpoints.is_empty(),
             "remote endpoints were configured: build_distributed() is the matching topology"
@@ -221,14 +210,7 @@ impl ServiceBuilder {
             "build() wants exactly one device ({} supplied); use build_multi() for a pool",
             self.devices.len()
         );
-        let device = self.devices.pop().expect("length checked above");
-        IntegrationService::with_policy_and_model(
-            device,
-            self.config,
-            self.policy,
-            self.model.unwrap_or_else(|| Arc::new(CostModel::new())),
-            self.cache,
-        )
+        IntegrationService::from_builder(self)
     }
 
     /// Build a [`MultiDeviceService`]: one lane per supplied device, all

@@ -5,8 +5,8 @@
 //! than what it does:
 //!
 //! * **Dispatch weight** ([`CostModel::weigh_job`], [`estimated_cost`]) — a
-//!   unitless relative weight used by the multi-device dispatcher's
-//!   outstanding-cost ledger.  Only orderings and ratios matter.
+//!   unitless relative weight, what a lane's ledger is charged for a job
+//!   while the model is cold.  Only orderings and ratios matter.
 //! * **Time prediction** ([`CostModel::predict_job`]) — an estimated wall
 //!   time in real units, used by deadline-aware admission
 //!   ([`crate::IntegrationService::try_submit`]) to refuse jobs whose
@@ -205,15 +205,6 @@ pub fn slab_weights(total_cost: f64, slabs: &[Region]) -> Vec<f64> {
         leftover -= 1;
     }
     weights
-}
-
-/// Effective load of a remote lane: estimated outstanding cost normalised by
-/// the worker threads serving it, so a 8-worker remote box absorbs
-/// proportionally more outstanding work than a 1-worker box before
-/// least-loaded dispatch steers away from it.
-#[must_use]
-pub fn remote_lane_load(outstanding: f64, workers: usize) -> f64 {
-    outstanding / workers.max(1) as f64
 }
 
 /// An exponentially-weighted moving average: `value ← α·x + (1-α)·value`,

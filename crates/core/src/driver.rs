@@ -9,7 +9,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use pagani_device::{scan, Device, DeviceError, DeviceResult};
 use pagani_persist::{Snapshot, SnapshotError, SNAPSHOT_FORMAT_VERSION};
@@ -27,17 +27,20 @@ use crate::threshold::{threshold_classify, ThresholdPolicy};
 use crate::trace::{ExecutionTrace, IterationRecord, ThresholdSearchRecord, ThresholdTrigger};
 
 /// A cooperative cancellation flag shared between a running integration and
-/// its canceller.
+/// its canceller, optionally with a deadline.
 ///
 /// The driver polls the token at every iteration boundary; once cancelled, the
 /// run stops within one breadth-first iteration and reports
 /// [`Termination::Cancelled`] together with the best cumulative estimate seen
-/// so far.  Cloning shares the flag.  A token that is never cancelled has no
-/// observable effect on a run — results are bit-identical with and without
-/// one.
+/// so far.  Cloning shares the flag.  A service job's token also counts as
+/// cancelled once the job's deadline ([`crate::BatchJob::with_deadline`])
+/// has passed, wherever it is polled: when the job is claimed and at every
+/// checkpoint.  A token that is never cancelled has no observable effect on
+/// a run — results are bit-identical with and without one.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
+    deadline: Option<Instant>,
 }
 
 impl CancelToken {
@@ -47,16 +50,31 @@ impl CancelToken {
         Self::default()
     }
 
+    /// A fresh token that also counts as cancelled once `deadline` — from
+    /// now — has passed.  A deadline past the clock's range never fires.
+    pub(crate) fn with_deadline(deadline: Option<Duration>) -> Self {
+        Self {
+            flag: Arc::default(),
+            deadline: deadline.and_then(|deadline| Instant::now().checked_add(deadline)),
+        }
+    }
+
     /// Request cancellation.  Idempotent; takes effect at the next iteration
     /// boundary of any run holding a clone of this token.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Release);
     }
 
-    /// Whether cancellation has been requested.
+    /// Whether cancellation has been requested or the token's deadline has
+    /// passed.
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
+        self.flag.load(Ordering::Acquire) || self.expired()
+    }
+
+    /// Whether the token's deadline has passed.
+    pub(crate) fn expired(&self) -> bool {
+        self.deadline.is_some_and(|at| Instant::now() >= at)
     }
 }
 

@@ -48,6 +48,7 @@ pub mod multi_device;
 pub mod region_list;
 pub mod remote;
 pub mod resume;
+mod scheduler;
 pub mod service;
 pub mod threshold;
 pub mod trace;
@@ -58,8 +59,7 @@ pub use builder::ServiceBuilder;
 pub use config::{HeuristicFiltering, PaganiConfig};
 pub use cost::{
     cost_ceiling, estimated_cost, estimated_footprint_bytes, estimated_job_cost,
-    estimated_job_footprint_bytes, job_tolerances, remote_lane_load, slab_weights, CostKey,
-    CostModel, Ewma,
+    estimated_job_footprint_bytes, job_tolerances, slab_weights, CostKey, CostModel, Ewma,
 };
 pub use driver::{CancelToken, Pagani, PaganiOutput};
 pub use evaluate::{Evaluation, RegionPack, EVAL_LANES};

@@ -12,14 +12,14 @@
 //! into the global tolerance by the same argument as Lemma 3.1.
 //!
 //! Independent-job traffic is the other axis: [`MultiDeviceService`] feeds N
-//! devices from **one** submission queue.  Each incoming job is weighed by
-//! the pool's shared measured [`CostModel`] (falling back to the static
-//! [`estimated_cost`] while the model is cold) and dispatched to the device
-//! with the least estimated outstanding cost
-//! ([`DispatchMode::CostBalanced`]), so a skewed job mix cannot pile its
-//! heavy jobs onto one device the way round-robin sharding does.  All lanes
-//! share one model, so what one device learns about a job family prices that
-//! family everywhere.  [`DispatchMode::RoundRobin`] remains available as the
+//! devices from **one** submission front door.  Each incoming job is priced
+//! by the pool's shared measured [`CostModel`] (falling back to the static
+//! [`estimated_cost`] while the model is cold) and placed on the device
+//! with the least charge per worker ([`DispatchMode::CostBalanced`]), so a
+//! skewed job mix cannot pile its heavy jobs onto one device the way
+//! round-robin sharding does.  All lanes share one model, so what one device
+//! learns about a job family prices that family everywhere.
+//! [`DispatchMode::RoundRobin`] remains available as the
 //! deterministic fallback: under it the device a job lands on is a pure
 //! function of its submission index, which is the mode the reproducibility
 //! tests pin.  Per-job *results* are bit-identical either way whenever the
@@ -27,9 +27,7 @@
 //! full-capacity memory view, so only wall-clock (and, for heterogeneous
 //! pools, memory-pressure behaviour) depends on placement.
 
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pagani_quadrature::{Integrand, IntegrationResult, Region, Termination, Tolerances};
@@ -37,69 +35,42 @@ use pagani_quadrature::{Integrand, IntegrationResult, Region, Termination, Toler
 use crate::batch::BatchJob;
 use crate::builder::ServiceBuilder;
 use crate::config::PaganiConfig;
+use crate::cost::CostModel;
 pub use crate::cost::{estimated_cost, estimated_job_cost};
-use crate::cost::{estimated_job_footprint_bytes, job_tolerances, slab_weights, CostModel};
+#[cfg(doc)]
+use crate::cost::{estimated_job_footprint_bytes, slab_weights};
 use crate::driver::{Pagani, PaganiOutput};
 use crate::integrator::{ensure_matching_dims, worst_termination};
-use crate::service::{
-    panic_message, CompletionHook, IntegrationService, JobHandle, JobOutcome, JobState, QueueFull,
-    Rejected, ServiceMetrics,
-};
+use crate::scheduler::{Lane, Scheduler};
+use crate::service::{JobHandle, LocalLane, Rejected, ServiceMetrics};
 use crate::trace::ExecutionTrace;
 use pagani_device::Device;
 use pagani_persist::ResultCache;
 
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// How a multi-device dispatcher assigns jobs to devices.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DispatchMode {
-    /// Weigh each job with [`estimated_cost`] and send it to the device with
-    /// the least estimated outstanding cost (ties break to the lowest device
-    /// index).  Balances skewed job mixes; placement depends on completion
-    /// timing, so which device serves a job is not reproducible run-to-run.
+    /// Price each job with the cost model ([`estimated_cost`] while it is
+    /// cold) and send it to the device with the least charge per worker
+    /// (ties break to the lowest device index).  Balances skewed job mixes;
+    /// placement depends on completion timing, so which device serves a job
+    /// is not reproducible run-to-run.
     #[default]
     CostBalanced,
     /// Job `i` goes to device `i mod n` — placement is a pure function of the
     /// submission index, reproducible run-to-run.  The deterministic fallback
-    /// the pinning tests rely on.
+    /// the pinning tests rely on.  (On devices of unequal memory the rotation
+    /// runs over the devices that hold the job whole.)
     RoundRobin,
 }
 
-/// One device's lane in a [`MultiDeviceService`]: its service and the
-/// estimated cost of jobs dispatched to it that have not completed yet.
-#[derive(Debug)]
-struct Lane {
-    service: IntegrationService,
-    outstanding: Arc<Mutex<f64>>,
-}
-
-impl Lane {
-    /// Charge `cost` to the lane's ledger and return the completion hook
-    /// that retires exactly that charge.
-    fn charge(&self, cost: f64) -> CompletionHook {
-        *lock(&self.outstanding) += cost;
-        let outstanding = Arc::clone(&self.outstanding);
-        Box::new(move |_| *lock(&outstanding) -= cost)
-    }
-
-    /// The lane's queue bound when its queue is at that bound, else `None`.
-    fn full_at(&self) -> Option<usize> {
-        let bound = self.service.policy().queue_bound?;
-        (self.service.queued_jobs() >= bound).then_some(bound)
-    }
-}
-
-/// One submission queue feeding N devices.
+/// One submission front door feeding N devices.
 ///
-/// Mirrors [`IntegrationService`] at the device-pool level: `submit` weighs
-/// the job with [`estimated_job_cost`] and dispatches it to a device
-/// according to the [`DispatchMode`]; every per-device lane is a full
-/// [`IntegrationService`], so per-job method overrides, priorities, deadlines
-/// and cancellation all work unchanged.  Build one with
-/// [`ServiceBuilder::build_multi`].
+/// Mirrors [`crate::IntegrationService`] at the device-pool level: one local lane
+/// per device — its own priority queue and resident workers — under one
+/// scheduler that places each job according to the [`DispatchMode`], so
+/// per-job method overrides, priorities, deadlines and cancellation all work
+/// unchanged.  Build one with [`ServiceBuilder::build_multi`].
 ///
 /// ```
 /// use pagani_core::{BatchJob, JobHandle, PaganiConfig, ServiceBuilder};
@@ -121,75 +92,41 @@ impl Lane {
 /// ```
 #[derive(Debug)]
 pub struct MultiDeviceService {
-    lanes: Vec<Lane>,
-    mode: DispatchMode,
-    round_robin_next: AtomicUsize,
-    default_tolerances: Tolerances,
-    /// One measured cost model shared by every lane: a wall time observed on
-    /// any device prices that job family on all of them.
-    model: Arc<CostModel>,
-    /// The pool-wide result cache, when one was supplied — shared by every
-    /// lane so any device's work serves the whole pool.
-    cache: Option<Arc<ResultCache>>,
+    sched: Scheduler<LocalLane>,
 }
 
 impl MultiDeviceService {
     /// The construction path, fed by [`ServiceBuilder::build_multi`].
     pub(crate) fn from_builder(builder: ServiceBuilder) -> Self {
-        let ServiceBuilder {
-            config,
-            devices,
-            policy,
-            dispatch: mode,
-            cache,
-            model,
-            ..
-        } = builder;
-        assert!(!devices.is_empty(), "at least one device is required");
-        let default_tolerances = config.tolerances;
-        let model = model.unwrap_or_else(|| Arc::new(CostModel::new()));
-        let lanes = devices
-            .into_iter()
-            .map(|device| Lane {
-                service: IntegrationService::with_policy_and_model(
-                    device,
-                    config.clone(),
-                    policy,
-                    Arc::clone(&model),
-                    cache.clone(),
-                ),
-                outstanding: Arc::new(Mutex::new(0.0)),
-            })
-            .collect();
+        assert!(
+            !builder.devices.is_empty(),
+            "at least one device is required"
+        );
         Self {
-            lanes,
-            mode,
-            round_robin_next: AtomicUsize::new(0),
-            default_tolerances,
-            model,
-            cache,
+            sched: Scheduler::local(builder, true),
         }
     }
 
     /// Number of devices in the pool.
     #[must_use]
     pub fn device_count(&self) -> usize {
-        self.lanes.len()
+        self.sched.lanes.len()
     }
 
     /// The dispatch mode in force.
     #[must_use]
     pub fn mode(&self) -> DispatchMode {
-        self.mode
+        self.sched.mode
     }
 
-    /// Estimated outstanding cost per device — dispatched minus completed —
+    /// Each device's ledger — the charge of its queued and running jobs —
     /// in device order.  Introspection for tests and load dashboards.
     #[must_use]
     pub fn outstanding_costs(&self) -> Vec<f64> {
-        self.lanes
+        self.sched
+            .lanes
             .iter()
-            .map(|lane| *lock(&lane.outstanding))
+            .map(|lane| lane.book().charged())
             .collect()
     }
 
@@ -197,9 +134,8 @@ impl MultiDeviceService {
     /// per device; sum counters across entries for pool-level totals.
     #[must_use]
     pub fn metrics(&self) -> Vec<ServiceMetrics> {
-        self.lanes
-            .iter()
-            .map(|lane| lane.service.metrics())
+        (0..self.sched.lanes.len())
+            .map(|lane| self.sched.metrics(lane))
             .collect()
     }
 
@@ -208,79 +144,54 @@ impl MultiDeviceService {
     /// it to watch the pool's learning converge.
     #[must_use]
     pub fn cost_model(&self) -> &Arc<CostModel> {
-        &self.model
+        &self.sched.core.model
     }
 
     /// The pool-wide [`ResultCache`], when the service was built with
     /// [`ServiceBuilder::cache`].
     #[must_use]
     pub fn result_cache(&self) -> Option<&Arc<ResultCache>> {
-        self.cache.as_ref()
+        self.sched.core.cache.as_ref()
     }
 
-    /// Pick the lane the next submission goes to; advances the round-robin
-    /// rotation when that mode is in force.
-    fn select_lane(&self) -> usize {
-        match self.mode {
-            DispatchMode::RoundRobin => {
-                self.round_robin_next.fetch_add(1, AtomicOrdering::Relaxed) % self.lanes.len()
-            }
-            DispatchMode::CostBalanced => {
-                let costs = self.outstanding_costs();
-                let has_space = |i: usize| self.lanes[i].full_at().is_none();
-                let least_loaded = |candidates: &mut dyn Iterator<Item = usize>| {
-                    candidates.min_by(|&a, &b| {
-                        costs[a]
-                            .partial_cmp(&costs[b])
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                };
-                least_loaded(&mut (0..self.lanes.len()).filter(|&i| has_space(i)))
-                    .or_else(|| least_loaded(&mut (0..self.lanes.len())))
-                    .expect("the lane list is never empty")
-            }
-        }
-    }
-
-    /// Dispatch `job` to a device and return its handle.
+    /// Place `job` on a device and return its handle.
     ///
-    /// `CostBalanced` picks the device with the least estimated outstanding
-    /// cost at this instant; under a bounded per-lane [`crate::ServicePolicy`],
+    /// A job goes to a device whose memory holds its
+    /// [`estimated_job_footprint_bytes`] whole when one does.  There,
+    /// `CostBalanced` picks the device with the least charge per worker at
+    /// this instant; under a bounded per-lane [`crate::ServicePolicy`],
     /// lanes whose queue is at its bound are skipped (best-effort — the
     /// occupancy snapshot can race a concurrent submitter) so a full cheap
     /// lane cannot block the call while another lane has room; only when
     /// *every* lane is full does the call block waiting for space on the
     /// least-loaded one.  `RoundRobin` rotates unconditionally — placement
     /// stays a pure function of the submission index, so a full lane blocks
-    /// rather than breaking determinism.  The job's weight under the shared
-    /// [`CostModel`] is charged to the chosen lane and retired when the job
-    /// completes.
+    /// rather than breaking determinism.  The job's price under the shared
+    /// [`CostModel`] is charged to the chosen lane's ledger and retired when
+    /// the job completes.
     ///
-    /// **Oversized jobs slab-split.**  A job whose
-    /// [`estimated_job_footprint_bytes`] exceeds the smallest lane's memory
-    /// capacity cannot converge on any single device; instead of letting it
-    /// exhaust memory, the service cuts its region into
-    /// [`MultiDevicePagani::partition`] slabs (one child job per slab, each
-    /// inheriting the parent's priority and deadline), dispatches the
-    /// children through the ordinary cost-balanced lanes with
-    /// [`slab_weights`] charges, and recombines them **bit-deterministically**:
-    /// children are summed in fixed slab order with exactly the
-    /// [`MultiDevicePagani::integrate_region`] fold, so the parent handle's
-    /// result is a pure function of the slab results.  Cancelling the parent
-    /// handle cancels every child.
+    /// **Oversized jobs slab-split.**  A job no device can hold whole cannot
+    /// converge on any single device; instead of letting it exhaust memory,
+    /// the service cuts its region into [`MultiDevicePagani::partition`]
+    /// slabs sized for the smallest device (one child job per slab, each
+    /// inheriting the parent's priority and deadline), places the children
+    /// like any other job with [`slab_weights`] charges, and recombines them
+    /// **bit-deterministically**: children are summed in fixed slab order
+    /// with exactly the [`MultiDevicePagani::integrate_region`] fold, so the
+    /// parent handle's result is a pure function of the slab results.
+    /// Cancelling the parent handle cancels every child.
     #[must_use]
     pub fn submit(&self, job: BatchJob) -> JobHandle {
-        if let Some(parts) = self.slab_parts(&job) {
-            return self.submit_slabbed(&job, parts);
-        }
-        let cost = self.model.weigh_job(&job, self.default_tolerances);
-        self.submit_weighted(self.select_lane(), job, cost)
+        self.sched.submit(job, None)
     }
 
     /// [`MultiDeviceService::submit`] with refuse-instead-of-wait semantics:
-    /// the chosen lane's [`IntegrationService::try_submit`] admission checks
-    /// (queue bound, deadline feasibility) run, and a refusal hands the job
-    /// back as [`Rejected`] without charging the lane.
+    /// the chosen lane's admission checks (queue bound, deadline
+    /// feasibility against that lane's backlog) run, and a refusal hands the
+    /// job back as [`Rejected`] without charging the lane.  An oversized job
+    /// is refused only when every lane's queue is at its bound: its slabs
+    /// skip deadline admission, since the model prices whole jobs, and are
+    /// filed past the bound rather than waiting for space.
     ///
     /// Under `RoundRobin` a rejected submission still consumes its rotation
     /// slot — placement stays a pure function of the submission *attempt*
@@ -288,74 +199,18 @@ impl MultiDeviceService {
     /// same full one.
     ///
     /// # Errors
-    /// Whatever the chosen lane's [`IntegrationService::try_submit`] returns:
-    /// [`Rejected::QueueFull`] at the lane's bound,
+    /// [`Rejected::QueueFull`] at the chosen lane's bound,
     /// [`Rejected::DeadlineInfeasible`] when the shared model predicts the
     /// deadline cannot be met on that lane.
     pub fn try_submit(&self, job: BatchJob) -> Result<JobHandle, Rejected> {
-        if let Some(parts) = self.slab_parts(&job) {
-            // Slab children bypass per-child admission (they exist precisely
-            // because the whole job is infeasible on one device), so refuse
-            // up front only on capacity: when every lane's queue is at its
-            // bound there is nowhere to put even the first child.  Deadline
-            // admission is deliberately optimistic here — the model prices
-            // whole jobs, not slabs, and a refusal based on the unsplit
-            // footprint would reject exactly the jobs splitting rescues.
-            let full_bounds: Option<Vec<usize>> = self.lanes.iter().map(Lane::full_at).collect();
-            if let Some(bound) = full_bounds.and_then(|bounds| bounds.into_iter().min()) {
-                return Err(Rejected::QueueFull(Box::new(QueueFull { bound, job })));
-            }
-            return Ok(self.submit_slabbed(&job, parts));
-        }
-        let lane = &self.lanes[self.select_lane()];
-        let cost = self.model.weigh_job(&job, self.default_tolerances);
-        let result = lane
-            .service
-            .try_submit_with_hook(job, Some(lane.charge(cost)));
-        if result.is_err() {
-            // The lane never accepted the job, so its completion hook will
-            // never run: revert the charge at exactly the charged value.
-            *lock(&lane.outstanding) -= cost;
-        }
-        result
-    }
-
-    /// Dispatch `job` to `lane_index` with an explicit charge — the job's
-    /// own model weight, or a slab child's [`slab_weights`] share of its
-    /// parent's — retired when the job completes.
-    fn submit_weighted(&self, lane_index: usize, job: BatchJob, cost: f64) -> JobHandle {
-        let lane = &self.lanes[lane_index];
-        lane.service.submit_with_hook(job, Some(lane.charge(cost)))
-    }
-
-    /// The [`slab_count`] of `job` against the smallest lane's memory.
-    fn slab_parts(&self, job: &BatchJob) -> Option<usize> {
-        let budget = self
-            .lanes
-            .iter()
-            .map(|lane| lane.service.device().config().memory_capacity)
-            .min()
-            .expect("the lane list is never empty");
-        slab_count(job, self.default_tolerances, budget as f64)
-    }
-
-    /// Slab-split an oversized job, each child dispatched through the
-    /// ordinary lanes with its share of the parent's charge.
-    fn submit_slabbed(&self, job: &BatchJob, parts: usize) -> JobHandle {
-        submit_slabbed(
-            job,
-            parts,
-            &self.model,
-            self.default_tolerances,
-            |child, weight| self.submit_weighted(self.select_lane(), child, weight),
-        )
+        self.sched.try_submit(job)
     }
 
     /// Graceful shutdown: every lane drains its submitted jobs and joins its
     /// workers.  Handles issued before the call remain valid.
     pub fn shutdown(self) {
-        for lane in self.lanes {
-            lane.service.shutdown();
+        for lane in self.sched.lanes.iter() {
+            lane.shutdown();
         }
     }
 }
@@ -517,7 +372,7 @@ fn combine_results<'a>(
 
 /// Recombine slab-child outputs into the parent's output: the
 /// [`combine_results`] fold in slab order, wall time the slowest child's
-/// (children run concurrently; the combiner reads no clock of its own, so
+/// (children run concurrently; the fold reads no clock of its own, so
 /// results stay a pure function of the slab outputs).  The parent's trace is
 /// empty — per-slab traces describe per-device runs and do not compose.
 pub(crate) fn combine_slab_outputs(
@@ -533,79 +388,6 @@ pub(crate) fn combine_slab_outputs(
         result: combine_results(outputs.iter().map(|o| &o.result), tolerances, wall_time),
         trace: ExecutionTrace::default(),
     }
-}
-
-/// How many slabs `job` must be cut into to fit in `budget` bytes of device
-/// memory, or `None` when its [`estimated_job_footprint_bytes`] fits whole
-/// (the overwhelmingly common case) or it carries a per-job method override
-/// (baseline methods have no slab-composition story).
-pub(crate) fn slab_count(
-    job: &BatchJob,
-    default_tolerances: Tolerances,
-    budget: f64,
-) -> Option<usize> {
-    if job.method().is_some() {
-        return None;
-    }
-    let footprint = estimated_job_footprint_bytes(job, default_tolerances);
-    if footprint <= budget {
-        return None;
-    }
-    Some(((footprint / budget).ceil() as usize).clamp(2, 64))
-}
-
-/// The slab path of every service front door: cut `job` into `parts`
-/// [`MultiDevicePagani::partition`] slabs and hand each child (inheriting
-/// the parent's priority and deadline) to `dispatch` together with its
-/// [`slab_weights`] share of the parent's `model` weight, so the children's
-/// charges sum to exactly what the whole job would have charged.  The
-/// returned parent handle is served by a combiner thread that waits for the
-/// children **in slab order** and publishes the [`combine_slab_outputs`]
-/// fold; cancelling it cancels every child.
-pub(crate) fn submit_slabbed(
-    job: &BatchJob,
-    parts: usize,
-    model: &CostModel,
-    default_tolerances: Tolerances,
-    mut dispatch: impl FnMut(BatchJob, f64) -> JobHandle,
-) -> JobHandle {
-    let slabs = MultiDevicePagani::partition(job.region(), parts);
-    let weights = slab_weights(model.weigh_job(job, default_tolerances), &slabs);
-    let children: Vec<JobHandle> = slabs
-        .into_iter()
-        .zip(weights)
-        .map(|(slab, weight)| dispatch(job.clone().over(slab), weight))
-        .collect();
-    let tolerances = job_tolerances(job, default_tolerances);
-    let parent = Arc::new(JobState::new());
-    let state = Arc::clone(&parent);
-    let waited = children.clone();
-    std::thread::Builder::new()
-        .name("pagani-slab-combiner".into())
-        .spawn(move || {
-            let mut outputs = Vec::with_capacity(waited.len());
-            for child in &waited {
-                match std::panic::catch_unwind(AssertUnwindSafe(|| child.wait())) {
-                    Ok(output) => outputs.push(output),
-                    Err(payload) => {
-                        state.complete(JobOutcome::Panicked(panic_message(payload.as_ref())));
-                        return;
-                    }
-                }
-            }
-            state.complete(JobOutcome::Finished(combine_slab_outputs(
-                &outputs, tolerances,
-            )));
-        })
-        .expect("spawning the slab-combiner thread");
-    JobHandle::detached(
-        parent,
-        Some(Arc::new(move || {
-            for child in &children {
-                child.cancel();
-            }
-        })),
-    )
 }
 
 #[cfg(test)]

@@ -1,48 +1,39 @@
 //! The front-end of the distributed scheduler: one submission surface
 //! sharding jobs across remote worker processes.
 //!
-//! [`DistributedService`] mirrors the in-process services' semantics on
-//! purpose — the same admission, the same refusals, the same handle type:
-//!
-//! * **Backpressure**: [`ServicePolicy::queue_bound`] bounds the front-end's
-//!   in-flight set; `submit` blocks for space, `try_submit` refuses with
-//!   [`Rejected::QueueFull`].
-//! * **Admission**: a deadline the shared [`CostModel`] predicts cannot be
-//!   met at the current backlog is refused with
-//!   [`Rejected::DeadlineInfeasible`] *at the front-end* — the job never
-//!   crosses the wire.
-//! * **Cancellation**: [`crate::JobHandle::cancel`] forwards a
-//!   [`Message::Cancel`] frame to whichever worker currently holds the job.
-//! * **Crash recovery**: a dead connection requeues its in-flight jobs on a
-//!   surviving worker ([`ServiceMetrics::remote_requeued`] counts them),
-//!   re-shipping the latest persisted checkpoint where one exists so
-//!   completed iterations are not recomputed.
-//! * **Slab splitting**: a job whose estimated footprint exceeds every
-//!   worker's device memory is cut into [`MultiDevicePagani::partition`]
-//!   slabs, dispatched as independent wire jobs, and recombined
-//!   bit-deterministically in slab order.
+//! [`DistributedService`] is a facade over the one scheduler
+//! ([`crate::scheduler`]) with a remote lane per worker, so it prices,
+//! places, admits, splits and settles jobs exactly like the in-process
+//! services: a job goes to a live worker whose device holds it whole, the
+//! queue bound and deadline admission apply to that worker, and a refused
+//! job never crosses the wire.  A remote lane adds transport:
+//! [`crate::JobHandle::cancel`] forwards a [`Message::Cancel`] frame to
+//! whichever worker holds the job, and a dead connection requeues its
+//! in-flight jobs on a survivor ([`ServiceMetrics::remote_requeued`]),
+//! re-shipping the latest persisted checkpoint so completed iterations are
+//! not recomputed.
 
 use std::collections::HashMap;
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use pagani_persist::{ResultCache, Snapshot};
-use pagani_quadrature::{IntegrationResult, Termination, Tolerances};
+use pagani_persist::Snapshot;
+use pagani_quadrature::IntegrationResult;
 
 use crate::batch::BatchJob;
 use crate::builder::ServiceBuilder;
-use crate::cost::{remote_lane_load, CostModel};
+use crate::cost::CostModel;
 use crate::driver::PaganiOutput;
-use crate::multi_device::{slab_count, submit_slabbed};
+use crate::multi_device::DispatchMode;
 use crate::remote::wire::{
     priority_to_tag, tag_to_termination, Message, NO_DEADLINE, PROTOCOL_VERSION,
 };
+use crate::scheduler::{settle, Book, Bounce, Core, Entry, Lane, Scheduler, Ticket};
 use crate::service::{
-    job_cache_key, JobHandle, JobOutcome, JobState, Observability, Rejected, ServiceMetrics,
-    ServicePolicy,
+    job_cache_key, JobHandle, JobOutcome, Observability, Rejected, ServiceMetrics,
 };
 use crate::trace::ExecutionTrace;
 
@@ -50,60 +41,129 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One connected remote worker.
+/// One connected remote worker: a remote lane.
 #[derive(Debug)]
-struct Endpoint {
+pub(crate) struct Endpoint {
     addr: String,
     stream: TcpStream,
     writer: Mutex<TcpStream>,
-    /// Estimated cost of jobs dispatched here and not yet completed — the
-    /// same ledger discipline as [`crate::MultiDeviceService`]'s lanes.
-    outstanding: Mutex<f64>,
     alive: AtomicBool,
-    /// From the worker's `HelloAck`: its device memory (drives slab
-    /// admission) …
-    memory_capacity: u64,
-    /// … and its worker-thread count (normalises load for dispatch).
-    workers: u32,
+    core: Arc<Core>,
+    /// Sized by the worker's `HelloAck`; the counters are the front-end's,
+    /// shared by every endpoint.
+    book: Book,
+    /// Jobs shipped here and not yet reported, by wire job id.
+    held: Mutex<HashMap<u64, Ticket>>,
+    /// Signalled whenever `held` shrinks or the endpoint dies.
+    space: Condvar,
 }
 
 impl Endpoint {
     fn send(&self, message: &Message) -> std::io::Result<()> {
         message.write_to(&mut *lock(&self.writer))
     }
+
+    /// Settle the job `job_id` a report names, if this endpoint holds it,
+    /// first keeping any checkpoint it shipped back in the front-end cache.
+    fn report(&self, job_id: u64, outcome: JobOutcome, snapshot_json: Option<String>) {
+        let Some(ticket) = lock(&self.held).remove(&job_id) else {
+            return;
+        };
+        let snapshot = snapshot_json.and_then(|json| Snapshot::from_json_str(&json).ok());
+        if let (JobOutcome::Finished(_), Some(cache), Some(snapshot)) = (
+            &outcome,
+            &self.core.cache,
+            snapshot.filter(|s| s.validate().is_ok()),
+        ) {
+            let key = job_cache_key(&ticket.job, self.core.config.tolerances);
+            cache.store(key, None, Some(snapshot));
+        }
+        // Workers report measured wall times: what one learns prices that
+        // family everywhere.
+        settle(&self.core, &self.book, ticket, outcome, true);
+        self.space.notify_all();
+    }
 }
 
-/// One job in flight: enough to complete its handle, retire its charge, and
-/// requeue it if its worker dies.
-#[derive(Debug)]
-struct Pending {
-    job: BatchJob,
-    state: Arc<JobState>,
-    /// The endpoint currently charged `weight` for this job, `None` while
-    /// it is between workers.
-    endpoint: Option<usize>,
-    /// What the job charges whichever endpoint holds it: its model weight,
-    /// or a slab child's share of its parent's.  Fixed at dispatch, so a
-    /// requeue charges the survivor exactly what the dead worker retired.
-    weight: f64,
+impl Lane for Endpoint {
+    fn alive(&self) -> bool {
+        self.alive.load(AtomicOrdering::SeqCst)
+    }
+
+    fn queued(&self) -> usize {
+        lock(&self.held).len()
+    }
+
+    fn book(&self) -> &Book {
+        &self.book
+    }
+
+    fn enqueue(&self, ticket: Ticket, entry: &Entry<'_>) -> Result<(), Bounce> {
+        let frame = submit_frame(&self.core, ticket.id, &ticket.job);
+        let mut held = lock(&self.held);
+        if let Entry::Wait(Some(bound)) = entry {
+            let full = |held: &mut HashMap<u64, Ticket>| held.len() >= *bound && self.alive();
+            held = self
+                .space
+                .wait_while(held, full)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        // A dead endpoint files nothing: its reader has requeued (or is
+        // requeueing) everything it held.
+        if !self.alive() {
+            return Err(Bounce::Dead(Box::new(ticket)));
+        }
+        if let Entry::Admit(admit) = entry {
+            if let Some(rejected) = admit(&self.book, held.len(), &ticket.job) {
+                return Err(Bounce::Refused(rejected));
+            }
+        }
+        // File and charge under the held lock (lock order: held → ledger),
+        // so completion and requeue each retire exactly this charge.
+        self.book.charge(&ticket, 1.0);
+        held.insert(ticket.id, ticket);
+        drop(held);
+        if self.send(&frame).is_ok() {
+            self.book
+                .obs
+                .remote_dispatched
+                .fetch_add(1, AtomicOrdering::Relaxed);
+        } else {
+            // The write failed: this endpoint is dead.  Its reader observes
+            // the closed socket and requeues everything filed here, this job
+            // included.
+            self.alive.store(false, AtomicOrdering::SeqCst);
+            let _ = self.stream.shutdown(Shutdown::Both);
+        }
+        Ok(())
+    }
+
+    fn handle(lanes: &Arc<[Self]>, _lane: usize, ticket: &Ticket) -> JobHandle {
+        let (lanes, job_id) = (Arc::clone(lanes), ticket.id);
+        JobHandle::detached(
+            Arc::clone(&ticket.state),
+            Some(Arc::new(move || {
+                // Forward the cancel to whichever worker holds the job now.
+                let holder = lanes
+                    .iter()
+                    .find(|endpoint| lock(&endpoint.held).contains_key(&job_id));
+                if let Some(endpoint) = holder {
+                    let _ = endpoint.send(&Message::Cancel { job_id });
+                }
+            })),
+        )
+    }
 }
 
 #[derive(Debug)]
 struct DistShared {
-    endpoints: Vec<Arc<Endpoint>>,
-    policy: ServicePolicy,
-    tolerances: Tolerances,
-    model: Arc<CostModel>,
-    /// Front-end crash-recovery store: checkpoints shipped back by workers
-    /// land here and are re-shipped on requeue.
-    cache: Option<Arc<ResultCache>>,
-    pending: Mutex<HashMap<u64, Pending>>,
-    /// Signalled whenever `pending` shrinks; `submit` waits on it for queue
-    /// space and `shutdown` for drain.
-    space: Condvar,
-    next_job_id: AtomicU64,
-    obs: Observability,
+    sched: Scheduler<Endpoint>,
+    /// The front-end's counters, shared by every endpoint.
+    obs: Arc<Observability>,
     shutting_down: AtomicBool,
+    /// Signalled, after taking its lock, whenever a reader may have settled
+    /// jobs: [`DistributedService::shutdown`] waits on it.
+    settled: (Mutex<()>, Condvar),
 }
 
 /// The distributed front-end.  Construct it through
@@ -121,183 +181,141 @@ impl DistributedService {
     /// reader and heartbeat threads.  Called by
     /// [`ServiceBuilder::build_distributed`].
     pub(crate) fn from_builder(builder: ServiceBuilder) -> std::io::Result<Self> {
-        let tolerances = builder.config.tolerances;
-        let model = builder.model.unwrap_or_else(|| Arc::new(CostModel::new()));
+        let core = Core::new(builder.config, builder.model, builder.cache);
+        let obs: Arc<Observability> = Arc::default();
         let mut endpoints = Vec::with_capacity(builder.endpoints.len());
         for addr in &builder.endpoints {
-            endpoints.push(Arc::new(connect(addr)?));
+            endpoints.push(connect(addr, &core, &obs)?);
         }
         let shared = Arc::new(DistShared {
-            endpoints,
-            policy: builder.policy,
-            tolerances,
-            model,
-            cache: builder.cache,
-            pending: Mutex::new(HashMap::new()),
-            space: Condvar::new(),
-            next_job_id: AtomicU64::new(0),
-            obs: Observability::new(),
+            sched: Scheduler::new(
+                core,
+                endpoints,
+                DispatchMode::CostBalanced,
+                builder.policy.queue_bound,
+                true,
+            ),
+            obs,
             shutting_down: AtomicBool::new(false),
+            settled: Default::default(),
         });
-        let mut threads = Vec::with_capacity(shared.endpoints.len() * 2);
-        for index in 0..shared.endpoints.len() {
-            let reader_shared = Arc::clone(&shared);
+        let mut threads = Vec::with_capacity(shared.sched.lanes.len() * 2);
+        for index in 0..shared.sched.lanes.len() {
+            let reader = Arc::clone(&shared);
             threads.push(
                 std::thread::Builder::new()
                     .name("pagani-remote-reader".into())
-                    .spawn(move || reader_loop(&reader_shared, index))
+                    .spawn(move || reader_loop(&reader, index))
                     .expect("spawning the remote reader thread"),
             );
-            let beat_shared = Arc::clone(&shared);
+            let beat = Arc::clone(&shared);
             let interval = builder.heartbeat_interval;
             threads.push(
                 std::thread::Builder::new()
                     .name("pagani-remote-heartbeat".into())
-                    .spawn(move || heartbeat_loop(&beat_shared, index, interval))
+                    .spawn(move || heartbeat_loop(&beat, index, interval))
                     .expect("spawning the remote heartbeat thread"),
             );
         }
         Ok(Self { shared, threads })
     }
 
+    fn endpoints(&self) -> &[Endpoint] {
+        &self.shared.sched.lanes
+    }
+
     /// Number of configured worker endpoints.
     #[must_use]
     pub fn endpoint_count(&self) -> usize {
-        self.shared.endpoints.len()
+        self.endpoints().len()
     }
 
     /// The configured endpoint addresses, in builder order.
     #[must_use]
     pub fn endpoint_addrs(&self) -> Vec<String> {
-        self.shared
-            .endpoints
-            .iter()
-            .map(|e| e.addr.clone())
-            .collect()
+        self.endpoints().iter().map(|e| e.addr.clone()).collect()
     }
 
     /// Number of endpoints whose connection is currently alive.
     #[must_use]
     pub fn endpoints_alive(&self) -> usize {
-        self.shared
-            .endpoints
-            .iter()
-            .filter(|e| e.alive.load(AtomicOrdering::SeqCst))
-            .count()
+        self.endpoints().iter().filter(|e| e.alive()).count()
     }
 
     /// Jobs currently in flight across all workers.
     #[must_use]
     pub fn queued_jobs(&self) -> usize {
-        lock(&self.shared.pending).len()
+        self.endpoints().iter().map(Lane::queued).sum()
     }
 
     /// The measured [`CostModel`] the front-end plans with.  Workers report
     /// wall times with every result, so the model trains across the wire.
     #[must_use]
     pub fn cost_model(&self) -> &Arc<CostModel> {
-        &self.shared.model
+        &self.shared.sched.core.model
     }
 
     /// A [`ServiceMetrics`] snapshot — the same vocabulary as the local
-    /// services, with the `remote_*` counters live.
+    /// services, with the `remote_*` counters live, over every endpoint:
+    /// `outstanding_predicted` sums their ledgers.
     #[must_use]
     pub fn metrics(&self) -> ServiceMetrics {
-        self.shared.obs.snapshot(self.queued_jobs())
+        let outstanding = self.endpoints().iter().map(|e| e.book.backlog()).sum();
+        self.shared.obs.snapshot(self.queued_jobs(), outstanding)
     }
 
-    /// Dispatch `job` to the least-loaded live worker and return its handle.
-    /// Blocks while the in-flight set is at [`ServicePolicy::queue_bound`].
+    /// Ship `job` to a live worker and return its handle.  Blocks while the
+    /// chosen worker has [`crate::ServicePolicy::queue_bound`] jobs in flight.
     ///
     /// Oversized jobs (estimated footprint past every worker's device
     /// memory) slab-split exactly like
     /// [`crate::MultiDeviceService::submit`]: children ship as independent
-    /// wire jobs and a combiner thread recombines them in slab order.
+    /// wire jobs and the last to report publishes the slab-order fold.
     #[must_use]
     pub fn submit(&self, job: BatchJob) -> JobHandle {
-        if let Some(parts) = self.slab_parts(&job) {
-            return self.submit_slabbed(&job, parts);
-        }
-        let weight = self.shared.model.weigh_job(&job, self.shared.tolerances);
-        let mut pending = lock(&self.shared.pending);
-        if let Some(bound) = self.shared.policy.queue_bound {
-            while pending.len() >= bound && !self.shared.shutting_down.load(AtomicOrdering::SeqCst)
-            {
-                pending = self
-                    .shared
-                    .space
-                    .wait(pending)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-        dispatch_locked(&self.shared, pending, job, weight)
+        self.shared.sched.submit(job, None)
     }
 
     /// [`DistributedService::submit`] with refuse-instead-of-wait semantics,
-    /// mirroring [`crate::IntegrationService::try_submit`]: a full front-end
-    /// queue refuses with [`Rejected::QueueFull`]; a deadline the model
-    /// predicts cannot be met at the current cross-worker backlog refuses
-    /// with [`Rejected::DeadlineInfeasible`] — the job never crosses the
-    /// wire.
+    /// mirroring [`crate::MultiDeviceService::try_submit`]: the chosen
+    /// worker's queue at its bound refuses with [`Rejected::QueueFull`]; a
+    /// deadline the model predicts cannot be met at that worker's backlog
+    /// refuses with [`Rejected::DeadlineInfeasible`] — the job never crosses
+    /// the wire.
     ///
     /// # Errors
     /// [`Rejected::QueueFull`] and [`Rejected::DeadlineInfeasible`], each
     /// handing the job back unmodified.
     pub fn try_submit(&self, job: BatchJob) -> Result<JobHandle, Rejected> {
-        let pending = lock(&self.shared.pending);
-        let job =
-            self.shared
-                .obs
-                .admit(self.shared.policy.queue_bound, pending.len(), job, |job| {
-                    self.estimated_completion(job)
-                })?;
-        if let Some(parts) = self.slab_parts(&job) {
-            drop(pending);
-            return Ok(self.submit_slabbed(&job, parts));
-        }
-        let weight = self.shared.model.weigh_job(&job, self.shared.tolerances);
-        Ok(dispatch_locked(&self.shared, pending, job, weight))
+        self.shared.sched.try_submit(job)
     }
 
-    /// Predicted time to complete `job` from now: the live workers' pooled
-    /// backlog (outstanding charge over total worker threads) plus the job's
-    /// own predicted duration.  `None` while the model is cold — admission
-    /// stays optimistic until real work has been measured, exactly like the
-    /// in-process services.
+    /// Predicted time to complete `job` from now on the worker it would be
+    /// placed on: that worker's backlog (its ledger over its worker threads)
+    /// plus the job's own predicted duration.  `None` while the model is
+    /// cold — admission stays optimistic until real work has been measured,
+    /// exactly like the in-process services.
     #[must_use]
     pub fn estimated_completion(&self, job: &BatchJob) -> Option<Duration> {
-        let own = self.shared.model.predict_job(job, self.shared.tolerances)?;
-        let (outstanding, workers) = self
-            .shared
-            .endpoints
-            .iter()
-            .filter(|e| e.alive.load(AtomicOrdering::SeqCst))
-            .fold((0.0f64, 0usize), |(sum, workers), e| {
-                (sum + *lock(&e.outstanding), workers + e.workers as usize)
-            });
-        let backlog =
-            Duration::from_secs_f64((outstanding / 1e6 / workers.max(1) as f64).clamp(0.0, 1e9));
-        Some(backlog + own)
+        self.shared.sched.estimated_completion(job)
     }
 
-    /// Graceful shutdown: wait for every in-flight job to complete, then
-    /// close the connections and join the reader and heartbeat threads.
-    /// Workers keep running — they belong to their own processes.
+    /// Graceful shutdown: wait for every submitted job to settle (requeues
+    /// included), then close the connections and join the reader and
+    /// heartbeat threads.  Workers keep running — they belong to their own
+    /// processes.
     pub fn shutdown(self) {
-        {
-            let mut pending = lock(&self.shared.pending);
-            while !pending.is_empty() {
-                pending = self
-                    .shared
-                    .space
-                    .wait(pending)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
+        // Every submission has returned (this call owns the service), so
+        // `submitted` is final; readers bump `completed` as jobs settle.
+        let (obs, (mutex, settled)) = (&self.shared.obs, &self.shared.settled);
+        let unsettled = |_: &mut ()| {
+            obs.completed.load(AtomicOrdering::SeqCst) < obs.submitted.load(AtomicOrdering::SeqCst)
+        };
+        drop(settled.wait_while(lock(mutex), unsettled));
         self.shared
             .shutting_down
             .store(true, AtomicOrdering::SeqCst);
-        for endpoint in &self.shared.endpoints {
+        for endpoint in self.endpoints() {
             endpoint.alive.store(false, AtomicOrdering::SeqCst);
             let _ = endpoint.stream.shutdown(Shutdown::Both);
         }
@@ -305,38 +323,10 @@ impl DistributedService {
             let _ = thread.join();
         }
     }
-
-    /// The [`slab_count`] of `job` against the *largest* live worker's
-    /// memory (one big box should serve a big job whole rather than split
-    /// it), or `None` while no worker is alive.
-    fn slab_parts(&self, job: &BatchJob) -> Option<usize> {
-        let budget = self
-            .shared
-            .endpoints
-            .iter()
-            .filter(|e| e.alive.load(AtomicOrdering::SeqCst))
-            .map(|e| e.memory_capacity)
-            .max()?;
-        slab_count(job, self.shared.tolerances, budget as f64)
-    }
-
-    /// Slab-split an oversized job: children dispatch as independent wire
-    /// jobs, each charging its share of the parent's weight.
-    fn submit_slabbed(&self, job: &BatchJob, parts: usize) -> JobHandle {
-        submit_slabbed(
-            job,
-            parts,
-            &self.shared.model,
-            self.shared.tolerances,
-            |child, weight| {
-                dispatch_locked(&self.shared, lock(&self.shared.pending), child, weight)
-            },
-        )
-    }
 }
 
 /// Dial one worker and run the versioned handshake.
-fn connect(addr: &str) -> std::io::Result<Endpoint> {
+fn connect(addr: &str, core: &Arc<Core>, obs: &Arc<Observability>) -> std::io::Result<Endpoint> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true).ok();
     let mut reader = stream.try_clone()?;
@@ -354,10 +344,11 @@ fn connect(addr: &str) -> std::io::Result<Endpoint> {
             addr: addr.to_owned(),
             stream,
             writer: Mutex::new(writer),
-            outstanding: Mutex::new(0.0),
             alive: AtomicBool::new(true),
-            memory_capacity,
-            workers,
+            core: Arc::clone(core),
+            book: Book::new(memory_capacity, workers as usize, Arc::clone(obs)),
+            held: Mutex::new(HashMap::new()),
+            space: Condvar::new(),
         }),
         Ok(Message::HelloReject { message, .. }) => Err(std::io::Error::new(
             std::io::ErrorKind::ConnectionRefused,
@@ -376,9 +367,9 @@ fn connect(addr: &str) -> std::io::Result<Endpoint> {
 
 /// Build the `Submit` frame for `job`, attaching the best persisted
 /// checkpoint when the front-end cache holds one.
-fn submit_frame(shared: &DistShared, job_id: u64, job: &BatchJob) -> Message {
-    let snapshot_json = shared.cache.as_ref().and_then(|cache| {
-        let key = job_cache_key(job, shared.tolerances);
+fn submit_frame(core: &Core, job_id: u64, job: &BatchJob) -> Message {
+    let snapshot_json = core.cache.as_ref().and_then(|cache| {
+        let key = job_cache_key(job, core.config.tolerances);
         cache
             .lookup_snapshot(&key.integrand_id, &key.region_lo_bits, &key.region_hi_bits)
             .map(|snapshot| snapshot.to_json_string())
@@ -397,134 +388,11 @@ fn submit_frame(shared: &DistShared, job_id: u64, job: &BatchJob) -> Message {
     }
 }
 
-/// The live endpoint with the least per-worker-thread outstanding load.
-fn least_loaded(shared: &DistShared) -> Option<usize> {
-    shared
-        .endpoints
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| e.alive.load(AtomicOrdering::SeqCst))
-        .min_by(|(_, a), (_, b)| {
-            let la = remote_lane_load(*lock(&a.outstanding), a.workers as usize);
-            let lb = remote_lane_load(*lock(&b.outstanding), b.workers as usize);
-            la.partial_cmp(&lb).unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .map(|(i, _)| i)
-}
-
-/// Register `job` as pending with its dispatch `weight` (holding the lock so
-/// queue-bound checks stay exact), then ship it.  Returns a detached handle
-/// whose cancel hook forwards a `Cancel` frame to whichever worker currently
-/// holds the job.
-fn dispatch_locked(
-    shared: &Arc<DistShared>,
-    mut pending: MutexGuard<'_, HashMap<u64, Pending>>,
-    job: BatchJob,
-    weight: f64,
-) -> JobHandle {
-    let job_id = shared.next_job_id.fetch_add(1, AtomicOrdering::Relaxed);
-    let state = Arc::new(JobState::new());
-    pending.insert(
-        job_id,
-        Pending {
-            job,
-            state: Arc::clone(&state),
-            endpoint: None,
-            weight,
-        },
-    );
-    drop(pending);
-    shared.obs.submitted.fetch_add(1, AtomicOrdering::Relaxed);
-    ship(shared, job_id, false);
-    let hook_shared = Arc::clone(shared);
-    JobHandle::detached(
-        state,
-        Some(Arc::new(move || {
-            let endpoint = lock(&hook_shared.pending)
-                .get(&job_id)
-                .and_then(|entry| entry.endpoint);
-            if let Some(index) = endpoint {
-                if let Some(endpoint) = hook_shared.endpoints.get(index) {
-                    let _ = endpoint.send(&Message::Cancel { job_id });
-                }
-            }
-        })),
-    )
-}
-
-/// Ship (or re-ship) a registered pending job to the least-loaded live
-/// worker, charging its weight to that endpoint's ledger.  If every worker
-/// is gone the job's handle completes with a panic outcome — there is no
-/// one left to run it.
-fn ship(shared: &Arc<DistShared>, job_id: u64, requeue: bool) {
-    loop {
-        let Some(index) = least_loaded(shared) else {
-            let entry = lock(&shared.pending).remove(&job_id);
-            if let Some(entry) = entry {
-                entry.state.complete(JobOutcome::Panicked(
-                    "connection to every remote worker lost".to_owned(),
-                ));
-                shared.space.notify_all();
-            }
-            return;
-        };
-        let endpoint = &shared.endpoints[index];
-        // Record the holder and charge it in one step, under the pending
-        // lock, so completion and requeue each retire exactly this charge.
-        let job = {
-            let mut pending = lock(&shared.pending);
-            let Some(entry) = pending.get_mut(&job_id) else {
-                return; // completed (or failed) in the meantime
-            };
-            entry.endpoint = Some(index);
-            *lock(&endpoint.outstanding) += entry.weight;
-            entry.job.clone()
-        };
-        let frame = submit_frame(shared, job_id, &job);
-        if endpoint.send(&frame).is_ok() {
-            if requeue {
-                shared
-                    .obs
-                    .remote_requeued
-                    .fetch_add(1, AtomicOrdering::Relaxed);
-            }
-            shared
-                .obs
-                .remote_dispatched
-                .fetch_add(1, AtomicOrdering::Relaxed);
-            return;
-        }
-        // The write failed: this endpoint is dead.  Mark it, wake its
-        // reader (which requeues *its* other jobs), retire this job's charge
-        // and try the next survivor — unless the reader's requeue got to the
-        // job first and owns it now.
-        endpoint.alive.store(false, AtomicOrdering::SeqCst);
-        let _ = endpoint.stream.shutdown(Shutdown::Both);
-        if !uncharge(shared, job_id, index) {
-            return;
-        }
-    }
-}
-
-/// If `job_id` is still pending and charged to endpoint `index`, retire that
-/// charge and mark the job as between workers; whoever wins this race
-/// re-ships it.
-fn uncharge(shared: &DistShared, job_id: u64, index: usize) -> bool {
-    let mut pending = lock(&shared.pending);
-    match pending.get_mut(&job_id) {
-        Some(entry) if entry.endpoint == Some(index) => {
-            *lock(&shared.endpoints[index].outstanding) -= entry.weight;
-            entry.endpoint = None;
-            true
-        }
-        _ => false,
-    }
-}
-
-/// Per-endpoint reader: completes jobs, counts heartbeat acks, and on a
-/// dead connection requeues the endpoint's in-flight jobs on a survivor.
-fn reader_loop(shared: &Arc<DistShared>, index: usize) {
-    let endpoint = &shared.endpoints[index];
+/// Per-endpoint reader: settles reported jobs, counts heartbeat acks, and
+/// on a dead connection requeues the endpoint's in-flight jobs on a
+/// survivor.
+fn reader_loop(shared: &DistShared, index: usize) {
+    let endpoint = &shared.sched.lanes[index];
     let Ok(mut reader) = endpoint.stream.try_clone() else {
         return;
     };
@@ -555,18 +423,14 @@ fn reader_loop(shared: &Arc<DistShared>, index: usize) {
                     active_regions_final: active_regions_final as usize,
                     wall_time: Duration::from_micros(wall_micros),
                 };
-                complete_job(
-                    shared,
-                    job_id,
-                    JobOutcome::Finished(PaganiOutput {
-                        result,
-                        trace: ExecutionTrace::default(),
-                    }),
-                    snapshot_json,
-                );
+                let output = PaganiOutput {
+                    result,
+                    trace: ExecutionTrace::default(),
+                };
+                endpoint.report(job_id, JobOutcome::Finished(output), snapshot_json);
             }
             Ok(Message::JobFailed { job_id, message }) => {
-                complete_job(shared, job_id, JobOutcome::Panicked(message), None);
+                endpoint.report(job_id, JobOutcome::Panicked(message), None);
             }
             Ok(Message::HeartbeatAck { .. }) => {
                 shared
@@ -577,83 +441,49 @@ fn reader_loop(shared: &Arc<DistShared>, index: usize) {
             Ok(_) => {}
             Err(_) => break,
         }
+        // The frame may have settled a job: wake `shutdown` to recount.
+        drop(lock(&shared.settled.0));
+        shared.settled.1.notify_all();
     }
     if shared.shutting_down.load(AtomicOrdering::SeqCst) {
         return;
     }
     // Connection died mid-run: mark the endpoint dead and requeue every job
-    // it held on a surviving worker (with its checkpoint, where one was
-    // shipped back earlier).
-    endpoint.alive.store(false, AtomicOrdering::SeqCst);
-    let _ = endpoint.stream.shutdown(Shutdown::Both);
-    let mut orphans: Vec<u64> = lock(&shared.pending)
-        .iter()
-        .filter(|(_, entry)| entry.endpoint == Some(index))
-        .map(|(&job_id, _)| job_id)
-        .collect();
-    orphans.sort_unstable();
-    for job_id in orphans {
-        if uncharge(shared, job_id, index) {
-            ship(shared, job_id, true);
-        }
-    }
-}
-
-/// Retire one completed job: ledger, model training, checkpoint capture,
-/// handle completion, queue-space wakeup.
-fn complete_job(
-    shared: &Arc<DistShared>,
-    job_id: u64,
-    outcome: JobOutcome,
-    snapshot_json: Option<String>,
-) {
-    let Some(entry) = lock(&shared.pending).remove(&job_id) else {
-        return;
+    // it held, in submission order, on a surviving worker (with its
+    // checkpoint, where one was shipped back earlier).
+    let mut orphans: Vec<Ticket> = {
+        let mut held = lock(&endpoint.held);
+        endpoint.alive.store(false, AtomicOrdering::SeqCst);
+        held.drain().map(|(_, ticket)| ticket).collect()
     };
-    if let Some(index) = entry.endpoint {
-        *lock(&shared.endpoints[index].outstanding) -= entry.weight;
-    }
-    if let JobOutcome::Finished(output) = &outcome {
-        let cancelled = output.result.termination == Termination::Cancelled;
-        if cancelled {
-            shared.obs.cancelled.fetch_add(1, AtomicOrdering::Relaxed);
-        } else {
-            // Train the shared model with the worker-measured wall time —
-            // what one worker learns prices that family everywhere.
+    let _ = endpoint.stream.shutdown(Shutdown::Both);
+    endpoint.space.notify_all();
+    orphans.sort_unstable_by_key(|ticket| ticket.id);
+    for ticket in orphans {
+        endpoint.book.charge(&ticket, -1.0); // retired here, charged to a survivor
+        if shared.sched.requeue(ticket) {
             shared
-                .model
-                .record_job(&entry.job, shared.tolerances, output.result.wall_time);
-        }
-        if let (Some(cache), Some(json)) = (&shared.cache, &snapshot_json) {
-            if let Ok(snapshot) = Snapshot::from_json_str(json) {
-                if snapshot.validate().is_ok() {
-                    cache.store(
-                        job_cache_key(&entry.job, shared.tolerances),
-                        None,
-                        Some(snapshot),
-                    );
-                }
-            }
+                .obs
+                .remote_requeued
+                .fetch_add(1, AtomicOrdering::Relaxed);
         }
     }
-    shared.obs.completed.fetch_add(1, AtomicOrdering::Relaxed);
-    entry.state.complete(outcome);
-    shared.space.notify_all();
+    // A ticket no survivor took has settled as failed.
+    drop(lock(&shared.settled.0));
+    shared.settled.1.notify_all();
 }
 
 /// Per-endpoint heartbeat: a [`Message::Heartbeat`] every `interval`,
 /// sleeping in short ticks so shutdown stays responsive.  No clock is read —
 /// tick counting is all the precision liveness probing needs.
-fn heartbeat_loop(shared: &Arc<DistShared>, index: usize, interval: Duration) {
-    let endpoint = &shared.endpoints[index];
+fn heartbeat_loop(shared: &DistShared, index: usize, interval: Duration) {
+    let endpoint = &shared.sched.lanes[index];
     let tick = Duration::from_millis(10);
     let ticks_per_beat = (interval.as_millis() / tick.as_millis()).max(1) as u32;
     let mut seq = 0u64;
     loop {
         for _ in 0..ticks_per_beat {
-            if shared.shutting_down.load(AtomicOrdering::SeqCst)
-                || !endpoint.alive.load(AtomicOrdering::SeqCst)
-            {
+            if shared.shutting_down.load(AtomicOrdering::SeqCst) || !endpoint.alive() {
                 return;
             }
             std::thread::sleep(tick);
@@ -674,7 +504,7 @@ mod tests {
     use crate::config::PaganiConfig;
     use crate::remote::{IntegrandRegistry, RemoteWorker};
     use pagani_device::{Device, DeviceConfig};
-    use pagani_quadrature::FnIntegrand;
+    use pagani_quadrature::{FnIntegrand, Tolerances};
 
     #[test]
     fn endpoint_addresses_survive_construction() {
@@ -689,12 +519,7 @@ mod tests {
 
     /// The front-end's summed endpoint charge.
     fn charged(front: &DistributedService) -> f64 {
-        front
-            .shared
-            .endpoints
-            .iter()
-            .map(|e| *lock(&e.outstanding))
-            .sum()
+        front.endpoints().iter().map(|e| e.book.charged()).sum()
     }
 
     #[test]
@@ -740,5 +565,52 @@ mod tests {
         assert_eq!(charged(&front), 0.0);
         front.shutdown();
         worker.shutdown();
+    }
+
+    #[test]
+    fn a_requeue_moves_each_charge_to_the_survivor_exactly() {
+        // Four gated jobs over two identical workers, two each; severing one
+        // worker requeues its two on the survivor, and the summed charge
+        // must still be exactly the four jobs' weights.
+        let gate = Arc::new(AtomicBool::new(false));
+        let gated = || {
+            let gate = Arc::clone(&gate);
+            FnIntegrand::new(2, move |x: &[f64]| {
+                while !gate.load(AtomicOrdering::Acquire) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                x[0] + x[1]
+            })
+            .named("requeue-charge")
+        };
+        let held = || BatchJob::new(gated());
+        let registry = Arc::new(IntegrandRegistry::new());
+        registry.register(gated());
+        let config = PaganiConfig::test_small(Tolerances::rel(1e-4));
+        let bind = || {
+            let builder = ServiceBuilder::new(config.clone()).device(Device::test_small());
+            RemoteWorker::bind("127.0.0.1:0", builder, Arc::clone(&registry)).expect("bind")
+        };
+        let workers = [bind(), bind()];
+        let front = ServiceBuilder::new(config.clone())
+            .endpoints(workers.iter().map(|w| w.local_addr().to_string()))
+            .build_distributed()
+            .expect("connect the front-end");
+
+        let weight = front.cost_model().weigh_job(&held(), config.tolerances);
+        let handles: Vec<crate::JobHandle> = (0..4).map(|_| front.submit(held())).collect();
+        assert_eq!(charged(&front), 4.0 * weight);
+        workers[0].sever();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while front.metrics().remote_requeued < 2 {
+            assert!(std::time::Instant::now() < deadline, "no requeue");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(charged(&front), 4.0 * weight);
+        gate.store(true, AtomicOrdering::Release);
+        assert!(handles.iter().all(|h| h.wait().result.converged()));
+        assert_eq!(charged(&front), 0.0);
+        front.shutdown();
+        workers.into_iter().for_each(RemoteWorker::shutdown);
     }
 }

@@ -11,12 +11,12 @@
 //!   [`pagani_persist::CacheKey`]; closures never cross the wire.
 //! * [`RemoteWorker`] / [`DistributedService`] — a worker process wraps an
 //!   ordinary [`crate::IntegrationService`] behind a TCP listener; the
-//!   front-end shards jobs across workers with the *same*
-//!   priority/deadline/backpressure/admission semantics as the in-process
-//!   services: deadline-infeasible refused at the front-end,
-//!   [`crate::QueueFull`] propagated, cancel forwarded over the wire, and a
-//!   dead connection requeues its jobs on a surviving worker (resuming from
-//!   a persisted checkpoint where one exists).
+//!   front-end is the in-process services' scheduler with one remote lane
+//!   per worker, so placement, priorities, deadlines, backpressure and
+//!   admission are the same code: a refused job never crosses the wire,
+//!   cancel is forwarded over it, and a dead connection requeues its jobs
+//!   on a surviving worker (resuming from a persisted checkpoint where one
+//!   exists).
 //!
 //! Construction goes through [`crate::ServiceBuilder`]:
 //! `builder.endpoint(addr).build_distributed()` for the front-end,

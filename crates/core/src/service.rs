@@ -30,8 +30,9 @@
 //!   retired before it starts, an in-flight job observes the flag at its next
 //!   checkpoint (driver iteration, heap pop or sampling round, whatever the
 //!   method), and a job waiting in the device's admission line abandons its
-//!   ticket; every case reports [`Termination::Cancelled`].  Deadlines are
-//!   exactly this cancellation driven by a timer,
+//!   ticket; every case reports [`Termination::Cancelled`].  A deadline is
+//!   part of the job's cancel token, which counts as cancelled once the
+//!   deadline has passed, so it lands at the same checkpoints,
 //! * **shut down** ([`IntegrationService::shutdown`]) gracefully: no new
 //!   submissions (the call consumes the service), every already-submitted job
 //!   drains, workers are joined.
@@ -66,10 +67,10 @@
 //! service.shutdown();
 //! ```
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -79,9 +80,11 @@ use pagani_quadrature::{IntegrationResult, Termination, Tolerances};
 
 use crate::arena::ScratchArena;
 use crate::batch::BatchJob;
+use crate::builder::ServiceBuilder;
 use crate::config::PaganiConfig;
-use crate::cost::{cost_ceiling, CostKey, CostModel, Ewma};
+use crate::cost::{CostModel, Ewma};
 use crate::driver::{CancelToken, Pagani, PaganiOutput};
+use crate::scheduler::{settle, Book, Bounce, Core, Entry, Lane, Scheduler, Ticket};
 use crate::trace::ExecutionTrace;
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -277,10 +280,12 @@ pub struct ServiceMetrics {
     pub rejected_queue_full: u64,
     /// `try_submit` refusals with [`Rejected::DeadlineInfeasible`].
     pub rejected_deadline_infeasible: u64,
-    /// Deadlines that fired while their job was still incomplete.
+    /// Completed jobs that reported [`Termination::Cancelled`] after their
+    /// deadline had passed.
     pub deadline_misses: u64,
-    /// Predicted wall time of all enqueued-or-running jobs (the admission
-    /// backlog), per the lane's [`CostModel`]; zero while the model is cold.
+    /// The admission backlog: the summed cache-discounted predicted wall
+    /// time, per the [`CostModel`], of every queued or running job.  A job
+    /// priced while the model was cold adds nothing.
     pub outstanding_predicted: Duration,
     /// EWMA of this lane's relative cost-prediction error
     /// `|actual − predicted| / predicted`, or `None` before the first
@@ -370,12 +375,12 @@ impl WaitReservoir {
     }
 }
 
-/// Shared observability state: monotone counters, the outstanding
-/// predicted-time ledger that deadline admission reads, per-priority wait
-/// reservoirs and the lane's prediction-error EWMA.  The remote front-end
-/// ([`crate::remote::DistributedService`]) reuses this same state so local
-/// and distributed metrics share one vocabulary.
-#[derive(Debug)]
+/// Shared observability state: monotone counters, per-priority wait
+/// reservoirs and the prediction-error EWMA.  Each local lane keeps its own;
+/// the remote lanes of a [`crate::remote::DistributedService`] share one, so
+/// local and distributed metrics share one vocabulary.  The outstanding
+/// predicted backlog is the lanes' ledgers ([`crate::scheduler::Book`]).
+#[derive(Debug, Default)]
 pub(crate) struct Observability {
     pub(crate) submitted: AtomicU64,
     pub(crate) completed: AtomicU64,
@@ -383,11 +388,8 @@ pub(crate) struct Observability {
     pub(crate) rejected_queue_full: AtomicU64,
     pub(crate) rejected_deadline_infeasible: AtomicU64,
     pub(crate) deadline_misses: AtomicU64,
-    /// Sum of the predicted-duration charges (whole microseconds) of every
-    /// enqueued-or-running job.  Charges are integer-valued and bounded by
-    /// [`cost_ceiling`], so charge/retire cycles cancel exactly.
-    pub(crate) outstanding_micros: Mutex<f64>,
-    pub(crate) prediction_error: Mutex<Ewma>,
+    /// Seeded by the first predicted-and-measured completion.
+    pub(crate) prediction_error: Mutex<Option<Ewma>>,
     pub(crate) waits: Mutex<[WaitReservoir; 3]>,
     pub(crate) cache_hits: AtomicU64,
     pub(crate) cache_misses: AtomicU64,
@@ -401,68 +403,9 @@ pub(crate) struct Observability {
 }
 
 impl Observability {
-    pub(crate) fn new() -> Self {
-        Self {
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            rejected_queue_full: AtomicU64::new(0),
-            rejected_deadline_infeasible: AtomicU64::new(0),
-            deadline_misses: AtomicU64::new(0),
-            outstanding_micros: Mutex::new(0.0),
-            prediction_error: Mutex::new(Ewma::new(CostModel::DEFAULT_ALPHA)),
-            waits: Mutex::new([
-                WaitReservoir::default(),
-                WaitReservoir::default(),
-                WaitReservoir::default(),
-            ]),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            warm_starts: AtomicU64::new(0),
-            resumed: AtomicU64::new(0),
-            checkpoints_written: AtomicU64::new(0),
-            evals_saved: AtomicU64::new(0),
-            remote_dispatched: AtomicU64::new(0),
-            remote_requeued: AtomicU64::new(0),
-            remote_heartbeats: AtomicU64::new(0),
-        }
-    }
-
-    /// The admission check of every refuse-instead-of-wait front door, in
-    /// order: capacity (`queued` jobs against `bound`), then — for a job
-    /// carrying a deadline — feasibility against `estimate`, the front door's
-    /// predicted completion time (`None` while its model is cold, which
-    /// admits).  A refusal is counted here and hands the job back inside
-    /// [`Rejected`]; an admitted job is returned for enqueueing.
-    pub(crate) fn admit(
-        &self,
-        bound: Option<usize>,
-        queued: usize,
-        job: BatchJob,
-        estimate: impl FnOnce(&BatchJob) -> Option<Duration>,
-    ) -> Result<BatchJob, Rejected> {
-        if let Some(bound) = bound.filter(|&bound| queued >= bound) {
-            self.rejected_queue_full
-                .fetch_add(1, AtomicOrdering::Relaxed);
-            return Err(Rejected::QueueFull(Box::new(QueueFull { bound, job })));
-        }
-        if let Some(deadline) = job.deadline() {
-            if let Some(estimated) = estimate(&job).filter(|&estimated| estimated > deadline) {
-                self.rejected_deadline_infeasible
-                    .fetch_add(1, AtomicOrdering::Relaxed);
-                return Err(Rejected::DeadlineInfeasible(Box::new(DeadlineInfeasible {
-                    estimated,
-                    deadline,
-                    job,
-                })));
-            }
-        }
-        Ok(job)
-    }
-
-    /// Render the counters as a [`ServiceMetrics`] snapshot.
-    pub(crate) fn snapshot(&self, queue_depth: usize) -> ServiceMetrics {
-        let outstanding_micros = *lock(&self.outstanding_micros);
+    /// Render the counters as a [`ServiceMetrics`] snapshot, with the queue
+    /// depth and ledger total of the lanes they count.
+    pub(crate) fn snapshot(&self, queue_depth: usize, outstanding_micros: f64) -> ServiceMetrics {
         let waits = lock(&self.waits);
         ServiceMetrics {
             queue_depth,
@@ -475,7 +418,7 @@ impl Observability {
                 .load(AtomicOrdering::Relaxed),
             deadline_misses: self.deadline_misses.load(AtomicOrdering::Relaxed),
             outstanding_predicted: Duration::from_secs_f64(outstanding_micros.max(0.0) / 1e6),
-            prediction_error_ewma: lock(&self.prediction_error).value(),
+            prediction_error_ewma: lock(&self.prediction_error).and_then(|ewma| ewma.value()),
             waits: [waits[0].stats(), waits[1].stats(), waits[2].stats()],
             cache_hits: self.cache_hits.load(AtomicOrdering::Relaxed),
             cache_misses: self.cache_misses.load(AtomicOrdering::Relaxed),
@@ -501,20 +444,21 @@ pub(crate) enum JobOutcome {
 }
 
 /// Completion state shared between a [`JobHandle`] and the worker running (or
-/// retiring) its job.  The slab-splitting coordinator and the distributed
-/// front-end publish into the same state, so their handles behave exactly
-/// like local ones.
+/// retiring) its job.  Slab-split parents and the distributed front-end
+/// publish into the same state, so their handles behave exactly like local
+/// ones.
 #[derive(Debug)]
 pub(crate) struct JobState {
+    /// The job's cancel token, carrying its deadline.
     pub(crate) cancel: CancelToken,
     pub(crate) slot: Mutex<Option<JobOutcome>>,
     pub(crate) done: Condvar,
 }
 
 impl JobState {
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new(cancel: CancelToken) -> Self {
         Self {
-            cancel: CancelToken::new(),
+            cancel,
             slot: Mutex::new(None),
             done: Condvar::new(),
         }
@@ -652,186 +596,73 @@ impl JobHandle {
         }
     }
 
-    /// Whether cancellation has been requested (not whether it won the race).
+    /// Whether cancellation has been requested or the job's deadline has
+    /// passed (not whether either won the race against completion).
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
         self.state.cancel.is_cancelled()
     }
 }
 
-/// A completion hook, run on the worker with the job's outcome just before
-/// that outcome is published: the multi-device dispatcher uses it to retire
-/// the job's estimated cost, the remote worker to report the outcome over
-/// the wire.
+/// A completion hook, run with the job's outcome just before that outcome
+/// is published: slab children use it to file their outcome with their
+/// parent, the remote worker to report the outcome over the wire.
 pub(crate) type CompletionHook = Box<dyn FnOnce(&JobOutcome) + Send>;
 
-struct QueuedJob {
-    job: BatchJob,
-    state: Arc<JobState>,
-    priority: Priority,
-    /// Submission sequence number; breaks priority ties FIFO.
-    seq: u64,
-    /// When the job entered the queue; claim time minus this is the wait
-    /// recorded in [`ServiceMetrics`].
+/// A ticket in a local lane's queue, and when it got there: claim time
+/// minus this is the wait recorded in [`ServiceMetrics`].
+#[derive(Debug)]
+struct Queued {
+    ticket: Ticket,
     enqueued_at: Instant,
-    /// What this job charged to the outstanding-predicted ledger at enqueue
-    /// (whole microseconds, `0.0` while the model was cold) — retired at
-    /// exactly this value on completion.
-    charge_micros: f64,
-    /// The model's time prediction at enqueue, compared against the measured
-    /// wall time to update the prediction-error EWMA.
-    predicted: Option<Duration>,
-    on_complete: Option<CompletionHook>,
-}
-
-impl std::fmt::Debug for QueuedJob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QueuedJob")
-            .field("job", &self.job)
-            .field("priority", &self.priority)
-            .field("seq", &self.seq)
-            .finish()
-    }
-}
-
-impl PartialEq for QueuedJob {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for QueuedJob {}
-impl PartialOrd for QueuedJob {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueuedJob {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap: higher priority first, then *lower* sequence number (FIFO
-        // within a priority level).
-        self.priority
-            .cmp(&other.priority)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
 }
 
 #[derive(Debug)]
 struct QueueState {
-    jobs: BinaryHeap<QueuedJob>,
-    next_seq: u64,
+    /// Claim order: higher priority first, then submission order (FIFO
+    /// within a priority level).
+    jobs: BTreeMap<(Reverse<Priority>, u64), Queued>,
     shutting_down: bool,
 }
 
-/// One armed deadline: when `at` passes, the job behind `state` is cancelled
-/// (if it has not completed first — cancellation of a completed job is a
-/// no-op by the cancel-race rule).
+/// A local lane: one device, a priority queue and resident workers that
+/// run each claimed job against an isolated view of the device.
 #[derive(Debug)]
-struct DeadlineEntry {
-    at: Instant,
-    seq: u64,
-    state: Weak<JobState>,
-}
-
-impl PartialEq for DeadlineEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for DeadlineEntry {}
-impl PartialOrd for DeadlineEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for DeadlineEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.at
-            .cmp(&other.at)
-            .then_with(|| self.seq.cmp(&other.seq))
-    }
-}
-
-#[derive(Debug, Default)]
-struct DeadlineState {
-    /// Min-heap of armed deadlines (via `Reverse`).
-    armed: BinaryHeap<Reverse<DeadlineEntry>>,
-    shutting_down: bool,
+pub(crate) struct LocalLane {
+    shared: Arc<LaneShared>,
+    resident: Mutex<Vec<JoinHandle<()>>>,
 }
 
 #[derive(Debug)]
-struct ServiceShared {
+struct LaneShared {
     device: Device,
-    config: PaganiConfig,
-    policy: ServicePolicy,
-    worker_count: usize,
-    cost_model: Arc<CostModel>,
-    /// Shared result/snapshot cache; `None` (the default) disables all cache
-    /// and persistence behaviour, leaving the historical job path untouched.
-    cache: Option<Arc<ResultCache>>,
-    obs: Observability,
+    core: Arc<Core>,
+    book: Book,
     queue: Mutex<QueueState>,
     /// Wakes workers when a job is queued (or shutdown begins).
     work: Condvar,
     /// Wakes bounded-queue submitters when a worker frees a slot.
     space: Condvar,
-    deadlines: Mutex<DeadlineState>,
-    /// Wakes the deadline watcher when an earlier deadline is armed (or
-    /// shutdown begins).
-    deadline_changed: Condvar,
 }
 
-/// A resident pool of integration workers fed from one priority submission
-/// queue, with per-job method selection, deadlines and backpressure.
-///
-/// See the [module docs](crate::service) for the execution model and the
-/// determinism guarantee.
-#[derive(Debug)]
-pub struct IntegrationService {
-    shared: Arc<ServiceShared>,
-    workers: Vec<JoinHandle<()>>,
-    /// The deadline watcher, spawned lazily on the first deadline job so
-    /// deadline-free services (the batch engine's transient ones above all)
-    /// never pay for it.
-    deadline_watcher: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl IntegrationService {
-    /// Start a service sharing an externally owned [`CostModel`] (and
-    /// optionally a [`ResultCache`]) — the one construction path, fed by
-    /// [`crate::ServiceBuilder::build`] and by every lane of a
-    /// [`crate::MultiDeviceService`], which passes each lane the same model
-    /// and cache so buckets pool their learning and results across devices.
-    #[must_use]
-    pub(crate) fn with_policy_and_model(
-        device: Device,
-        config: PaganiConfig,
-        policy: ServicePolicy,
-        cost_model: Arc<CostModel>,
-        cache: Option<Arc<ResultCache>>,
-    ) -> Self {
-        let worker_count = policy
-            .workers
-            .unwrap_or_else(|| device.effective_workers())
-            .max(1);
-        let shared = Arc::new(ServiceShared {
+impl LocalLane {
+    /// Start a lane on `device` with `workers` resident workers (default:
+    /// the device's effective worker-pool width).
+    fn start(device: Device, workers: Option<usize>, core: Arc<Core>) -> Self {
+        let workers = workers.unwrap_or_else(|| device.effective_workers()).max(1);
+        let memory = device.config().memory_capacity as u64;
+        let shared = Arc::new(LaneShared {
             device,
-            config,
-            policy,
-            worker_count,
-            cost_model,
-            cache,
-            obs: Observability::new(),
+            core,
+            book: Book::new(memory, workers, Arc::default()),
             queue: Mutex::new(QueueState {
-                jobs: BinaryHeap::new(),
-                next_seq: 0,
+                jobs: BTreeMap::new(),
                 shutting_down: false,
             }),
             work: Condvar::new(),
             space: Condvar::new(),
-            deadlines: Mutex::new(DeadlineState::default()),
-            deadline_changed: Condvar::new(),
         });
-        let workers = (0..worker_count)
+        let resident = (0..workers)
             .map(|index| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -842,39 +673,149 @@ impl IntegrationService {
             .collect();
         Self {
             shared,
-            workers,
-            deadline_watcher: Mutex::new(None),
+            resident: Mutex::new(resident),
         }
+    }
+
+    pub(crate) fn device(&self) -> &Device {
+        &self.shared.device
+    }
+
+    /// Stop taking work, let every queued job drain and join the workers.
+    /// Idempotent.
+    pub(crate) fn shutdown(&self) {
+        lock(&self.shared.queue).shutting_down = true;
+        self.shared.work.notify_all();
+        self.shared.space.notify_all();
+        let resident: Vec<JoinHandle<()>> = lock(&self.resident).drain(..).collect();
+        for worker in resident {
+            let _ = worker.join();
+        }
+    }
+}
+
+impl Drop for LocalLane {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+impl Lane for LocalLane {
+    fn alive(&self) -> bool {
+        true
+    }
+
+    fn queued(&self) -> usize {
+        lock(&self.shared.queue).jobs.len()
+    }
+
+    fn book(&self) -> &Book {
+        &self.shared.book
+    }
+
+    fn enqueue(&self, ticket: Ticket, entry: &Entry<'_>) -> Result<(), Bounce> {
+        let shared = &self.shared;
+        let mut queue = lock(&shared.queue);
+        if let Entry::Wait(Some(bound)) = entry {
+            let full = |queue: &mut QueueState| queue.jobs.len() >= *bound && !queue.shutting_down;
+            queue = shared
+                .space
+                .wait_while(queue, full)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        if let Entry::Admit(admit) = entry {
+            if let Some(rejected) = admit(&shared.book, queue.jobs.len(), &ticket.job) {
+                return Err(Bounce::Refused(rejected));
+            }
+        }
+        // Charge while still holding the queue lock (lock order: queue →
+        // ledger) so admission never observes a queued-but-uncharged job.
+        shared.book.charge(&ticket, 1.0);
+        let key = (Reverse(ticket.job.priority()), ticket.id);
+        let queued = Queued {
+            ticket,
+            enqueued_at: Instant::now(),
+        };
+        queue.jobs.insert(key, queued);
+        drop(queue);
+        shared.work.notify_one();
+        Ok(())
+    }
+
+    fn handle(lanes: &Arc<[Self]>, lane: usize, ticket: &Ticket) -> JobHandle {
+        JobHandle::local(Arc::clone(&ticket.state), lanes[lane].device().clone())
+    }
+}
+
+impl Scheduler<LocalLane> {
+    /// One local lane per device of `builder`, all sharing one cost model
+    /// and cache: a wall time observed on any device prices that job family
+    /// on all of them.
+    pub(crate) fn local(builder: ServiceBuilder, splits: bool) -> Self {
+        let core = Core::new(builder.config, builder.model, builder.cache);
+        let workers = builder.policy.workers;
+        let lanes = builder
+            .devices
+            .into_iter()
+            .map(|device| LocalLane::start(device, workers, Arc::clone(&core)))
+            .collect();
+        let bound = builder.policy.queue_bound;
+        Self::new(core, lanes, builder.dispatch, bound, splits)
+    }
+}
+
+/// A resident pool of integration workers fed from one priority submission
+/// queue, with per-job method selection, deadlines and backpressure.
+///
+/// See the [module docs](crate::service) for the execution model and the
+/// determinism guarantee.
+#[derive(Debug)]
+pub struct IntegrationService {
+    sched: Scheduler<LocalLane>,
+    policy: ServicePolicy,
+}
+
+impl IntegrationService {
+    /// The construction path, fed by [`crate::ServiceBuilder::build`].
+    pub(crate) fn from_builder(builder: ServiceBuilder) -> Self {
+        Self {
+            policy: builder.policy,
+            sched: Scheduler::local(builder, false),
+        }
+    }
+
+    fn lane(&self) -> &LocalLane {
+        &self.sched.lanes[0]
     }
 
     /// The device jobs run on.
     #[must_use]
     pub fn device(&self) -> &Device {
-        &self.shared.device
+        self.lane().device()
     }
 
     /// The default configuration applied to jobs without a method override.
     #[must_use]
     pub fn config(&self) -> &PaganiConfig {
-        &self.shared.config
+        &self.sched.core.config
     }
 
     /// The scheduling policy in force.
     #[must_use]
     pub fn policy(&self) -> ServicePolicy {
-        self.shared.policy
+        self.policy
     }
 
     /// Number of resident worker threads.
     #[must_use]
     pub fn worker_count(&self) -> usize {
-        self.workers.len()
+        self.lane().book().workers
     }
 
     /// Number of submitted jobs not yet claimed by a worker.
     #[must_use]
     pub fn queued_jobs(&self) -> usize {
-        lock(&self.shared.queue).jobs.len()
+        self.lane().queued()
     }
 
     /// Enqueue `job` and return its handle.
@@ -882,9 +823,10 @@ impl IntegrationService {
     /// On an unbounded queue this returns immediately; on a bounded queue it
     /// blocks until a worker frees a slot (use
     /// [`IntegrationService::try_submit`] for refuse-instead-of-wait
-    /// backpressure).  Jobs are claimed highest-priority-first, FIFO within a
-    /// priority level; completed results are bit-identical to running the
-    /// same job alone through [`Pagani::integrate_region`] on this device.
+    /// backpressure).  A deadline runs from this call, waiting included.
+    /// Jobs are claimed highest-priority-first, FIFO within a priority
+    /// level; completed results are bit-identical to running the same job
+    /// alone through [`Pagani::integrate_region`] on this device.
     #[must_use]
     pub fn submit(&self, job: BatchJob) -> JobHandle {
         self.submit_with_hook(job, None)
@@ -937,24 +879,7 @@ impl IntegrationService {
     /// jobs; [`Rejected::DeadlineInfeasible`] when the job's deadline cannot
     /// be met.  An unbounded service with a cold cost model never errs.
     pub fn try_submit(&self, job: BatchJob) -> Result<JobHandle, Rejected> {
-        self.try_submit_with_hook(job, None)
-    }
-
-    /// [`IntegrationService::try_submit`] with an optional completion hook
-    /// (the multi-device dispatcher's cost-retirement callback).
-    pub(crate) fn try_submit_with_hook(
-        &self,
-        job: BatchJob,
-        on_complete: Option<CompletionHook>,
-    ) -> Result<JobHandle, Rejected> {
-        let queue = lock(&self.shared.queue);
-        let job = self.shared.obs.admit(
-            self.shared.policy.queue_bound,
-            queue.jobs.len(),
-            job,
-            |job| self.estimated_completion(job),
-        )?;
-        Ok(self.enqueue(queue, job, on_complete))
+        self.sched.try_submit(job)
     }
 
     /// Predicted completion time of `job` from now, were it submitted at the
@@ -971,53 +896,7 @@ impl IntegrationService {
     /// cached snapshot's predicted-work credit for a feasible warm start.
     #[must_use]
     pub fn estimated_completion(&self, job: &BatchJob) -> Option<Duration> {
-        let own = self.predicted_remaining(job)?;
-        let outstanding_micros = *lock(&self.shared.obs.outstanding_micros);
-        let backlog =
-            Duration::from_secs_f64(outstanding_micros / 1e6 / self.shared.worker_count as f64);
-        Some(backlog + own)
-    }
-
-    /// The job's predicted duration, discounted by what the cache already
-    /// holds for it.  Uses non-bumping cache peeks so admission probes never
-    /// perturb LRU eviction order.  `None` while the cost model is cold.
-    fn predicted_remaining(&self, job: &BatchJob) -> Option<Duration> {
-        let full = self
-            .shared
-            .cost_model
-            .predict_job(job, self.shared.config.tolerances)?;
-        let Some(cache) = &self.shared.cache else {
-            return Some(full);
-        };
-        if job.method().is_some() {
-            return Some(full);
-        }
-        let tolerances = self.shared.config.tolerances;
-        let key = job_cache_key(job, tolerances);
-        if cache.contains_result(&key) {
-            return Some(Duration::ZERO);
-        }
-        let info =
-            cache.peek_warm_start(&key.integrand_id, &key.region_lo_bits, &key.region_hi_bits);
-        if let Some(info) = info {
-            if warm_start_feasible(info.latest_estimate, info.finished_error, tolerances) {
-                // Work banked at the snapshot's own tolerance is work this job
-                // will not redo.  Keep a 10% floor: resuming still re-runs the
-                // snapshot's final generation and the tail of refinement.
-                let banked = self.shared.cost_model.predict(&CostKey::new(
-                    &key.integrand_id,
-                    job.region().dim(),
-                    Tolerances {
-                        rel: info.rel_tol,
-                        abs: info.abs_tol,
-                    },
-                ));
-                if let Some(banked) = banked {
-                    return Some(full.saturating_sub(banked).max(full / 10));
-                }
-            }
-        }
-        Some(full)
+        self.sched.estimated_completion(job)
     }
 
     /// A point-in-time [`ServiceMetrics`] snapshot.
@@ -1042,13 +921,13 @@ impl IntegrationService {
     /// ```
     #[must_use]
     pub fn metrics(&self) -> ServiceMetrics {
-        self.shared.obs.snapshot(self.queued_jobs())
+        self.sched.metrics(0)
     }
 
     /// The [`ResultCache`] this service serves from, when one is attached.
     #[must_use]
     pub fn result_cache(&self) -> Option<&Arc<ResultCache>> {
-        self.shared.cache.as_ref()
+        self.sched.core.cache.as_ref()
     }
 
     /// The measured [`CostModel`] this service learns into (and admits from).
@@ -1071,139 +950,29 @@ impl IntegrationService {
     /// ```
     #[must_use]
     pub fn cost_model(&self) -> &Arc<CostModel> {
-        &self.shared.cost_model
+        &self.sched.core.model
     }
 
-    /// Enqueue with an optional completion hook (the multi-device dispatcher
-    /// uses the hook to retire the job's estimated cost).  Blocks while a
-    /// bounded queue is full.
+    /// [`IntegrationService::submit`] with an optional completion hook (the
+    /// remote worker's report).  Blocks while a bounded queue is full.
     pub(crate) fn submit_with_hook(
         &self,
         job: BatchJob,
         on_complete: Option<CompletionHook>,
     ) -> JobHandle {
-        let mut queue = lock(&self.shared.queue);
-        if let Some(bound) = self.shared.policy.queue_bound {
-            while queue.jobs.len() >= bound && !queue.shutting_down {
-                queue = self
-                    .shared
-                    .space
-                    .wait(queue)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-        self.enqueue(queue, job, on_complete)
-    }
-
-    /// Push `job` onto the (already locked) queue, charge its predicted time
-    /// to the outstanding ledger, arm its deadline and wake a worker.
-    fn enqueue(
-        &self,
-        mut queue: MutexGuard<'_, QueueState>,
-        job: BatchJob,
-        on_complete: Option<CompletionHook>,
-    ) -> JobHandle {
-        let state = Arc::new(JobState::new());
-        let priority = job.priority();
-        let deadline = job.deadline();
-        // Cache-discounted (lock order: queue → cache — the cache never takes
-        // a service lock), so a warm-started job charges only its remaining
-        // work to the admission ledger.
-        let predicted = self.predicted_remaining(&job);
-        // Whole microseconds in [0, cost_ceiling()] so charge/retire cycles
-        // cancel exactly (see `cost_ceiling`); a cold model charges nothing.
-        let charge_micros = predicted
-            .map(|p| (p.as_secs_f64() * 1e6).round().clamp(0.0, cost_ceiling()))
-            .unwrap_or(0.0);
-        let seq = queue.next_seq;
-        queue.next_seq += 1;
-        queue.jobs.push(QueuedJob {
-            job,
-            state: Arc::clone(&state),
-            priority,
-            seq,
-            enqueued_at: Instant::now(),
-            charge_micros,
-            predicted,
-            on_complete,
-        });
-        // Charge while still holding the queue lock (lock order: queue →
-        // outstanding) so admission never observes a queued-but-uncharged job.
-        *lock(&self.shared.obs.outstanding_micros) += charge_micros;
-        self.shared
-            .obs
-            .submitted
-            .fetch_add(1, AtomicOrdering::Relaxed);
-        drop(queue);
-        self.shared.work.notify_one();
-        if let Some(deadline) = deadline {
-            self.arm_deadline(Instant::now() + deadline, seq, &state);
-        }
-        JobHandle::local(state, self.shared.device.clone())
-    }
-
-    /// Register a deadline with the watcher thread, spawning it on first use.
-    fn arm_deadline(&self, at: Instant, seq: u64, state: &Arc<JobState>) {
-        {
-            let mut deadlines = lock(&self.shared.deadlines);
-            deadlines.armed.push(Reverse(DeadlineEntry {
-                at,
-                seq,
-                state: Arc::downgrade(state),
-            }));
-        }
-        self.shared.deadline_changed.notify_all();
-        let mut watcher = lock(&self.deadline_watcher);
-        if watcher.is_none() {
-            let shared = Arc::clone(&self.shared);
-            *watcher = Some(
-                std::thread::Builder::new()
-                    .name("pagani-deadline-watcher".to_owned())
-                    .spawn(move || deadline_watcher_loop(&shared))
-                    .expect("spawning the deadline watcher thread failed"),
-            );
-        }
+        self.sched.submit(job, on_complete)
     }
 
     /// Graceful shutdown: consume the service, let every already-submitted
     /// job drain, and join the workers.  Handles issued before the call
     /// remain valid — their jobs complete (or report cancellation) before
-    /// this returns.  Deadlines keep firing while the queue drains.
-    pub fn shutdown(mut self) {
-        self.finish();
-    }
-
-    fn finish(&mut self) {
-        {
-            let mut queue = lock(&self.shared.queue);
-            queue.shutting_down = true;
-        }
-        self.shared.work.notify_all();
-        self.shared.space.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        // Workers are gone, so every job has completed; pending deadlines are
-        // dead weight and the watcher can stop immediately.
-        {
-            let mut deadlines = lock(&self.shared.deadlines);
-            deadlines.shutting_down = true;
-            deadlines.armed.clear();
-        }
-        self.shared.deadline_changed.notify_all();
-        if let Some(watcher) = lock(&self.deadline_watcher).take() {
-            let _ = watcher.join();
-        }
+    /// this returns.  Deadlines keep applying while the queue drains.
+    pub fn shutdown(self) {
+        self.lane().shutdown();
     }
 }
 
-impl Drop for IntegrationService {
-    fn drop(&mut self) {
-        self.finish();
-    }
-}
-
-fn worker_loop(shared: &ServiceShared) {
+fn worker_loop(shared: &LaneShared) {
     // One arena per worker: scratch storage recycles across every job this
     // worker executes, exactly as in the batch engine.
     let arena = ScratchArena::new();
@@ -1211,8 +980,8 @@ fn worker_loop(shared: &ServiceShared) {
         let claimed = {
             let mut queue = lock(&shared.queue);
             loop {
-                if let Some(job) = queue.jobs.pop() {
-                    break Some(job);
+                if let Some((_, queued)) = queue.jobs.pop_first() {
+                    break Some(queued);
                 }
                 if queue.shutting_down {
                     break None;
@@ -1223,77 +992,36 @@ fn worker_loop(shared: &ServiceShared) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let Some(QueuedJob {
-            job,
-            state,
-            priority,
+        let Some(Queued {
+            ticket,
             enqueued_at,
-            charge_micros,
-            predicted,
-            on_complete,
-            ..
         }) = claimed
         else {
             return;
         };
         // A slot just freed: wake one submitter parked on a bounded queue.
         shared.space.notify_one();
-        lock(&shared.obs.waits)[priority as usize].record(enqueued_at.elapsed());
+        lock(&shared.book.obs.waits)[ticket.job.priority() as usize].record(enqueued_at.elapsed());
         // A panicking job must neither kill this worker nor strand its
         // waiters: capture the payload and re-raise it handle-side.  The
         // shared state touched during the unwind is panic-safe — the arena
         // shelves only value-transparent scratch storage and the job's
         // isolated device view is discarded wholesale.
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_job(shared, &arena, &job, &state.cancel)
+            run_job(shared, &arena, &ticket.job, &ticket.state.cancel)
         }));
-        // Retire the admission charge at exactly the value it was charged at
-        // and feed the measurement back — all before the outcome publishes,
-        // so anyone who observed the job as complete also observes its
-        // accounting.
-        *lock(&shared.obs.outstanding_micros) -= charge_micros;
-        shared.obs.completed.fetch_add(1, AtomicOrdering::Relaxed);
-        if let Ok((output, from_cache)) = &run {
-            if output.result.termination == Termination::Cancelled {
-                // A cancelled run's partial wall time would bias the model
-                // low: count it, learn nothing from it.
-                shared.obs.cancelled.fetch_add(1, AtomicOrdering::Relaxed);
-            } else if *from_cache {
-                // A cache hit's near-zero wall time says nothing about what
-                // computing this bucket costs: count nothing into the model.
-            } else {
-                let wall_time = output.result.wall_time;
-                shared
-                    .cost_model
-                    .record_job(&job, shared.config.tolerances, wall_time);
-                if let Some(predicted) = predicted {
-                    let p = predicted.as_secs_f64();
-                    if p > 0.0 {
-                        let error = (wall_time.as_secs_f64() - p).abs() / p;
-                        lock(&shared.obs.prediction_error).observe(error);
-                    }
-                }
-            }
-        }
-        let outcome = match run {
-            Ok((output, _)) => JobOutcome::Finished(output),
-            Err(payload) => JobOutcome::Panicked(panic_message(payload.as_ref())),
+        let (outcome, computed) = match run {
+            Ok((output, from_cache)) => (JobOutcome::Finished(output), !from_cache),
+            Err(payload) => (JobOutcome::Panicked(panic_message(payload.as_ref())), false),
         };
-        // The hook runs before the outcome is published so that anyone who
-        // observed the job as complete (via wait/try_result) also observes
-        // its side effects — the multi-device dispatcher relies on the job's
-        // estimated cost being retired by the time a wait() returns.
-        if let Some(hook) = on_complete {
-            hook(&outcome);
-        }
-        state.complete(outcome);
+        settle(&shared.core, &shared.book, ticket, outcome, computed);
     }
 }
 
 /// Run one job, returning its output and whether it was served from the
 /// cache (cache-served jobs must not feed the cost model).
 fn run_job(
-    shared: &ServiceShared,
+    shared: &LaneShared,
     arena: &ScratchArena,
     job: &BatchJob,
     cancel: &CancelToken,
@@ -1301,20 +1029,27 @@ fn run_job(
     if cancel.is_cancelled() {
         return (cancelled_before_start(), false);
     }
+    let config = &shared.core.config;
     // Exact cache hit: served before the admission gate and before any
     // memory view exists, so a hit performs zero device launches.
     if job.method().is_none() {
-        if let Some(cache) = &shared.cache {
-            let key = job_cache_key(job, shared.config.tolerances);
+        if let Some(cache) = &shared.core.cache {
+            let key = job_cache_key(job, config.tolerances);
             if let Some(hit) = cache.lookup_result(&key) {
-                shared.obs.cache_hits.fetch_add(1, AtomicOrdering::Relaxed);
                 shared
+                    .book
+                    .obs
+                    .cache_hits
+                    .fetch_add(1, AtomicOrdering::Relaxed);
+                shared
+                    .book
                     .obs
                     .evals_saved
                     .fetch_add(hit.function_evaluations, AtomicOrdering::Relaxed);
                 return (output_from_cached(&hit), true);
             }
             shared
+                .book
                 .obs
                 .cache_misses
                 .fetch_add(1, AtomicOrdering::Relaxed);
@@ -1348,8 +1083,8 @@ fn run_job(
         // Default path: the service's PAGANI configuration with the worker's
         // long-lived arena (bit-identical to the sequential single-shot API).
         None => {
-            let pagani = Pagani::new(view, shared.config.clone());
-            match &shared.cache {
+            let pagani = Pagani::new(view, config.clone());
+            match &shared.core.cache {
                 None => (
                     pagani.integrate_region_with(job.integrand(), job.region(), arena, cancel),
                     false,
@@ -1367,14 +1102,14 @@ fn run_job(
 /// snapshot, fall back to a cold (but resumable) run, and persist whatever
 /// the run learned — a converged result plus tree, or a partial tree.
 fn run_cached_job(
-    shared: &ServiceShared,
+    shared: &LaneShared,
     cache: &ResultCache,
     pagani: &Pagani,
     arena: &ScratchArena,
     job: &BatchJob,
     cancel: &CancelToken,
 ) -> PaganiOutput {
-    let tolerances = shared.config.tolerances;
+    let tolerances = shared.core.config.tolerances;
     let key = job_cache_key(job, tolerances);
     let warm = cache
         .lookup_snapshot(&key.integrand_id, &key.region_lo_bits, &key.region_hi_bits)
@@ -1382,11 +1117,20 @@ fn run_cached_job(
     let resumable = match warm {
         Some(snapshot) => match pagani.resume_from(job.integrand(), &snapshot, arena, cancel) {
             Ok(out) => {
-                shared.obs.warm_starts.fetch_add(1, AtomicOrdering::Relaxed);
+                shared
+                    .book
+                    .obs
+                    .warm_starts
+                    .fetch_add(1, AtomicOrdering::Relaxed);
                 if !snapshot.converged {
-                    shared.obs.resumed.fetch_add(1, AtomicOrdering::Relaxed);
+                    shared
+                        .book
+                        .obs
+                        .resumed
+                        .fetch_add(1, AtomicOrdering::Relaxed);
                 }
                 shared
+                    .book
                     .obs
                     .evals_saved
                     .fetch_add(snapshot.function_evaluations, AtomicOrdering::Relaxed);
@@ -1403,6 +1147,7 @@ fn run_cached_job(
         let result = converged.then(|| cached_from_output(&resumable.output));
         cache.store(key, result, Some(snapshot));
         shared
+            .book
             .obs
             .checkpoints_written
             .fetch_add(1, AtomicOrdering::Relaxed);
@@ -1431,7 +1176,11 @@ pub(crate) fn job_cache_key(job: &BatchJob, tolerances: Tolerances) -> CacheKey 
 /// refined.  A snapshot from a looser run may have committed more error
 /// than a tighter budget allows — resuming it could never converge, so such
 /// jobs run cold instead.
-fn warm_start_feasible(latest_estimate: f64, finished_error: f64, tolerances: Tolerances) -> bool {
+pub(crate) fn warm_start_feasible(
+    latest_estimate: f64,
+    finished_error: f64,
+    tolerances: Tolerances,
+) -> bool {
     let allowed = (latest_estimate.abs() * tolerances.rel).max(tolerances.abs);
     finished_error <= 0.5 * allowed
 }
@@ -1463,63 +1212,6 @@ fn cached_from_output(output: &PaganiOutput) -> CachedResult {
         iterations: output.result.iterations,
         function_evaluations: output.result.function_evaluations,
         regions_generated: output.result.regions_generated,
-    }
-}
-
-/// The deadline watcher: sleeps until the earliest armed deadline, then
-/// cancels the job behind it (a no-op if the job already completed) and wakes
-/// any worker parked in the device's admission line so the cancellation
-/// predicate is re-checked.  Runs only on services that have seen at least
-/// one deadline job.
-fn deadline_watcher_loop(shared: &ServiceShared) {
-    let mut deadlines = lock(&shared.deadlines);
-    loop {
-        let now = Instant::now();
-        // Fire everything due.
-        let mut fired = false;
-        while let Some(Reverse(entry)) = deadlines.armed.peek() {
-            if entry.at > now {
-                break;
-            }
-            let Some(Reverse(entry)) = deadlines.armed.pop() else {
-                break;
-            };
-            if let Some(state) = entry.state.upgrade() {
-                // A deadline firing on a still-incomplete job is a miss; on a
-                // completed job it is a no-op (cancel-race rule) and counts
-                // for nothing.
-                if lock(&state.slot).is_none() {
-                    shared
-                        .obs
-                        .deadline_misses
-                        .fetch_add(1, AtomicOrdering::Relaxed);
-                }
-                state.cancel.cancel();
-                fired = true;
-            }
-        }
-        if fired {
-            // The gate mutex is only ever acquired after the deadline lock
-            // (never the other way around), so notifying here cannot invert.
-            shared.device.submission_gate().notify_waiters();
-        }
-        if deadlines.shutting_down {
-            return;
-        }
-        deadlines = match deadlines.armed.peek() {
-            Some(Reverse(entry)) => {
-                let wait = entry.at.saturating_duration_since(Instant::now());
-                shared
-                    .deadline_changed
-                    .wait_timeout(deadlines, wait)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0
-            }
-            None => shared
-                .deadline_changed
-                .wait(deadlines)
-                .unwrap_or_else(PoisonError::into_inner),
-        };
     }
 }
 

@@ -210,6 +210,173 @@ fn an_oversized_job_slab_splits_and_matches_the_in_process_fold() {
 }
 
 #[test]
+fn a_job_runs_whole_on_the_lane_whose_memory_holds_it() {
+    // f4(4) at 1e-7 estimates to 1,835,008 B of regions: more than a 1 MiB
+    // device holds, well inside a 32 MiB one.  Both front doors must send
+    // it whole to the big lane, whatever order the lanes come in.
+    let tight = PaganiConfig::test_small(Tolerances::rel(1e-7));
+    let job = || BatchJob::new(PaperIntegrand::f4(4));
+    let registry = paper_registry();
+    for workers in worker_matrix(&[2]) {
+        let sized = |mib: usize| {
+            Device::new(
+                DeviceConfig::test_small()
+                    .with_memory_capacity(mib << 20)
+                    .with_worker_threads(workers),
+            )
+        };
+        for order in [[1, 32], [32, 1]] {
+            let multi = ServiceBuilder::new(tight.clone())
+                .devices(order.map(sized))
+                .build_multi();
+            let out = multi.submit(job()).wait();
+            multi.shutdown();
+            assert!(
+                out.result.converged(),
+                "build_multi over {order:?} MiB, {workers} workers: {:?}",
+                out.result.termination
+            );
+
+            let remote = order.map(|mib| spawn_worker(tight.clone(), sized(mib), &registry));
+            let frontend = ServiceBuilder::new(tight.clone())
+                .endpoints(remote.iter().map(|w| w.local_addr().to_string()))
+                .build_distributed()
+                .expect("connect the front-end");
+            let out = frontend.submit(job()).wait();
+            frontend.shutdown();
+            for worker in remote {
+                worker.shutdown();
+            }
+            assert!(
+                out.result.converged(),
+                "distributed over {order:?} MiB, {workers} workers: {:?}",
+                out.result.termination
+            );
+        }
+    }
+}
+
+#[test]
+fn the_front_end_reports_its_predicted_backlog_and_prediction_error() {
+    let gate = Arc::new(AtomicBool::new(false));
+    let registry = Arc::new(IntegrandRegistry::new());
+    registry.register(gated("priced", &gate));
+    let worker = spawn_worker(config(), device_with_workers(2), &registry);
+    let frontend = ServiceBuilder::new(config())
+        .endpoint(worker.local_addr().to_string())
+        .build_distributed()
+        .expect("connect the front-end");
+
+    let job = BatchJob::new(gated("priced", &gate));
+    frontend.cost_model().record(
+        &CostKey::for_job(&job, config().tolerances),
+        Duration::from_millis(40),
+    );
+    let handle = frontend.submit(job);
+    let held = frontend.metrics().outstanding_predicted;
+    gate.store(true, Ordering::SeqCst);
+    assert!(handle.wait().result.converged());
+    let after = frontend.metrics();
+    assert!(held > Duration::ZERO, "a held job predicted at 40 ms");
+    assert_eq!(after.outstanding_predicted, Duration::ZERO);
+    assert!(
+        after.prediction_error_ewma.is_some(),
+        "a predicted and measured completion feeds the error EWMA: {after:?}"
+    );
+
+    frontend.shutdown();
+    worker.shutdown();
+}
+
+#[test]
+fn an_oversized_deadline_job_is_admitted_and_split_by_both_pool_front_doors() {
+    // Priced at 10 s against a 2 s deadline, the whole job could never be
+    // promised; both front doors split it for their 1 MiB lanes instead of
+    // refusing it on the unsplit price.
+    let tight = PaganiConfig::test_small(Tolerances::rel(1e-6));
+    let tiny = || Device::new(DeviceConfig::test_small().with_memory_capacity(1 << 20));
+    let job = || BatchJob::new(PaperIntegrand::f4(5)).with_deadline(Duration::from_secs(2));
+    let key = CostKey::for_job(&job(), tight.tolerances);
+
+    let multi = ServiceBuilder::new(tight.clone())
+        .devices([tiny(), tiny()])
+        .build_multi();
+    multi.cost_model().record(&key, Duration::from_secs(10));
+    let handle = multi
+        .try_submit(job())
+        .unwrap_or_else(|refused| panic!("build_multi refused: {refused}"));
+    let children: u64 = multi.metrics().iter().map(|m| m.submitted).sum();
+    let _ = handle.wait();
+    multi.shutdown();
+    assert!(children >= 2, "build_multi must split, queued {children}");
+
+    let registry = paper_registry();
+    let worker_a = spawn_worker(tight.clone(), tiny(), &registry);
+    let worker_b = spawn_worker(tight.clone(), tiny(), &registry);
+    let frontend = ServiceBuilder::new(tight)
+        .endpoint(worker_a.local_addr().to_string())
+        .endpoint(worker_b.local_addr().to_string())
+        .build_distributed()
+        .expect("connect the front-end");
+    frontend.cost_model().record(&key, Duration::from_secs(10));
+    let handle = frontend
+        .try_submit(job())
+        .unwrap_or_else(|refused| panic!("the distributed front-end refused: {refused}"));
+    let dispatched = frontend.metrics().remote_dispatched;
+    let _ = handle.wait();
+    frontend.shutdown();
+    worker_a.shutdown();
+    worker_b.shutdown();
+    assert!(
+        dispatched >= 2,
+        "the front-end must split, dispatched {dispatched}"
+    );
+}
+
+#[test]
+fn try_submit_files_oversized_slabs_without_waiting_for_queue_space() {
+    // Queue bound 1 over two 1 MiB workers, one holding a gated job: the
+    // oversized job is admitted (one worker has room), and its slab children
+    // must go in past the bound rather than wait on a queue only the gate
+    // can drain.
+    let gate = Arc::new(AtomicBool::new(false));
+    let registry = paper_registry();
+    registry.register(gated("blocker", &gate));
+    let tight = PaganiConfig::test_small(Tolerances::rel(1e-6));
+    let tiny = || Device::new(DeviceConfig::test_small().with_memory_capacity(1 << 20));
+    let workers = [
+        spawn_worker(tight.clone(), tiny(), &registry),
+        spawn_worker(tight.clone(), tiny(), &registry),
+    ];
+    let frontend = ServiceBuilder::new(tight)
+        .endpoints(workers.iter().map(|w| w.local_addr().to_string()))
+        .queue_bound(1)
+        .build_distributed()
+        .expect("connect the front-end");
+    let blocker = frontend.submit(BatchJob::new(gated("blocker", &gate)));
+
+    let (sent, verdict) = std::sync::mpsc::channel();
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let _ = sent.send(frontend.try_submit(BatchJob::new(PaperIntegrand::f4(5))));
+        });
+        let returned = verdict.recv_timeout(Duration::from_secs(10));
+        gate.store(true, Ordering::SeqCst);
+        let handle = returned
+            .expect("try_submit waited for queue space")
+            .unwrap_or_else(|refused| panic!("refused with a worker free: {refused}"));
+        let _ = handle.wait();
+    });
+    assert!(blocker.wait().result.converged());
+    assert!(
+        frontend.metrics().remote_dispatched >= 3,
+        "the job must split"
+    );
+    frontend.shutdown();
+    workers.into_iter().for_each(RemoteWorker::shutdown);
+}
+
+#[test]
 fn a_killed_worker_requeues_its_jobs_on_a_survivor() {
     let gate = Arc::new(AtomicBool::new(false));
     let registry = Arc::new(IntegrandRegistry::new());

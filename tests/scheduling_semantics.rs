@@ -306,6 +306,53 @@ fn deadline_infeasible_rejection_depends_on_queue_depth() {
 }
 
 #[test]
+fn a_job_priced_by_a_cold_model_adds_no_predicted_backlog() {
+    // A 5-D job at rel 1e-6 submitted while the model is cold carries its
+    // static weight (3,047,424 units), which is no time.  Once one
+    // observation warms the model, that weight must neither show as
+    // predicted backlog nor refuse a job whose own prediction fits its
+    // deadline.  One worker, so the weight is not divided away.
+    let tolerances = Tolerances::rel(1e-6);
+    let service = ServiceBuilder::new(PaganiConfig::test_small(tolerances))
+        .device(device_with_workers(1))
+        .workers(1)
+        .build();
+    let started = Arc::new(AtomicBool::new(false));
+    let release = Arc::new(AtomicBool::new(false));
+    let gated = {
+        let (started, release) = (started.clone(), release.clone());
+        FnIntegrand::new(5, move |x: &[f64]| {
+            started.store(true, Ordering::Release);
+            while !release.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            x.iter().sum()
+        })
+    };
+    let held = service.submit(BatchJob::new(gated));
+    while !started.load(Ordering::Acquire) {
+        std::thread::yield_now();
+    }
+    let small = || BatchJob::new(PaperIntegrand::f4(2));
+    service.cost_model().record(
+        &CostKey::for_job(&small(), tolerances),
+        Duration::from_millis(1),
+    );
+    let outstanding = service.metrics().outstanding_predicted;
+    let verdict = service.try_submit(small().with_deadline(Duration::from_secs(1)));
+    // Release before asserting: a failed assertion must not strand the
+    // worker on the gate.
+    release.store(true, Ordering::Release);
+    assert!(held.wait().result.converged());
+    assert_eq!(outstanding, Duration::ZERO);
+    let admitted =
+        verdict.unwrap_or_else(|refused| panic!("a cold-priced job read as backlog: {refused}"));
+    let _ = admitted.wait();
+    assert_eq!(service.metrics().rejected_deadline_infeasible, 0);
+    service.shutdown();
+}
+
+#[test]
 fn ewma_cost_convergence_is_deterministic_across_worker_counts() {
     // The model's per-bucket EWMA is a pure fold: feeding the same
     // observation sequence yields bit-identical state whether the recording
