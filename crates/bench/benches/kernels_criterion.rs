@@ -96,7 +96,9 @@ fn bench_region_list(c: &mut Criterion) {
 /// body, repeated.  With the spawn-per-call substrate this was dominated by
 /// OS-thread creation on every launch; the persistent pool pays only queue
 /// traffic, so this is the number that makes the fig5/fig6 small-kernel
-/// timings meaningful.
+/// timings meaningful.  A one-thread device pays neither: its launches and
+/// timed sections run on the calling thread, and the `_1_worker` entries
+/// measure what is left of a device entry then.
 fn bench_launch_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("launch_overhead");
     group.sample_size(50);
@@ -122,6 +124,20 @@ fn bench_launch_overhead(c: &mut Criterion) {
                 .unwrap();
             black_box(out[63])
         })
+    });
+    let single = Device::new(DeviceConfig::v100_like().with_worker_threads(1));
+    group.bench_function("launch_batch_64_trivial_1_worker", |b| {
+        b.iter(|| {
+            single
+                .launch_batch("bench.trivial", 64, 1, &mut out, |ctx, slot| {
+                    slot[0] = ctx.block_idx as f64;
+                })
+                .unwrap();
+            black_box(out[63])
+        })
+    });
+    group.bench_function("timed_section_empty_1_worker", |b| {
+        b.iter(|| black_box(single.timed_section("bench.empty", || black_box(1u64))))
     });
     group.finish();
 }

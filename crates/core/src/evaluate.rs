@@ -20,7 +20,6 @@
 //! scratch across kernel launches instead of re-allocating it per region.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 use pagani_device::{Device, DeviceResult};
 use pagani_quadrature::{EvalScratch, GenzMalik, Integrand};
@@ -142,19 +141,29 @@ impl Evaluation {
 }
 
 thread_local! {
-    static BLOCK_SCRATCH: RefCell<HashMap<usize, EvalScratch>> = RefCell::new(HashMap::new());
+    /// This thread's rule scratch, one slot per dimension (the rule supports
+    /// at most 30, so the table stays tiny).
+    static BLOCK_SCRATCH: RefCell<Vec<Option<EvalScratch>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Run `body` with this thread's cached rule scratch for `dim`, creating it on
-/// first use.  The scratch is taken out of the cache for the duration of the
-/// call (and re-inserted afterwards), so a re-entrant evaluation on the same
-/// thread degrades to a fresh allocation instead of a borrow panic.
+/// first use.  The scratch is taken out of its slot for the duration of the
+/// call (and put back afterwards), so a re-entrant evaluation on the same
+/// thread finds the slot empty and allocates a fresh scratch instead of
+/// panicking on the borrow.  The rule writes every scratch entry before
+/// reading it, so which scratch a block gets never changes its result.
 fn with_block_scratch<R>(dim: usize, body: impl FnOnce(&mut EvalScratch) -> R) -> R {
     let mut scratch = BLOCK_SCRATCH
-        .with(|cache| cache.borrow_mut().remove(&dim))
+        .with(|slots| slots.borrow_mut().get_mut(dim).and_then(Option::take))
         .unwrap_or_else(|| EvalScratch::new(dim));
     let out = body(&mut scratch);
-    BLOCK_SCRATCH.with(|cache| cache.borrow_mut().insert(dim, scratch));
+    BLOCK_SCRATCH.with(|slots| {
+        let mut slots = slots.borrow_mut();
+        if slots.len() <= dim {
+            slots.resize_with(dim + 1, || None);
+        }
+        slots[dim] = Some(scratch);
+    });
     out
 }
 

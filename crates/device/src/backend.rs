@@ -146,6 +146,12 @@ pub trait ComputeBackend: Send + Sync {
 /// wave-serialised launches, deterministic reductions, per-kernel
 /// profiling and a FIFO submission gate.
 ///
+/// A device of `worker_threads(n)` with `n >= 2` hands each launch,
+/// reduction, scan and timed section to its `n` pool workers and waits for
+/// them.  A `worker_threads(1)` device has no thread of its own: the same
+/// calls run on the thread that makes them, one such thread at a time, with
+/// the results a one-worker pool gives.
+///
 /// This is the substrate every simulated [`crate::Device`] runs on; it is
 /// public so tests and custom wrappers (like [`CountingBackend`]) can
 /// compose it explicitly via [`crate::Device::with_backend`].
@@ -191,6 +197,17 @@ impl CpuBackend {
         }
     }
 
+    /// Run `op` inside the device's pool, or on the calling thread over the
+    /// shared global pool when the device has none.
+    ///
+    /// A one-thread pool runs `op` on the calling thread under the pool's
+    /// entry lock instead of handing it to a worker, which is equivalent: a
+    /// cap of 1 already ran every span inline in span order and served one
+    /// caller at a time, so results, the cap and [`FairGate`] admission are
+    /// unchanged, and each call saves a thread hand-off and wake-up.  Pools
+    /// of two or more threads keep the hand-off: running `op` on the caller
+    /// there would either put one thread more than the cap to work or queue
+    /// concurrent jobs' launches behind one lock.
     fn run_in_pool<R: Send>(&self, op: impl FnOnce() -> R + Send) -> R {
         match &self.thread_pool {
             Some(pool) => pool.install(op),

@@ -30,8 +30,11 @@ pub struct DeviceConfig {
     /// Number of worker threads to use.  `Some(n)` gives the device a dedicated
     /// persistent pool of `n` workers that caps every parallel call made during a
     /// launch — including calls nested inside kernel bodies, which inherit the
-    /// pool through their worker thread.  `None` uses the shared global pool
-    /// (all cores).
+    /// pool through their worker thread.  `Some(1)` is the exception: the device
+    /// spawns no thread, and each launch, reduction and timed section runs on the
+    /// thread that calls it, one caller at a time, with nested parallel calls
+    /// inline under the same cap of 1 (results are those of a one-worker pool).
+    /// `None` uses the shared global pool (all cores).
     pub worker_threads: Option<usize>,
     /// Human-readable device name, reported in benchmark output.
     pub name: String,

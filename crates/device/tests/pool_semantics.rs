@@ -6,9 +6,15 @@
 //!   workers never inherited),
 //! * pool execution is deterministic and order-preserving: `map.collect`,
 //!   `sum` and `reduce` results are bit-identical across pool sizes and
-//!   across repeated runs on the same pool.
+//!   across repeated runs on the same pool,
+//! * a `worker_threads(1)` device has no thread of its own: its launches and
+//!   timed sections run on the calling thread, callers sharing it never
+//!   overlap, and a panicking kernel leaves it usable.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Barrier, Mutex};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 use pagani_device::{reduce, Device, DeviceConfig};
@@ -96,6 +102,95 @@ fn nested_parallelism_stays_within_a_multi_thread_cap() {
         "nested parallelism {} outside 1..={cap}",
         gauge.peak()
     );
+}
+
+#[test]
+fn a_one_thread_device_runs_its_work_on_the_calling_thread() {
+    let device = Device::new(DeviceConfig::test_small().with_worker_threads(1));
+    let caller = std::thread::current().id();
+    let in_blocks: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+    let mut out = vec![0.0f64; 16];
+    device
+        .launch_batch("caller.blocks", 16, 1, &mut out, |ctx, slot| {
+            in_blocks.lock().unwrap().push(std::thread::current().id());
+            slot[0] = ctx.block_idx as f64;
+        })
+        .unwrap();
+    let in_section = device.timed_section("caller.section", || std::thread::current().id());
+
+    let in_blocks = in_blocks.into_inner().unwrap();
+    assert_eq!(in_blocks.len(), 16);
+    assert!(
+        in_blocks.iter().all(|&id| id == caller),
+        "a kernel block ran off the calling thread"
+    );
+    assert_eq!(
+        in_section, caller,
+        "the timed section ran off the calling thread"
+    );
+    assert!(out.iter().enumerate().all(|(i, &v)| v == i as f64));
+}
+
+#[test]
+fn threads_sharing_a_one_thread_device_never_overlap() {
+    let device = Device::new(DeviceConfig::test_small().with_worker_threads(1));
+    let gauge = Gauge::default();
+    let start = Barrier::new(2);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            let device = device.clone();
+            let (gauge, start) = (&gauge, &start);
+            scope.spawn(move || {
+                start.wait();
+                device
+                    .launch("shared.sleep", 16, |_ctx| {
+                        gauge.enter();
+                        std::thread::sleep(Duration::from_micros(200));
+                        gauge.exit();
+                    })
+                    .unwrap();
+            });
+        }
+    });
+    assert_eq!(
+        gauge.peak(),
+        1,
+        "two callers ran on a one-thread device at once"
+    );
+}
+
+#[test]
+fn a_panicking_kernel_on_a_one_thread_device_leaves_it_usable() {
+    let device = Device::new(DeviceConfig::test_small().with_worker_threads(1));
+    let cap_before = rayon::current_num_threads();
+    let mut out = vec![0.0f64; 8];
+    let launched = catch_unwind(AssertUnwindSafe(|| {
+        device.launch_batch("panics", 8, 1, &mut out, |ctx, _slot| {
+            assert!(ctx.block_idx != 5, "boom at block 5");
+        })
+    }));
+    assert!(
+        launched.is_err(),
+        "the kernel's panic did not reach the caller"
+    );
+    assert_eq!(rayon::current_num_threads(), cap_before);
+
+    // The second launch comes from another thread, so an entry lock left
+    // held by the panic would block it: wait with a timeout, not a join.
+    let (done, finished) = std::sync::mpsc::channel();
+    let second = std::thread::spawn(move || {
+        let mut out = vec![0.0f64; 8];
+        let launched = device.launch_batch("after.panic", 8, 1, &mut out, |ctx, slot| {
+            slot[0] = 1.0 + ctx.block_idx as f64;
+        });
+        done.send(launched.map(|()| out)).unwrap();
+    });
+    let out = finished
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the device stayed locked after the kernel panicked")
+        .unwrap();
+    second.join().unwrap();
+    assert!(out.iter().enumerate().all(|(i, &v)| v == 1.0 + i as f64));
 }
 
 /// Run `op` under a dedicated pool of every size in `caps` and assert all
