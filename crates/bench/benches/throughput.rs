@@ -24,12 +24,18 @@
 //! only differ on a host with idle cores; the cost-balanced *placement* is
 //! pinned by the multi-device unit tests, and this group tracks the
 //! wall-clock.
+//!
+//! The `cache` group times the serving cost of an exact cache hit: one
+//! `submit` plus `wait` of a warmed key on a two-worker service.  A hit is
+//! answered on the submitting thread, so this is the scheduler's front door
+//! and one cache read, with no queue and no worker hand-off.
 
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pagani_core::{
-    integrate_batch, BatchJob, DispatchMode, JobHandle, Pagani, PaganiConfig, ServiceBuilder,
+    integrate_batch, BatchJob, DispatchMode, JobHandle, Pagani, PaganiConfig, ResultCache,
+    ServiceBuilder,
 };
 use pagani_device::{Device, DeviceConfig};
 use pagani_integrands::paper::PaperIntegrand;
@@ -151,5 +157,26 @@ fn bench_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(throughput, bench_throughput, bench_dispatch);
+fn bench_cache(c: &mut Criterion) {
+    let mut group = c.benchmark_group("cache");
+    let device = Device::new(
+        DeviceConfig::v100_like()
+            .with_worker_threads(2)
+            .with_memory_capacity(64 << 20),
+    );
+    let service = ServiceBuilder::new(PaganiConfig::test_small(Tolerances::rel(1e-3)))
+        .device(device)
+        .workers(2)
+        .cache(Arc::new(ResultCache::new(1 << 20)))
+        .build();
+    let job = BatchJob::new(PaperIntegrand::f4(3));
+    assert!(service.submit(job.clone()).wait().result.converged());
+    group.bench_function("exact_hit_submit_wait", |b| {
+        b.iter(|| black_box(service.submit(job.clone()).wait().result.estimate))
+    });
+    group.finish();
+    service.shutdown();
+}
+
+criterion_group!(throughput, bench_throughput, bench_dispatch, bench_cache);
 criterion_main!(throughput);

@@ -130,7 +130,11 @@ impl ServiceBuilder {
     /// [`crate::ServiceMetrics`]):
     ///
     /// 1. an **exact hit** — same integrand name, region and tolerance as a
-    ///    cached converged run — is served without touching the device;
+    ///    cached converged run — is served without touching the device, on
+    ///    the submitting thread: it never queues, waits for a worker or is
+    ///    refused by admission, and its handle comes back complete (a job
+    ///    queued before its twin finished is served when a worker claims
+    ///    it);
     /// 2. a **miss with a usable snapshot** for the same integrand and region
     ///    (any tolerance) *warm-starts* from that snapshot's region tree
     ///    instead of the root, provided the snapshot's frozen error leaves
@@ -139,9 +143,10 @@ impl ServiceBuilder {
     ///    warm starts, partial trees from cancelled/deadline-shed runs so a
     ///    retry continues rather than recomputes.
     ///
-    /// Deadline admission prices jobs by *remaining* work: an exact hit costs
-    /// nothing, a feasible warm start costs its full prediction minus the
-    /// snapshot's predicted-work credit.
+    /// Deadline admission prices jobs by *remaining* work: an exact hit is
+    /// estimated to complete at once, a feasible warm start costs its full
+    /// prediction minus the snapshot's predicted-work credit.  Hits never
+    /// train the cost model.
     ///
     /// Cache identity is `Integrand::name()` — callers mixing distinct
     /// closures through one cached service must name them uniquely

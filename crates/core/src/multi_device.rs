@@ -170,6 +170,11 @@ impl MultiDeviceService {
     /// [`CostModel`] is charged to the chosen lane's ledger and retired when
     /// the job completes.
     ///
+    /// A job the shared [`ResultCache`] answers exactly is served on the
+    /// calling thread instead, and counted on the lane placement would
+    /// pick: it charges no ledger, never queues, and takes no `RoundRobin`
+    /// turn (the submission index counts only jobs that reach a lane).
+    ///
     /// **Oversized jobs slab-split.**  A job no device can hold whole cannot
     /// converge on any single device; instead of letting it exhaust memory,
     /// the service cuts its region into [`MultiDevicePagani::partition`]

@@ -12,8 +12,10 @@
 //! Each connection runs two threads: a handler reading frames, and a
 //! writer sending every outgoing frame from an unbounded queue.  A job's
 //! outcome is queued by the service's completion hook on the worker that
-//! ran it, so no thread waits per job, and a front-end that stops reading
-//! stalls only its own writer — never the service's workers.
+//! ran it — or, for a repeat the worker's cache answers exactly, on the
+//! handler itself before `submit` returns — so no thread waits per job, and
+//! a front-end that stops reading stalls only its own writer, never the
+//! service's workers.
 
 use std::collections::HashMap;
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
@@ -428,7 +430,7 @@ fn report(job_id: u64, outcome: &JobOutcome, cache: &ResultCache, key: &CacheKey
 mod tests {
     use super::*;
     use crate::config::PaganiConfig;
-    use pagani_device::Device;
+    use pagani_device::{CountingBackend, CpuBackend, Device, DeviceConfig};
     use pagani_integrands::paper::PaperIntegrand;
     use pagani_quadrature::Tolerances;
     use std::time::{Duration, Instant};
@@ -460,6 +462,19 @@ mod tests {
         }
         // Every job has reported; a filing racing its own report settles
         // right after, and then nothing per job may remain.
+        drained(&worker);
+        assert_eq!(
+            lock(&worker.shared.threads).len(),
+            1,
+            "one handler for the one connection, no thread per job"
+        );
+        front.shutdown();
+        worker.shutdown();
+    }
+
+    /// Wait until no connection of `worker` holds an in-flight entry: a
+    /// filing that races its job's report settles right after it.
+    fn drained(worker: &RemoteWorker) {
         let deadline = Instant::now() + Duration::from_secs(10);
         while lock(&worker.shared.connections)
             .iter()
@@ -468,10 +483,54 @@ mod tests {
             assert!(Instant::now() < deadline, "finished jobs are still filed");
             std::thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    #[test]
+    fn a_repeated_wire_job_is_answered_from_the_worker_cache() {
+        let counting = Arc::new(CountingBackend::new(Arc::new(CpuBackend::new(
+            DeviceConfig::test_small().with_worker_threads(2),
+        ))));
+        let config = PaganiConfig::test_small(Tolerances::rel(1e-4));
+        let worker = RemoteWorker::bind(
+            "127.0.0.1:0",
+            ServiceBuilder::new(config.clone()).device(Device::with_backend(counting.clone())),
+            Arc::new(IntegrandRegistry::with_paper_suite(3)),
+        )
+        .expect("bind a loopback worker");
+        let front = ServiceBuilder::new(config)
+            .endpoint(worker.local_addr().to_string())
+            .build_distributed()
+            .expect("connect the front-end");
+        let job = || BatchJob::new(PaperIntegrand::f4(3));
+        let cold = front.submit(job()).wait();
+        assert!(cold.result.converged());
+        drained(&worker);
+        let launches = counting.launches_for("evaluate");
+        assert!(launches > 0);
+
+        let repeat = front.submit(job()).wait();
+        drained(&worker);
         assert_eq!(
-            lock(&worker.shared.threads).len(),
+            repeat.result.estimate.to_bits(),
+            cold.result.estimate.to_bits()
+        );
+        assert_eq!(
+            repeat.result.error_estimate.to_bits(),
+            cold.result.error_estimate.to_bits()
+        );
+        assert_eq!(
+            counting.launches_for("evaluate"),
+            launches,
+            "a cache hit launched evaluation kernels"
+        );
+        // Answered on the connection handler: no service worker claimed it.
+        let metrics = worker.service().metrics();
+        assert_eq!(metrics.cache_hits, 1, "{metrics:?}");
+        assert_eq!(metrics.submitted, 2, "{metrics:?}");
+        assert_eq!(
+            metrics.wait(crate::Priority::Normal).count,
             1,
-            "one handler for the one connection, no thread per job"
+            "{metrics:?}"
         );
         front.shutdown();
         worker.shutdown();

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use pagani_persist::ResultCache;
+use pagani_persist::{CacheKey, CachedResult, ResultCache};
 use pagani_quadrature::{Termination, Tolerances};
 
 use crate::batch::BatchJob;
@@ -53,6 +53,14 @@ impl Core {
             model: model.unwrap_or_default(),
             cache,
         })
+    }
+
+    /// The cache key of `job` when the cache may answer it: `None` without a
+    /// cache, or for a method override (the key cannot see the override's
+    /// configuration).
+    pub(crate) fn cache_key(&self, job: &BatchJob) -> Option<CacheKey> {
+        (self.cache.is_some() && job.method().is_none())
+            .then(|| job_cache_key(job, self.config.tolerances))
     }
 }
 
@@ -104,6 +112,8 @@ pub(crate) struct Ticket {
     /// Submission order: the FIFO tie-break, and the wire job id.
     pub(crate) id: u64,
     pub(crate) job: BatchJob,
+    /// The job's cache key ([`Core::cache_key`]), built once with the ticket.
+    pub(crate) key: Option<CacheKey>,
     pub(crate) state: Arc<JobState>,
     /// Charged to the ledger of the lane holding it, retired exactly.
     pub(crate) charge: f64,
@@ -199,7 +209,8 @@ impl<L: Lane> Scheduler<L> {
         self.enter(job, true, None)
     }
 
-    /// Split `job` when no lane holds it, otherwise place it and file it on
+    /// Answer `job` here when the cache holds its exact converged result;
+    /// otherwise split it when no lane holds it, or place it and file it on
     /// the chosen lane — with `refuse`, through that lane's admission.  The
     /// job's deadline runs from here, before any wait for queue space.
     fn enter(
@@ -209,9 +220,21 @@ impl<L: Lane> Scheduler<L> {
         on_complete: Option<CompletionHook>,
     ) -> Result<JobHandle, Rejected> {
         let cancel = CancelToken::with_deadline(job.deadline());
-        let (predicted, charge) = self.price(&job);
+        let key = self.core.cache_key(&job);
+        let mut exact = false;
+        if let (Some(cache), Some(key)) = (&self.core.cache, &key) {
+            // A job whose deadline has already passed is not answered: it
+            // must end Cancelled, at claim.  A non-bumping peek still prices
+            // an exact result at zero.
+            if cancel.expired() {
+                exact = cache.contains_result(key);
+            } else if let Some(hit) = cache.lookup_result(key) {
+                return Ok(self.answer(job, cancel, &hit, on_complete));
+            }
+        }
+        let (predicted, charge) = self.price(&job, key.as_ref(), exact);
         let footprint = estimated_job_footprint_bytes(&job, self.core.config.tolerances);
-        let ticket = self.ticket(job, cancel, charge, predicted, on_complete);
+        let ticket = self.ticket(job, key, cancel, charge, predicted, on_complete);
         let Some(parts) = self.slabs_needed(&ticket.job, footprint) else {
             let admit =
                 |book: &Book, queued, job: &BatchJob| self.refusal(book, queued, job, predicted);
@@ -244,39 +267,71 @@ impl<L: Lane> Scheduler<L> {
         }
     }
 
+    /// Serve `job` from `hit`, the cache's exact converged result, on the
+    /// submitting thread: counted on the lane placement would pick (taking
+    /// no round-robin turn), charged to no ledger, never queued, and settled
+    /// without teaching the cost model.  The handle is already complete.
+    fn answer(
+        &self,
+        job: BatchJob,
+        cancel: CancelToken,
+        hit: &CachedResult,
+        on_complete: Option<CompletionHook>,
+    ) -> JobHandle {
+        let footprint = estimated_job_footprint_bytes(&job, self.core.config.tolerances);
+        let book = self.lanes[self.place(footprint, false).unwrap_or(0)].book();
+        book.obs.submitted.fetch_add(1, AtomicOrdering::Relaxed);
+        let outcome = JobOutcome::Finished(book.obs.serve_hit(hit));
+        let ticket = self.ticket(job, None, cancel, 0.0, None, on_complete);
+        let handle = JobHandle::detached(Arc::clone(&ticket.state), None);
+        settle(&self.core, book, ticket, outcome, false);
+        handle
+    }
+
     /// Price `job` once: the cost model's prediction, discounted by what the
-    /// cache holds (non-bumping peeks, so pricing never perturbs LRU order),
-    /// and the ledger charge — the prediction in whole microseconds, or the
+    /// cache holds under `key` (`exact`: a converged result; otherwise a
+    /// non-bumping snapshot peek, so pricing never perturbs LRU order), and
+    /// the ledger charge — the prediction in whole microseconds, or the
     /// static weight while the model is cold.
-    fn price(&self, job: &BatchJob) -> (Option<Duration>, f64) {
+    fn price(
+        &self,
+        job: &BatchJob,
+        key: Option<&CacheKey>,
+        exact: bool,
+    ) -> (Option<Duration>, f64) {
         let tolerances = self.core.config.tolerances;
-        let key = CostKey::for_job(job, tolerances);
+        let cost = CostKey::for_job(job, tolerances);
         let predicted = self
             .core
             .model
-            .predict(&key)
-            .map(|full| self.remaining(job, full));
+            .predict(&cost)
+            .map(|full| self.remaining(job, key, exact, full));
         // Whole microseconds in [0, cost_ceiling()] so charge/retire cycles
         // cancel exactly (see `cost_ceiling`).
         let charge = predicted.map_or_else(
-            || key.static_cost(),
+            || cost.static_cost(),
             |p| (p.as_secs_f64() * 1e6).round().clamp(0.0, cost_ceiling()),
         );
         (predicted, charge)
     }
 
-    /// `full`, less what the cache already holds for `job`: zero for an
-    /// exact hit, less the snapshot's predicted-work credit for a feasible
-    /// warm start.
-    fn remaining(&self, job: &BatchJob, full: Duration) -> Duration {
-        let Some(cache) = self.core.cache.as_ref().filter(|_| job.method().is_none()) else {
+    /// `full`, less what the cache already holds for `job` under `key`:
+    /// zero for an `exact` hit, less the snapshot's predicted-work credit
+    /// for a feasible warm start.
+    fn remaining(
+        &self,
+        job: &BatchJob,
+        key: Option<&CacheKey>,
+        exact: bool,
+        full: Duration,
+    ) -> Duration {
+        let (Some(cache), Some(key)) = (&self.core.cache, key) else {
             return full;
         };
-        let tolerances = self.core.config.tolerances;
-        let key = job_cache_key(job, tolerances);
-        if cache.contains_result(&key) {
+        if exact {
             return Duration::ZERO;
         }
+        let tolerances = self.core.config.tolerances;
         let banked = cache
             .peek_warm_start(&key.integrand_id, &key.region_lo_bits, &key.region_hi_bits)
             .filter(|info| {
@@ -367,11 +422,19 @@ impl<L: Lane> Scheduler<L> {
         })
     }
 
-    /// Predicted completion time of `job` from now on the lane it would be
-    /// placed on: that lane's backlog per worker plus the job's own
-    /// prediction.  `None` while the model is cold.
+    /// Predicted completion time of `job` from now: zero when the cache
+    /// holds its exact result (answered at submission, it waits for
+    /// nothing), otherwise the backlog per worker of the lane it would be
+    /// placed on plus the job's own prediction.  `None` while the model is
+    /// cold.
     pub(crate) fn estimated_completion(&self, job: &BatchJob) -> Option<Duration> {
-        let predicted = self.price(job).0?;
+        let key = self.core.cache_key(job);
+        if let (Some(cache), Some(key)) = (&self.core.cache, &key) {
+            if cache.contains_result(key) {
+                return Some(Duration::ZERO);
+            }
+        }
+        let predicted = self.price(job, key.as_ref(), false).0?;
         let footprint = estimated_job_footprint_bytes(job, self.core.config.tolerances);
         Some(completion(
             self.lanes[self.place(footprint, false)?].book(),
@@ -390,6 +453,7 @@ impl<L: Lane> Scheduler<L> {
     fn ticket(
         &self,
         job: BatchJob,
+        key: Option<CacheKey>,
         cancel: CancelToken,
         charge: f64,
         predicted: Option<Duration>,
@@ -398,6 +462,7 @@ impl<L: Lane> Scheduler<L> {
         Ticket {
             id: self.next_id.fetch_add(1, AtomicOrdering::Relaxed),
             job,
+            key,
             state: Arc::new(JobState::new(cancel)),
             charge,
             predicted,
@@ -502,8 +567,9 @@ impl<L: Lane> Scheduler<L> {
                 let filer = Arc::clone(&filer);
                 let hook: CompletionHook = Box::new(move |outcome| filer.file(slab, outcome));
                 let child = job.clone().over(region);
+                let key = self.core.cache_key(&child);
                 let predicted = parent.predicted;
-                let ticket = self.ticket(child, cancel.clone(), weight, predicted, Some(hook));
+                let ticket = self.ticket(child, key, cancel.clone(), weight, predicted, Some(hook));
                 let Ok((handle, _)) = self.file(ticket, footprint, &Entry::Wait(bound), true)
                 else {
                     unreachable!("a waiting entry is never refused")

@@ -249,7 +249,9 @@ impl std::error::Error for Rejected {}
 /// `count` and `max` cover the service's whole lifetime).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WaitStats {
-    /// Jobs of this priority claimed so far.
+    /// Jobs of this priority claimed so far.  An exact cache hit answered at
+    /// submission is never claimed, so it is not counted and records no
+    /// wait.
     pub count: u64,
     /// Median wait over the recent window.
     pub p50: Duration,
@@ -269,7 +271,8 @@ pub struct WaitStats {
 pub struct ServiceMetrics {
     /// Submitted-but-unclaimed jobs right now.
     pub queue_depth: usize,
-    /// Jobs ever enqueued (rejected submissions are *not* counted here).
+    /// Jobs ever accepted: enqueued, or answered from the cache at
+    /// submission (rejected submissions are *not* counted here).
     pub submitted: u64,
     /// Jobs completed (including cancelled completions).
     pub completed: u64,
@@ -291,11 +294,14 @@ pub struct ServiceMetrics {
     /// `|actual − predicted| / predicted`, or `None` before the first
     /// predicted-and-measured completion.
     pub prediction_error_ewma: Option<f64>,
-    /// Per-priority wait statistics, indexed `[Low, Normal, High]` — use
-    /// [`ServiceMetrics::wait`] for by-priority access.
+    /// Per-priority wait statistics of the jobs workers claimed, indexed
+    /// `[Low, Normal, High]` — use [`ServiceMetrics::wait`] for by-priority
+    /// access.  Exact cache hits answered at submission wait for nothing
+    /// and are not in them.
     pub waits: [WaitStats; 3],
     /// Jobs served straight from the [`ResultCache`] without touching a
-    /// device (always 0 on a cache-less service).
+    /// device: answered at submission, or at claim when a twin finished
+    /// while they waited in the queue (always 0 on a cache-less service).
     pub cache_hits: u64,
     /// Cache-enabled jobs that found no exact result and went to a device.
     pub cache_misses: u64,
@@ -430,6 +436,15 @@ impl Observability {
             remote_requeued: self.remote_requeued.load(AtomicOrdering::Relaxed),
             remote_heartbeats: self.remote_heartbeats.load(AtomicOrdering::Relaxed),
         }
+    }
+
+    /// Serve an exact cache `hit`: count it and the evaluations it saved,
+    /// and rehydrate it into the job's output.
+    pub(crate) fn serve_hit(&self, hit: &CachedResult) -> PaganiOutput {
+        self.cache_hits.fetch_add(1, AtomicOrdering::Relaxed);
+        self.evals_saved
+            .fetch_add(hit.function_evaluations, AtomicOrdering::Relaxed);
+        output_from_cached(hit)
     }
 }
 
@@ -824,6 +839,10 @@ impl IntegrationService {
     /// blocks until a worker frees a slot (use
     /// [`IntegrationService::try_submit`] for refuse-instead-of-wait
     /// backpressure).  A deadline runs from this call, waiting included.
+    /// A job the attached [`ResultCache`] answers exactly is served on this
+    /// thread instead: it never queues or waits for space, and the handle
+    /// comes back already complete (unless its deadline has already passed:
+    /// then it queues and ends [`Termination::Cancelled`]).
     /// Jobs are claimed highest-priority-first, FIFO within a priority
     /// level; completed results are bit-identical to running the same job
     /// alone through [`Pagani::integrate_region`] on this device.
@@ -835,7 +854,10 @@ impl IntegrationService {
     /// Enqueue `job` if it can be accepted, refusing with [`Rejected`] — the
     /// job handed back inside — otherwise.
     ///
-    /// Two admission checks run, in order:
+    /// A job the attached [`ResultCache`] answers exactly is served on this
+    /// thread before either check, exactly as in
+    /// [`IntegrationService::submit`]: it is never refused.  For every
+    /// other job, two admission checks run, in order:
     ///
     /// 1. **Capacity** — a queue at the policy's
     ///    [`ServicePolicy::queue_bound`] refuses with
@@ -891,9 +913,12 @@ impl IntegrationService {
     /// The backlog term is deliberately simple (it ignores priorities and
     /// in-flight progress); it errs on the pessimistic side under load, which
     /// is the right bias for an admission gate.
-    /// With a [`ResultCache`] attached, the job's own term is priced by
-    /// *remaining* work: zero for an exact hit, and prediction minus the
-    /// cached snapshot's predicted-work credit for a feasible warm start.
+    /// With a [`ResultCache`] attached, a job the cache answers exactly is
+    /// served at submission and waits for nothing: its estimate is
+    /// [`Duration::ZERO`] whatever the backlog, even while the model is
+    /// cold.  Otherwise the job's own term is priced by *remaining* work:
+    /// prediction minus the cached snapshot's predicted-work credit for a
+    /// feasible warm start.
     #[must_use]
     pub fn estimated_completion(&self, job: &BatchJob) -> Option<Duration> {
         self.sched.estimated_completion(job)
@@ -993,7 +1018,7 @@ fn worker_loop(shared: &LaneShared) {
             }
         };
         let Some(Queued {
-            ticket,
+            mut ticket,
             enqueued_at,
         }) = claimed
         else {
@@ -1007,8 +1032,9 @@ fn worker_loop(shared: &LaneShared) {
         // shared state touched during the unwind is panic-safe — the arena
         // shelves only value-transparent scratch storage and the job's
         // isolated device view is discarded wholesale.
+        let key = ticket.key.take();
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_job(shared, &arena, &ticket.job, &ticket.state.cancel)
+            run_job(shared, &arena, &ticket.job, key, &ticket.state.cancel)
         }));
         let (outcome, computed) = match run {
             Ok((output, from_cache)) => (JobOutcome::Finished(output), !from_cache),
@@ -1019,41 +1045,34 @@ fn worker_loop(shared: &LaneShared) {
 }
 
 /// Run one job, returning its output and whether it was served from the
-/// cache (cache-served jobs must not feed the cost model).
+/// cache (cache-served jobs must not feed the cost model).  `key` is the
+/// ticket's cache key: `Some` exactly for a default-path job on a cached
+/// lane.
 fn run_job(
     shared: &LaneShared,
     arena: &ScratchArena,
     job: &BatchJob,
+    key: Option<CacheKey>,
     cancel: &CancelToken,
 ) -> (PaganiOutput, bool) {
     if cancel.is_cancelled() {
         return (cancelled_before_start(), false);
     }
     let config = &shared.core.config;
-    // Exact cache hit: served before the admission gate and before any
-    // memory view exists, so a hit performs zero device launches.
-    if job.method().is_none() {
-        if let Some(cache) = &shared.core.cache {
-            let key = job_cache_key(job, config.tolerances);
-            if let Some(hit) = cache.lookup_result(&key) {
-                shared
-                    .book
-                    .obs
-                    .cache_hits
-                    .fetch_add(1, AtomicOrdering::Relaxed);
-                shared
-                    .book
-                    .obs
-                    .evals_saved
-                    .fetch_add(hit.function_evaluations, AtomicOrdering::Relaxed);
-                return (output_from_cached(&hit), true);
-            }
-            shared
-                .book
-                .obs
-                .cache_misses
-                .fetch_add(1, AtomicOrdering::Relaxed);
+    let cached = shared.core.cache.as_ref().zip(key);
+    // Exact cache hit: a twin of this job finished while it waited (a hit
+    // at submission never reaches a worker).  Served before the admission
+    // gate and before any memory view exists, so it performs zero device
+    // launches.
+    if let Some((cache, key)) = &cached {
+        if let Some(hit) = cache.lookup_result(key) {
+            return (shared.book.obs.serve_hit(&hit), true);
         }
+        shared
+            .book
+            .obs
+            .cache_misses
+            .fetch_add(1, AtomicOrdering::Relaxed);
     }
     let Some(_permit) = shared
         .device
@@ -1084,16 +1103,13 @@ fn run_job(
         // long-lived arena (bit-identical to the sequential single-shot API).
         None => {
             let pagani = Pagani::new(view, config.clone());
-            match &shared.core.cache {
-                None => (
-                    pagani.integrate_region_with(job.integrand(), job.region(), arena, cancel),
-                    false,
-                ),
-                Some(cache) => (
-                    run_cached_job(shared, cache, &pagani, arena, job, cancel),
-                    false,
-                ),
-            }
+            let output = match cached {
+                None => pagani.integrate_region_with(job.integrand(), job.region(), arena, cancel),
+                Some((cache, key)) => {
+                    run_cached_job(shared, cache, key, &pagani, arena, job, cancel)
+                }
+            };
+            (output, false)
         }
     }
 }
@@ -1104,13 +1120,13 @@ fn run_job(
 fn run_cached_job(
     shared: &LaneShared,
     cache: &ResultCache,
+    key: CacheKey,
     pagani: &Pagani,
     arena: &ScratchArena,
     job: &BatchJob,
     cancel: &CancelToken,
 ) -> PaganiOutput {
     let tolerances = shared.core.config.tolerances;
-    let key = job_cache_key(job, tolerances);
     let warm = cache
         .lookup_snapshot(&key.integrand_id, &key.region_lo_bits, &key.region_hi_bits)
         .filter(|snap| warm_start_feasible(snap.latest_estimate, snap.finished_error, tolerances));

@@ -17,6 +17,9 @@
 //!   the worker matrix, and feedback never changes integration results;
 //! * a deadline landing mid-run cancels with partial statistics intact;
 //! * priorities reorder claims but never starve a queued job;
+//! * an exact cache hit is answered on the submitting thread: never queued,
+//!   never refused, never claimed, and estimated to complete at once; a twin
+//!   that missed at submission is still served from the cache when claimed;
 //! * `ServiceMetrics` accounts for all of the above (the `metrics_`-prefixed
 //!   tests are what the CI `service-stress` job asserts on);
 //! * `MultiDeviceService` round-robin placement is pinned (job `i` on device
@@ -27,6 +30,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pagani::prelude::*;
+use pagani::{CountingBackend, CpuBackend};
 
 mod common;
 use common::{device_with_workers, worker_matrix};
@@ -580,6 +584,210 @@ fn metrics_cache_counters_track_hits_misses_and_checkpoints() {
         .expect("idle service always estimates");
     assert_eq!(promised, Duration::ZERO, "{metrics:?}");
     service.shutdown();
+}
+
+/// The cached key of the hit-path tests.
+fn cached_job() -> BatchJob {
+    BatchJob::new(PaperIntegrand::f4(3))
+}
+
+/// A one-worker service over a cache of 1 MiB.
+fn cached_one_worker(device: Device) -> ServiceBuilder {
+    ServiceBuilder::new(config())
+        .device(device)
+        .workers(1)
+        .cache(Arc::new(ResultCache::new(1 << 20)))
+}
+
+#[test]
+fn an_exact_hit_is_answered_at_submission_even_at_the_queue_bound() {
+    // One worker held by a gated job and the one queue slot taken: a
+    // cached key is still answered, at once, without touching the queue.
+    for workers in worker_matrix(&[1, 2, 8]) {
+        let service = cached_one_worker(device_with_workers(workers))
+            .queue_bound(1)
+            .build();
+        let cold = service.submit(cached_job()).wait();
+        assert!(cold.result.converged(), "workers {workers}");
+        let started = Arc::new(AtomicUsize::new(0));
+        let release = Arc::new(AtomicBool::new(false));
+        let held = service.submit(BatchJob::new(blocking_integrand(
+            started.clone(),
+            release.clone(),
+        )));
+        while started.load(Ordering::Acquire) == 0 || service.queued_jobs() > 0 {
+            std::thread::yield_now();
+        }
+        let queued = service.try_submit(BatchJob::new(PaperIntegrand::f3(3)));
+        let before = service.metrics();
+        let verdict = service.try_submit(cached_job());
+        let finished = verdict.as_ref().is_ok_and(JobHandle::is_finished);
+        let after = service.metrics();
+        // Release before asserting: a failed assertion must not strand the
+        // worker on the gate.
+        release.store(true, Ordering::Release);
+        let queued = queued.unwrap_or_else(|refused| panic!("workers {workers}: {refused}"));
+        let hit = verdict
+            .unwrap_or_else(|refused| panic!("workers {workers}: a hit was refused: {refused}"));
+        assert!(
+            finished,
+            "workers {workers}: the hit was not answered at once"
+        );
+        let served = hit.wait();
+        assert_eq!(
+            served.result.estimate.to_bits(),
+            cold.result.estimate.to_bits()
+        );
+        assert_eq!(
+            served.result.error_estimate.to_bits(),
+            cold.result.error_estimate.to_bits()
+        );
+        assert_eq!(before.queue_depth, 1, "workers {workers}: {before:?}");
+        assert_eq!(after.cache_hits, before.cache_hits + 1, "{after:?}");
+        assert_eq!(
+            after.evals_saved,
+            before.evals_saved + cold.result.function_evaluations
+        );
+        assert_eq!(after.rejected_queue_full, 0, "{after:?}");
+        assert_eq!(after.submitted, before.submitted + 1, "{after:?}");
+        assert_eq!(after.completed, before.completed + 1, "{after:?}");
+        assert_eq!(after.queue_depth, 1, "{after:?}");
+        assert_eq!(
+            after.wait(Priority::Normal).count,
+            before.wait(Priority::Normal).count,
+            "workers {workers}: a hit was claimed by a worker"
+        );
+        assert!(held.wait().result.converged());
+        assert!(queued.wait().result.converged());
+        service.shutdown();
+    }
+}
+
+#[test]
+fn an_exact_hit_is_estimated_to_complete_at_once() {
+    // A cache another service filled: this service's model is cold, yet the
+    // hit needs no prediction.
+    let cache = Arc::new(ResultCache::new(1 << 20));
+    let filler = ServiceBuilder::new(config())
+        .device(device_with_workers(2))
+        .cache(Arc::clone(&cache))
+        .build();
+    assert!(filler.submit(cached_job()).wait().result.converged());
+    filler.shutdown();
+    let service = ServiceBuilder::new(config())
+        .device(device_with_workers(1))
+        .workers(1)
+        .cache(cache)
+        .build();
+    assert_eq!(service.cost_model().observations(), 0);
+    assert_eq!(
+        service.estimated_completion(&cached_job()),
+        Some(Duration::ZERO),
+        "a cold model"
+    );
+    // A warm model and the one worker held by a job predicted at 50 ms:
+    // the lane's backlog is not the hit's to wait for.
+    let started = Arc::new(AtomicUsize::new(0));
+    let release = Arc::new(AtomicBool::new(false));
+    let gated = BatchJob::new(blocking_integrand(started.clone(), release.clone()));
+    seed_model(
+        &service,
+        &CostKey::for_job(&gated, config().tolerances),
+        Duration::from_millis(50),
+    );
+    let held = service.submit(gated);
+    while started.load(Ordering::Acquire) == 0 {
+        std::thread::yield_now();
+    }
+    let backlog = service.metrics().outstanding_predicted;
+    let estimated = service.estimated_completion(&cached_job());
+    release.store(true, Ordering::Release);
+    assert!(held.wait().result.converged());
+    assert_eq!(backlog, Duration::from_millis(50));
+    assert_eq!(estimated, Some(Duration::ZERO));
+    service.shutdown();
+}
+
+#[test]
+fn an_exact_hit_whose_deadline_has_passed_ends_cancelled() {
+    // Answering a hit at submission must not outrun its deadline: a cached
+    // key submitted already expired is not served, through either door.
+    let service = cached_one_worker(device_with_workers(2)).build();
+    let cold = service.submit(cached_job()).wait();
+    assert!(cold.result.converged());
+    let expired = || cached_job().with_deadline(Duration::ZERO);
+    let waited = service.submit(expired()).wait();
+    let admitted = service
+        .try_submit(expired())
+        .unwrap_or_else(|refused| panic!("an expired hit was refused: {refused}"))
+        .wait();
+    for output in [waited, admitted] {
+        assert_eq!(output.result.termination, Termination::Cancelled);
+        assert_eq!(output.result.function_evaluations, 0);
+    }
+    let metrics = service.metrics();
+    assert_eq!(metrics.cache_hits, 0, "{metrics:?}");
+    assert_eq!(metrics.cancelled, 2, "{metrics:?}");
+    assert_eq!(metrics.deadline_misses, 2, "{metrics:?}");
+    service.shutdown();
+}
+
+#[test]
+fn a_twin_that_missed_at_submission_is_served_at_claim() {
+    // The twin is submitted while its first copy is gated mid-run, so the
+    // cache cannot answer it yet; by the time the one worker claims it, the
+    // first copy has stored its result.
+    for workers in worker_matrix(&[1, 2, 8]) {
+        let counting_device = || {
+            let backend = Arc::new(CountingBackend::new(Arc::new(CpuBackend::new(
+                DeviceConfig::test_small()
+                    .with_memory_capacity(32 << 20)
+                    .with_worker_threads(workers),
+            ))));
+            (Device::with_backend(backend.clone()), backend)
+        };
+        let started = Arc::new(AtomicUsize::new(0));
+        let release = Arc::new(AtomicBool::new(false));
+        let twin: Arc<dyn Integrand + Send + Sync> =
+            Arc::new(blocking_integrand(started.clone(), release.clone()).named("twin"));
+        let job = || BatchJob::shared(Arc::clone(&twin));
+        let (device, counting) = counting_device();
+        let service = cached_one_worker(device).build();
+        let first = service.submit(job());
+        while started.load(Ordering::Acquire) == 0 {
+            std::thread::yield_now();
+        }
+        let second = service.submit(job());
+        let missed = service.metrics();
+        release.store(true, Ordering::Release);
+        let (first, second) = (first.wait(), second.wait());
+        assert_eq!(missed.cache_hits, 0, "workers {workers}: {missed:?}");
+        assert_eq!(missed.queue_depth, 1, "workers {workers}: {missed:?}");
+        assert!(first.result.converged());
+        assert_eq!(
+            second.result.estimate.to_bits(),
+            first.result.estimate.to_bits()
+        );
+        assert_eq!(
+            second.result.error_estimate.to_bits(),
+            first.result.error_estimate.to_bits()
+        );
+        let metrics = service.metrics();
+        assert_eq!(metrics.cache_hits, 1, "workers {workers}: {metrics:?}");
+        assert_eq!(metrics.cache_misses, 1, "workers {workers}: {metrics:?}");
+        assert_eq!(metrics.warm_starts, 0, "workers {workers}: {metrics:?}");
+        service.shutdown();
+        // The first copy's launches alone, on a fresh device.
+        let (device, alone) = counting_device();
+        let lone = cached_one_worker(device).build();
+        assert!(lone.submit(job()).wait().result.converged());
+        lone.shutdown();
+        assert_eq!(
+            counting.launches_for("evaluate"),
+            alone.launches_for("evaluate"),
+            "workers {workers}: the twin launched evaluation kernels"
+        );
+    }
 }
 
 #[test]
