@@ -31,7 +31,7 @@ pub mod qmc;
 pub mod two_phase;
 
 pub use cuhre::{Cuhre, CuhreConfig};
-pub use method::{IntegratorBuilder, MethodConfig};
+pub use method::MethodConfig;
 pub use monte_carlo::{MonteCarlo, MonteCarloConfig};
 pub use qmc::{Qmc, QmcConfig};
 pub use two_phase::{TwoPhase, TwoPhaseConfig};

@@ -1,22 +1,21 @@
-//! Dynamic method selection: one configuration enum, one builder, five
-//! integrators.
+//! Dynamic method selection: one configuration enum, five integrators.
 //!
 //! The paper's evaluation sweeps PAGANI against its baselines over a grid of
 //! tolerances; a serving front-end picks a method per request.  Both want the
 //! same thing: turn a *value* describing a method into a live
 //! `Box<dyn Integrator>`.  [`MethodConfig`] is that value — one variant per
 //! method, wrapping the method's own configuration type — and
-//! [`IntegratorBuilder`] is the fluent spelling:
+//! [`MethodConfig::build`] instantiates it:
 //!
 //! ```
-//! use pagani_baselines::IntegratorBuilder;
+//! use pagani_baselines::MethodConfig;
 //! use pagani_core::PaganiConfig;
 //! use pagani_device::Device;
 //! use pagani_quadrature::{FnIntegrand, Tolerances};
 //!
 //! let device = Device::test_small();
-//! let integrator = IntegratorBuilder::pagani(PaganiConfig::test_small(Tolerances::rel(1e-3)))
-//!     .tolerances(Tolerances::rel(1e-5))
+//! let integrator = MethodConfig::Pagani(PaganiConfig::test_small(Tolerances::rel(1e-3)))
+//!     .with_tolerances(Tolerances::rel(1e-5))
 //!     .build(&device);
 //! let f = FnIntegrand::new(2, |x: &[f64]| x[0] + x[1]);
 //! let result = integrator.integrate(&f);
@@ -138,71 +137,6 @@ impl IntegratorFactory for MethodConfig {
     }
 }
 
-/// Fluent construction of a `Box<dyn Integrator>` from a method choice.
-///
-/// See the [module docs](crate::method) for an end-to-end example.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IntegratorBuilder {
-    config: MethodConfig,
-}
-
-impl IntegratorBuilder {
-    /// Start from any [`MethodConfig`] value.
-    #[must_use]
-    pub fn from_config(config: MethodConfig) -> Self {
-        Self { config }
-    }
-
-    /// Select PAGANI with `config`.
-    #[must_use]
-    pub fn pagani(config: PaganiConfig) -> Self {
-        Self::from_config(MethodConfig::Pagani(config))
-    }
-
-    /// Select sequential Cuhre with `config`.
-    #[must_use]
-    pub fn cuhre(config: CuhreConfig) -> Self {
-        Self::from_config(MethodConfig::Cuhre(config))
-    }
-
-    /// Select the two-phase method with `config`.
-    #[must_use]
-    pub fn two_phase(config: TwoPhaseConfig) -> Self {
-        Self::from_config(MethodConfig::TwoPhase(config))
-    }
-
-    /// Select randomized QMC with `config`.
-    #[must_use]
-    pub fn qmc(config: QmcConfig) -> Self {
-        Self::from_config(MethodConfig::Qmc(config))
-    }
-
-    /// Select plain Monte Carlo with `config`.
-    #[must_use]
-    pub fn monte_carlo(config: MonteCarloConfig) -> Self {
-        Self::from_config(MethodConfig::MonteCarlo(config))
-    }
-
-    /// Override the error targets of the selected method.
-    #[must_use]
-    pub fn tolerances(mut self, tolerances: Tolerances) -> Self {
-        self.config = self.config.with_tolerances(tolerances);
-        self
-    }
-
-    /// The method configuration assembled so far.
-    #[must_use]
-    pub fn config(&self) -> &MethodConfig {
-        &self.config
-    }
-
-    /// Instantiate the selected method on `device`.
-    #[must_use]
-    pub fn build(self, device: &Device) -> Box<dyn Integrator> {
-        self.config.build(device)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,10 +169,7 @@ mod tests {
     fn builder_tolerance_override_applies_to_any_method() {
         let tight = Tolerances::rel(1e-7);
         for config in MethodConfig::all(Tolerances::rel(1e-3)) {
-            let overridden = IntegratorBuilder::from_config(config)
-                .tolerances(tight)
-                .config()
-                .clone();
+            let overridden = config.with_tolerances(tight);
             assert!((overridden.tolerances().rel - 1e-7).abs() < 1e-20);
         }
     }
@@ -246,8 +177,8 @@ mod tests {
     #[test]
     fn builder_example_shape_compiles_and_runs() {
         let device = Device::test_small();
-        let integrator = IntegratorBuilder::pagani(PaganiConfig::test_small(Tolerances::rel(1e-3)))
-            .tolerances(Tolerances::rel(1e-6))
+        let integrator = MethodConfig::Pagani(PaganiConfig::test_small(Tolerances::rel(1e-3)))
+            .with_tolerances(Tolerances::rel(1e-6))
             .build(&device);
         let f = FnIntegrand::new(2, |x: &[f64]| x[0] + x[1]);
         let result = integrator.integrate(&f);

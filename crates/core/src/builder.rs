@@ -3,8 +3,8 @@
 //! The service layer has three topologies — [`IntegrationService`] (one
 //! device), [`MultiDeviceService`] (N in-process lanes) and the distributed
 //! front-end [`DistributedService`] — and [`ServiceBuilder`] is the only way
-//! to construct any of them: collect devices, a [`ServicePolicy`], a
-//! [`DispatchMode`], an optional [`ResultCache`], an optional shared
+//! to construct any of them: collect devices, a queue bound and worker
+//! count, a [`DispatchMode`], an optional [`ResultCache`], an optional shared
 //! [`CostModel`] and (for the distributed service) remote worker endpoints,
 //! then call the `build_*` method matching the topology you want.
 //!
@@ -24,7 +24,6 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use pagani_device::Device;
 use pagani_persist::ResultCache;
@@ -33,10 +32,7 @@ use crate::config::PaganiConfig;
 use crate::cost::CostModel;
 use crate::multi_device::{DispatchMode, MultiDeviceService};
 use crate::remote::DistributedService;
-use crate::service::{IntegrationService, ServicePolicy};
-
-/// The default interval between heartbeat probes on a remote connection.
-pub(crate) const DEFAULT_HEARTBEAT_INTERVAL: Duration = Duration::from_millis(500);
+use crate::service::IntegrationService;
 
 /// Fluent builder for [`IntegrationService`], [`MultiDeviceService`] and
 /// [`DistributedService`] — see the [module docs](crate::builder) for the
@@ -46,18 +42,19 @@ pub(crate) const DEFAULT_HEARTBEAT_INTERVAL: Duration = Duration::from_millis(50
 /// loudly instead of silently ignoring half its configuration:
 /// [`ServiceBuilder::build`] wants exactly one device and no endpoints,
 /// [`ServiceBuilder::build_multi`] at least one device and no endpoints,
-/// [`ServiceBuilder::build_distributed`] at least one endpoint and no
-/// devices (remote workers bring their own).
+/// [`ServiceBuilder::build_distributed`] at least one endpoint, and no
+/// devices, worker count or round-robin dispatch (remote workers bring
+/// their own devices and threads, and the front-end always balances cost).
 #[derive(Debug, Clone)]
 pub struct ServiceBuilder {
     pub(crate) config: PaganiConfig,
     pub(crate) devices: Vec<Device>,
-    pub(crate) policy: ServicePolicy,
+    pub(crate) queue_bound: Option<usize>,
+    pub(crate) workers: Option<usize>,
     pub(crate) dispatch: DispatchMode,
     pub(crate) cache: Option<Arc<ResultCache>>,
     pub(crate) model: Option<Arc<CostModel>>,
     pub(crate) endpoints: Vec<String>,
-    pub(crate) heartbeat_interval: Duration,
 }
 
 impl ServiceBuilder {
@@ -69,12 +66,12 @@ impl ServiceBuilder {
         Self {
             config,
             devices: Vec::new(),
-            policy: ServicePolicy::default(),
+            queue_bound: None,
+            workers: None,
             dispatch: DispatchMode::default(),
             cache: None,
             model: None,
             endpoints: Vec::new(),
-            heartbeat_interval: DEFAULT_HEARTBEAT_INTERVAL,
         }
     }
 
@@ -92,27 +89,20 @@ impl ServiceBuilder {
         self
     }
 
-    /// Use an explicit [`ServicePolicy`] (queue bound + worker count).
-    #[must_use]
-    pub fn policy(mut self, policy: ServicePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Bound the queue of every lane — unclaimed jobs on a device, jobs in
-    /// flight on a remote worker — checked on the lane a job is placed on;
-    /// sugar for [`ServicePolicy::with_queue_bound`].
+    /// Bound the queue of every lane at `bound` jobs (minimum 1; default
+    /// unbounded) — unclaimed jobs on a device, jobs in flight on a remote
+    /// worker — checked on the lane a job is placed on.
     #[must_use]
     pub fn queue_bound(mut self, bound: usize) -> Self {
-        self.policy = self.policy.with_queue_bound(bound);
+        self.queue_bound = Some(bound.max(1));
         self
     }
 
-    /// Use an explicit worker-thread count per lane — sugar for
-    /// [`ServicePolicy::with_workers`].
+    /// Run `workers` resident worker threads (minimum 1) on each local lane
+    /// (default: the device's effective worker-pool width).
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
-        self.policy = self.policy.with_workers(workers);
+        self.workers = Some(workers.max(1));
         self
     }
 
@@ -191,14 +181,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Interval between heartbeat probes on each remote connection
-    /// (distributed topologies only; minimum 10 ms).
-    #[must_use]
-    pub fn heartbeat_interval(mut self, interval: Duration) -> Self {
-        self.heartbeat_interval = interval.max(Duration::from_millis(10));
-        self
-    }
-
     /// Build a single-device [`IntegrationService`].
     ///
     /// # Panics
@@ -242,8 +224,9 @@ impl ServiceBuilder {
     /// version mismatch) as `io::Error`.
     ///
     /// # Panics
-    /// Panics if no endpoints were configured, or if devices were (remote
-    /// workers bring their own devices).
+    /// Panics if no endpoints were configured, or if devices, a worker count
+    /// or [`DispatchMode::RoundRobin`] were: each remote lane's size comes
+    /// from its worker's handshake, and the front-end always places by cost.
     pub fn build_distributed(self) -> std::io::Result<DistributedService> {
         assert!(
             !self.endpoints.is_empty(),
@@ -252,6 +235,14 @@ impl ServiceBuilder {
         assert!(
             self.devices.is_empty(),
             "devices were configured: remote workers bring their own; use build()/build_multi() for local topologies"
+        );
+        assert!(
+            self.workers.is_none(),
+            "a worker count was configured: remote workers report their own"
+        );
+        assert!(
+            self.dispatch == DispatchMode::CostBalanced,
+            "round-robin dispatch was configured: the distributed front-end always balances cost"
         );
         DistributedService::from_builder(self)
     }
@@ -276,7 +267,6 @@ mod tests {
             .workers(2)
             .build();
         assert_eq!(service.worker_count(), 2);
-        assert_eq!(service.policy().queue_bound, Some(8));
         let out = service.submit(BatchJob::new(PaperIntegrand::f4(3))).wait();
         assert!(out.result.converged());
         service.shutdown();
@@ -317,6 +307,24 @@ mod tests {
     #[should_panic(expected = "at least one remote worker endpoint")]
     fn build_distributed_wants_endpoints() {
         let _ = ServiceBuilder::new(config()).build_distributed();
+    }
+
+    #[test]
+    #[should_panic(expected = "remote workers report their own")]
+    fn build_distributed_refuses_a_worker_count() {
+        let _ = ServiceBuilder::new(config())
+            .endpoint("127.0.0.1:1")
+            .workers(2)
+            .build_distributed();
+    }
+
+    #[test]
+    #[should_panic(expected = "always balances cost")]
+    fn build_distributed_refuses_round_robin() {
+        let _ = ServiceBuilder::new(config())
+            .endpoint("127.0.0.1:1")
+            .dispatch(DispatchMode::RoundRobin)
+            .build_distributed();
     }
 
     #[test]

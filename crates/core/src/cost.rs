@@ -2,25 +2,27 @@
 //! that *learns* from measured wall times.
 //!
 //! Two predictions are answered here, both keyed by what a job *is* rather
-//! than what it does:
+//! than what it does ([`CostKey`]):
 //!
-//! * **Dispatch weight** ([`CostModel::weigh_job`], [`estimated_cost`]) — a
-//!   unitless relative weight, what a lane's ledger is charged for a job
-//!   while the model is cold.  Only orderings and ratios matter.
-//! * **Time prediction** ([`CostModel::predict_job`]) — an estimated wall
-//!   time in real units, used by deadline-aware admission
+//! * **Static cost** ([`CostKey::static_cost`], the paper's Fig. 9 shape in
+//!   [`estimated_cost`]) — a unitless relative weight.  Only orderings and
+//!   ratios matter.
+//! * **Time prediction** ([`CostModel::predict`]) — an estimated wall time
+//!   in real units, used by deadline-aware admission
 //!   ([`crate::IntegrationService::try_submit`]) to refuse jobs whose
 //!   deadline cannot be met at the current backlog.
 //!
-//! A fresh model answers both from the static formula alone (time
-//! predictions start as `None` — admission is optimistic until the model has
-//! seen real work).  Every completed, uncancelled job feeds its measured
-//! wall time back through [`CostModel::record_job`] into a per-`(family,
-//! dim, digits)` bucket ([`CostKey`]) holding an exponentially-weighted
-//! moving average ([`Ewma`]) of observed wall times, plus one cross-bucket
-//! *calibration* EWMA of microseconds per static cost unit — so even a
-//! `(family, dim, digits)` combination the model has never seen gets a time
-//! estimate once *any* job has been measured, scaled by its static cost.
+//! One crate-private rule, `ledger_charge`, turns them into what a lane's
+//! ledger is charged: the prediction in whole microseconds, or the static
+//! cost while the model is cold (time predictions start as `None` —
+//! admission is optimistic until the model has seen real work).  Every
+//! completed, uncancelled job feeds its measured wall time back through
+//! [`CostModel::record_job`] into a per-`(family, dim, digits)` bucket
+//! ([`CostKey`]) holding an exponentially-weighted moving average
+//! ([`Ewma`]) of observed wall times, plus one cross-bucket *calibration*
+//! EWMA of microseconds per static cost unit — so even a `(family, dim,
+//! digits)` combination the model has never seen gets a time estimate once
+//! *any* job has been measured, scaled by its static cost.
 //!
 //! **Feedback never changes results.**  The model observes completions and
 //! influences only *placement* (which lane) and *admission* (whether a
@@ -47,15 +49,16 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The saturation ceiling shared by [`estimated_cost`] and every dispatch
-/// weight: `2⁴⁰`.
+/// The saturation ceiling shared by [`estimated_cost`] and every ledger
+/// charge: `2⁴⁰`.
 ///
-/// Costs and weights are **integer-valued finite f64 values in
-/// `[1, cost_ceiling()]`**.  The bounds are load-bearing for the
-/// outstanding-cost ledgers, which charge a job's weight on dispatch and
-/// retire it on completion: sums of integers this size stay far below `2⁵³`,
-/// so `+=` followed by `-=` cancels exactly and a ledger can neither drift
-/// negative through f64 absorption nor turn NaN through `inf - inf`.
+/// Static costs are **integer-valued finite f64 values in
+/// `[1, cost_ceiling()]`**, and warm charges in `[0, cost_ceiling()]`.  The
+/// bounds are load-bearing for the outstanding-cost ledgers, which charge a
+/// job's weight on dispatch and retire it on completion: sums of integers
+/// this size stay far below `2⁵³`, so `+=` followed by `-=` cancels exactly
+/// and a ledger can neither drift negative through f64 absorption nor turn
+/// NaN through `inf - inf`.
 #[must_use]
 pub fn cost_ceiling() -> f64 {
     (40.0f64).exp2()
@@ -118,13 +121,6 @@ pub fn job_tolerances(job: &BatchJob, default_tolerances: Tolerances) -> Toleran
         .unwrap_or(default_tolerances)
 }
 
-/// Static estimated cost of one queued job: [`estimated_cost`] under
-/// [`job_tolerances`].
-#[must_use]
-pub fn estimated_job_cost(job: &BatchJob, default_tolerances: Tolerances) -> f64 {
-    estimated_cost(job.region().dim(), job_tolerances(job, default_tolerances))
-}
-
 /// Estimated peak device-memory footprint (bytes) of integrating a
 /// `dim`-dimensional job to `tolerances`.
 ///
@@ -166,7 +162,7 @@ pub fn estimated_job_footprint_bytes(job: &BatchJob, default_tolerances: Toleran
 ///
 /// # Panics
 /// Panics if `slabs` is empty or `total_cost` is not a non-negative
-/// integer-valued finite f64 (every [`CostModel::weigh_job`] weight is).
+/// integer-valued finite f64 (every ledger charge is).
 #[must_use]
 pub fn slab_weights(total_cost: f64, slabs: &[Region]) -> Vec<f64> {
     assert!(!slabs.is_empty(), "at least one slab is required");
@@ -328,6 +324,18 @@ impl CostKey {
     }
 }
 
+/// What a lane's ledger is charged for a job in `key`'s bucket whose
+/// (cache-discounted) prediction is `predicted`: the prediction in whole
+/// microseconds, clamped to `[0, `[`cost_ceiling`]`]`, or the bucket's
+/// [`CostKey::static_cost`] while the model is cold (`None`).  Integer-valued
+/// either way, so charge/retire cycles cancel exactly.
+pub(crate) fn ledger_charge(key: &CostKey, predicted: Option<Duration>) -> f64 {
+    predicted.map_or_else(
+        || key.static_cost(),
+        |p| (p.as_secs_f64() * 1e6).round().clamp(0.0, cost_ceiling()),
+    )
+}
+
 #[derive(Debug)]
 struct ModelState {
     /// Per-bucket EWMA of measured wall time, in microseconds.
@@ -373,7 +381,6 @@ struct ModelState {
 /// ```
 #[derive(Debug)]
 pub struct CostModel {
-    alpha: f64,
     state: Mutex<ModelState>,
 }
 
@@ -390,28 +397,13 @@ impl CostModel {
     /// A fresh model with the default smoothing factor.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_alpha(Self::DEFAULT_ALPHA)
-    }
-
-    /// A fresh model with an explicit EWMA smoothing factor, clamped to
-    /// `(0, 1]`.
-    #[must_use]
-    pub fn with_alpha(alpha: f64) -> Self {
-        let alpha = Ewma::new(alpha).alpha();
         Self {
-            alpha,
             state: Mutex::new(ModelState {
                 buckets: HashMap::new(),
-                micros_per_unit: Ewma::new(alpha),
+                micros_per_unit: Ewma::new(Self::DEFAULT_ALPHA),
                 observations: 0,
             }),
         }
-    }
-
-    /// The smoothing factor in force.
-    #[must_use]
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 
     /// Fold one measured wall time into `key`'s bucket (and the cross-bucket
@@ -424,7 +416,7 @@ impl CostModel {
         state
             .buckets
             .entry(key.clone())
-            .or_insert_with(|| Ewma::new(self.alpha))
+            .or_insert_with(|| Ewma::new(Self::DEFAULT_ALPHA))
             .observe(micros);
         let per_unit = micros / key.static_cost();
         state.micros_per_unit.observe(per_unit);
@@ -451,39 +443,6 @@ impl CostModel {
         Some(Duration::from_secs_f64(
             micros.clamp(0.0, cost_ceiling()) / 1e6,
         ))
-    }
-
-    /// [`CostModel::predict`] keyed by a job ([`CostKey::for_job`]).
-    #[must_use]
-    pub fn predict_job(&self, job: &BatchJob, default_tolerances: Tolerances) -> Option<Duration> {
-        self.predict(&CostKey::for_job(job, default_tolerances))
-    }
-
-    /// Dispatch weight for a job in `key`'s bucket: the predicted wall time
-    /// in whole microseconds when the model can price it, otherwise the
-    /// static [`estimated_cost`].  Always integer-valued in
-    /// `[1, `[`cost_ceiling`]`]`, so outstanding-cost ledgers cancel exactly
-    /// (see [`cost_ceiling`]).
-    ///
-    /// The two scales (microseconds vs static units) coexist only while the
-    /// model is cold: after the first recorded run the calibration prices
-    /// every bucket, so all subsequent weights are microseconds.  Ledger
-    /// exactness is unaffected either way — every charge is retired at the
-    /// value it was charged at.
-    #[must_use]
-    pub fn weigh(&self, key: &CostKey) -> f64 {
-        match self.predict(key) {
-            Some(predicted) => (predicted.as_secs_f64() * 1e6)
-                .round()
-                .clamp(1.0, cost_ceiling()),
-            None => key.static_cost(),
-        }
-    }
-
-    /// [`CostModel::weigh`] keyed by a job ([`CostKey::for_job`]).
-    #[must_use]
-    pub fn weigh_job(&self, job: &BatchJob, default_tolerances: Tolerances) -> f64 {
-        self.weigh(&CostKey::for_job(job, default_tolerances))
     }
 
     /// Total wall-time observations recorded so far.
@@ -554,7 +513,7 @@ mod tests {
         let model = CostModel::new();
         let k = key("f4");
         assert_eq!(model.predict(&k), None);
-        assert_eq!(model.weigh(&k), k.static_cost());
+        assert_eq!(ledger_charge(&k, model.predict(&k)), k.static_cost());
         assert_eq!(model.observations(), 0);
         assert_eq!(model.bucket_count(), 0);
     }
@@ -595,16 +554,21 @@ mod tests {
     fn weights_are_integer_valued_and_clamped() {
         let model = CostModel::new();
         let k = key("f4");
-        // Sub-microsecond measurement: weight clamps up to 1.
+        // Sub-microsecond prediction: the warm charge rounds down to 0.
         model.record(&k, Duration::from_nanos(10));
-        assert_eq!(model.weigh(&k), 1.0);
-        // An absurd measurement clamps to the shared ceiling.
+        assert_eq!(ledger_charge(&k, model.predict(&k)), 0.0);
+        // An absurd measurement saturates at the shared ceiling.
         let slow = key("slow");
         model.record(&slow, Duration::from_secs(u64::MAX >> 16));
-        let w = model.weigh(&slow);
-        assert!(w <= cost_ceiling());
-        assert_eq!(w.fract(), 0.0);
-        assert!(w.is_finite());
+        assert_eq!(ledger_charge(&slow, model.predict(&slow)), cost_ceiling());
+        // Every charge, warm or cold, is a finite integer in range.
+        let predictions =
+            [1_499, 1_500, 123_456_789, u64::MAX].map(|nanos| Some(Duration::from_nanos(nanos)));
+        for predicted in predictions.into_iter().chain([None]) {
+            let charge = ledger_charge(&k, predicted);
+            assert!(charge.is_finite() && (0.0..=cost_ceiling()).contains(&charge));
+            assert_eq!(charge.fract(), 0.0, "{predicted:?} charged {charge}");
+        }
     }
 
     #[test]

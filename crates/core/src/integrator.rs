@@ -7,8 +7,8 @@
 //! same shape: pick a method at runtime, hand it an integrand and bounds, get
 //! back one [`IntegrationResult`].  `Integrator` is that dyn-dispatchable
 //! contract.  `Pagani` implements it here; the four baselines implement it in
-//! `pagani-baselines`, and the `MethodConfig`/`IntegratorBuilder` pair there
-//! turns a configuration value into a `Box<dyn Integrator>`.
+//! `pagani-baselines`, and `MethodConfig::build` there turns a
+//! configuration value into a `Box<dyn Integrator>`.
 //!
 //! All methods accept bounds identically: a single [`Region`] through
 //! [`Integrator::integrate_region`], the integrand's default bounds through

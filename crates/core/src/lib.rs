@@ -58,8 +58,8 @@ pub use batch::{integrate_batch, BatchJob};
 pub use builder::ServiceBuilder;
 pub use config::{HeuristicFiltering, PaganiConfig};
 pub use cost::{
-    cost_ceiling, estimated_cost, estimated_footprint_bytes, estimated_job_cost,
-    estimated_job_footprint_bytes, job_tolerances, slab_weights, CostKey, CostModel, Ewma,
+    cost_ceiling, estimated_cost, estimated_footprint_bytes, estimated_job_footprint_bytes,
+    job_tolerances, slab_weights, CostKey, CostModel, Ewma,
 };
 pub use driver::{CancelToken, Pagani, PaganiOutput};
 pub use evaluate::{Evaluation, RegionPack, EVAL_LANES};
@@ -75,6 +75,6 @@ pub use remote::{
 pub use resume::{ResumableOutput, ResumeError};
 pub use service::{
     DeadlineInfeasible, IntegrationService, JobHandle, Priority, QueueFull, Rejected,
-    ServiceMetrics, ServicePolicy, WaitStats,
+    ServiceMetrics, WaitStats,
 };
 pub use trace::{ExecutionTrace, IterationRecord, ThresholdProbe, ThresholdSearchRecord};

@@ -35,8 +35,8 @@ use pagani_quadrature::{Integrand, IntegrationResult, Region, Termination, Toler
 use crate::batch::BatchJob;
 use crate::builder::ServiceBuilder;
 use crate::config::PaganiConfig;
+pub use crate::cost::estimated_cost;
 use crate::cost::CostModel;
-pub use crate::cost::{estimated_cost, estimated_job_cost};
 #[cfg(doc)]
 use crate::cost::{estimated_job_footprint_bytes, slab_weights};
 use crate::driver::{Pagani, PaganiOutput};
@@ -159,7 +159,7 @@ impl MultiDeviceService {
     /// A job goes to a device whose memory holds its
     /// [`estimated_job_footprint_bytes`] whole when one does.  There,
     /// `CostBalanced` picks the device with the least charge per worker at
-    /// this instant; under a bounded per-lane [`crate::ServicePolicy`],
+    /// this instant; under a per-lane [`ServiceBuilder::queue_bound`],
     /// lanes whose queue is at its bound are skipped (best-effort — the
     /// occupancy snapshot can race a concurrent submitter) so a full cheap
     /// lane cannot block the call while another lane has room; only when
@@ -398,6 +398,7 @@ pub(crate) fn combine_slab_outputs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostKey;
     use pagani_device::{Device, DeviceConfig};
     use pagani_integrands::paper::PaperIntegrand;
     use pagani_quadrature::Tolerances;
@@ -593,8 +594,8 @@ mod tests {
     #[test]
     fn job_cost_uses_the_method_override_tolerances() {
         let loose = BatchJob::new(PaperIntegrand::f4(4));
-        let job_default = estimated_job_cost(&loose, Tolerances::rel(1e-3));
-        let job_tight_default = estimated_job_cost(&loose, Tolerances::rel(1e-8));
+        let job_default = CostKey::for_job(&loose, Tolerances::rel(1e-3)).static_cost();
+        let job_tight_default = CostKey::for_job(&loose, Tolerances::rel(1e-8)).static_cost();
         assert!(job_tight_default > job_default);
     }
 
@@ -661,8 +662,8 @@ mod tests {
         let service = ServiceBuilder::new(config.clone())
             .devices(devices(2))
             .build_multi();
-        let heavy = service.cost_model().weigh_job(&held(4), config.tolerances);
-        let light = service.cost_model().weigh_job(&held(2), config.tolerances);
+        let heavy = CostKey::for_job(&held(4), config.tolerances).static_cost();
+        let light = CostKey::for_job(&held(2), config.tolerances).static_cost();
         let handles: Vec<JobHandle> = std::iter::once(held(4))
             .chain((0..4).map(|_| held(2)))
             .map(|job| service.submit(job))

@@ -37,6 +37,9 @@ use crate::service::{
 };
 use crate::trace::ExecutionTrace;
 
+/// The interval between heartbeat probes on each remote connection.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(500);
+
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -192,7 +195,7 @@ impl DistributedService {
                 core,
                 endpoints,
                 DispatchMode::CostBalanced,
-                builder.policy.queue_bound,
+                builder.queue_bound,
                 true,
             ),
             obs,
@@ -209,11 +212,10 @@ impl DistributedService {
                     .expect("spawning the remote reader thread"),
             );
             let beat = Arc::clone(&shared);
-            let interval = builder.heartbeat_interval;
             threads.push(
                 std::thread::Builder::new()
                     .name("pagani-remote-heartbeat".into())
-                    .spawn(move || heartbeat_loop(&beat, index, interval))
+                    .spawn(move || heartbeat_loop(&beat, index))
                     .expect("spawning the remote heartbeat thread"),
             );
         }
@@ -265,7 +267,7 @@ impl DistributedService {
     }
 
     /// Ship `job` to a live worker and return its handle.  Blocks while the
-    /// chosen worker has [`crate::ServicePolicy::queue_bound`] jobs in flight.
+    /// chosen worker has [`ServiceBuilder::queue_bound`] jobs in flight.
     ///
     /// Oversized jobs (estimated footprint past every worker's device
     /// memory) slab-split exactly like
@@ -473,13 +475,14 @@ fn reader_loop(shared: &DistShared, index: usize) {
     shared.settled.1.notify_all();
 }
 
-/// Per-endpoint heartbeat: a [`Message::Heartbeat`] every `interval`,
-/// sleeping in short ticks so shutdown stays responsive.  No clock is read —
-/// tick counting is all the precision liveness probing needs.
-fn heartbeat_loop(shared: &DistShared, index: usize, interval: Duration) {
+/// Per-endpoint heartbeat: a [`Message::Heartbeat`] every
+/// [`HEARTBEAT_INTERVAL`], sleeping in short ticks so shutdown stays
+/// responsive.  No clock is read — tick counting is all the precision
+/// liveness probing needs.
+fn heartbeat_loop(shared: &DistShared, index: usize) {
     let endpoint = &shared.sched.lanes[index];
     let tick = Duration::from_millis(10);
-    let ticks_per_beat = (interval.as_millis() / tick.as_millis()).max(1) as u32;
+    let ticks_per_beat = (HEARTBEAT_INTERVAL.as_millis() / tick.as_millis()) as u32;
     let mut seq = 0u64;
     loop {
         for _ in 0..ticks_per_beat {
@@ -502,6 +505,7 @@ fn heartbeat_loop(shared: &DistShared, index: usize, interval: Duration) {
 mod tests {
     use super::*;
     use crate::config::PaganiConfig;
+    use crate::cost::CostKey;
     use crate::remote::{IntegrandRegistry, RemoteWorker};
     use pagani_device::{Device, DeviceConfig};
     use pagani_quadrature::{FnIntegrand, Tolerances};
@@ -555,7 +559,7 @@ mod tests {
             .expect("connect the front-end");
 
         let job = BatchJob::new(held());
-        let parent_weight = front.cost_model().weigh_job(&job, config.tolerances);
+        let parent_weight = CostKey::for_job(&job, config.tolerances).static_cost();
         let handle = front.submit(job);
         let (children, in_flight) = (front.queued_jobs(), charged(&front));
         gate.store(true, AtomicOrdering::Release);
@@ -597,7 +601,7 @@ mod tests {
             .build_distributed()
             .expect("connect the front-end");
 
-        let weight = front.cost_model().weigh_job(&held(), config.tolerances);
+        let weight = CostKey::for_job(&held(), config.tolerances).static_cost();
         let handles: Vec<crate::JobHandle> = (0..4).map(|_| front.submit(held())).collect();
         assert_eq!(charged(&front), 4.0 * weight);
         workers[0].sever();

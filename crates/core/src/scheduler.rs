@@ -19,7 +19,7 @@ use pagani_quadrature::{Termination, Tolerances};
 use crate::batch::BatchJob;
 use crate::config::PaganiConfig;
 use crate::cost::{
-    cost_ceiling, estimated_job_footprint_bytes, job_tolerances, slab_weights, CostKey, CostModel,
+    estimated_job_footprint_bytes, job_tolerances, ledger_charge, slab_weights, CostKey, CostModel,
     Ewma,
 };
 use crate::driver::CancelToken;
@@ -66,7 +66,7 @@ impl Core {
 
 /// What the scheduler keeps of each lane: its size, its counters and its
 /// one ledger — the summed charge of every job queued on or running on it.
-/// Charges are integer-valued and bounded by [`cost_ceiling`], so
+/// Charges come from [`ledger_charge`], integer-valued and bounded, so
 /// charge/retire cycles cancel exactly.
 #[derive(Debug)]
 pub(crate) struct Book {
@@ -252,17 +252,18 @@ impl<L: Lane> Scheduler<L> {
         debug_assert!(ticket.on_complete.is_none(), "a split job takes no hook");
         // Slab children skip admission (they exist because the whole job
         // fits no lane, and the model prices whole jobs): refuse up front
-        // only when every live lane's queue is full, and then file them past
-        // the bound rather than wait.
+        // only when every live lane's queue is full (counted on the lane
+        // placement would pick), and then file them past the bound rather
+        // than wait.
         let live = || self.lanes.iter().filter(|lane| lane.alive());
         match self
             .bound
             .filter(|&bound| refuse && live().all(|l| l.queued() >= bound))
         {
-            Some(bound) => Err(Rejected::QueueFull(Box::new(QueueFull {
-                bound,
-                job: ticket.job,
-            }))),
+            Some(bound) => {
+                let lane = self.place(footprint, false).unwrap_or(0);
+                Err(queue_full(self.lanes[lane].book(), bound, ticket.job))
+            }
             None => Ok(self.split(ticket, parts, footprint, self.bound.filter(|_| !refuse))),
         }
     }
@@ -291,8 +292,7 @@ impl<L: Lane> Scheduler<L> {
     /// Price `job` once: the cost model's prediction, discounted by what the
     /// cache holds under `key` (`exact`: a converged result; otherwise a
     /// non-bumping snapshot peek, so pricing never perturbs LRU order), and
-    /// the ledger charge — the prediction in whole microseconds, or the
-    /// static weight while the model is cold.
+    /// its [`ledger_charge`].
     fn price(
         &self,
         job: &BatchJob,
@@ -306,13 +306,7 @@ impl<L: Lane> Scheduler<L> {
             .model
             .predict(&cost)
             .map(|full| self.remaining(job, key, exact, full));
-        // Whole microseconds in [0, cost_ceiling()] so charge/retire cycles
-        // cancel exactly (see `cost_ceiling`).
-        let charge = predicted.map_or_else(
-            || cost.static_cost(),
-            |p| (p.as_secs_f64() * 1e6).round().clamp(0.0, cost_ceiling()),
-        );
-        (predicted, charge)
+        (predicted, ledger_charge(&cost, predicted))
     }
 
     /// `full`, less what the cache already holds for `job` under `key`:
@@ -400,19 +394,14 @@ impl<L: Lane> Scheduler<L> {
         job: &BatchJob,
         predicted: Option<Duration>,
     ) -> Option<Rejected> {
-        let obs = &book.obs;
         if let Some(bound) = self.bound.filter(|&bound| queued >= bound) {
-            obs.rejected_queue_full
-                .fetch_add(1, AtomicOrdering::Relaxed);
-            return Some(Rejected::QueueFull(Box::new(QueueFull {
-                bound,
-                job: job.clone(),
-            })));
+            return Some(queue_full(book, bound, job.clone()));
         }
         let deadline = job.deadline()?;
         let estimated = completion(book, predicted?);
         (estimated > deadline).then(|| {
-            obs.rejected_deadline_infeasible
+            book.obs
+                .rejected_deadline_infeasible
                 .fetch_add(1, AtomicOrdering::Relaxed);
             Rejected::DeadlineInfeasible(Box::new(DeadlineInfeasible {
                 estimated,
@@ -586,6 +575,14 @@ impl<L: Lane> Scheduler<L> {
             })),
         )
     }
+}
+
+/// Refuse `job` at the queue `bound`, counted on the lane of `book`: every
+/// [`QueueFull`] is made here, so every one is counted.
+fn queue_full(book: &Book, bound: usize, job: BatchJob) -> Rejected {
+    let refused = &book.obs.rejected_queue_full;
+    refused.fetch_add(1, AtomicOrdering::Relaxed);
+    Rejected::QueueFull(Box::new(QueueFull { bound, job }))
 }
 
 /// `lane`'s backlog per worker plus `predicted`.  The backlog term ignores

@@ -10,7 +10,7 @@
 //!   choosing a method per job ([`crate::BatchJob::with_method`] routes the
 //!   job through any `Box<dyn Integrator>` — all five methods share this one
 //!   queue), a [`Priority`] and a deadline,
-//! * **apply backpressure** — a [`ServicePolicy`] queue bound makes
+//! * **apply backpressure** — a [`ServiceBuilder::queue_bound`] makes
 //!   [`IntegrationService::try_submit`] refuse with
 //!   [`Rejected::QueueFull`] instead of queueing without limit (blocking
 //!   [`IntegrationService::submit`] waits for space instead),
@@ -107,47 +107,8 @@ pub enum Priority {
     High,
 }
 
-/// Service-level scheduling policy: queue bound and worker count.
-///
-/// The default policy is an unbounded queue with one service worker per
-/// device worker — exactly the pre-policy service behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServicePolicy {
-    /// Maximum number of submitted-but-unclaimed jobs.  When the queue is at
-    /// the bound, [`IntegrationService::try_submit`] returns
-    /// [`Rejected::QueueFull`] and [`IntegrationService::submit`] blocks
-    /// until a worker frees a slot.  `None` (the default) never refuses a
-    /// submission.
-    pub queue_bound: Option<usize>,
-    /// Number of resident worker threads; `None` (the default) uses the
-    /// device's effective worker-pool width.
-    pub workers: Option<usize>,
-}
-
-impl ServicePolicy {
-    /// The default policy: unbounded queue, device-sized worker pool.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bound the submission queue at `bound` unclaimed jobs (minimum 1).
-    #[must_use]
-    pub fn with_queue_bound(mut self, bound: usize) -> Self {
-        self.queue_bound = Some(bound.max(1));
-        self
-    }
-
-    /// Use an explicit worker-thread count (minimum 1).
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
-        self
-    }
-}
-
 /// A submission was refused because the queue is at its
-/// [`ServicePolicy::queue_bound`].  Carries the rejected job back so the
+/// [`ServiceBuilder::queue_bound`].  Carries the rejected job back so the
 /// caller can retry, downgrade or shed it.
 #[derive(Debug)]
 pub struct QueueFull {
@@ -203,7 +164,7 @@ impl std::error::Error for DeadlineInfeasible {}
 /// small — rejection is the cold path.)
 #[derive(Debug)]
 pub enum Rejected {
-    /// The queue is at its [`ServicePolicy::queue_bound`] — capacity, not
+    /// The queue is at its [`ServiceBuilder::queue_bound`] — capacity, not
     /// feasibility: retrying after a worker frees a slot can succeed.
     QueueFull(Box<QueueFull>),
     /// The job's deadline cannot be met at the current backlog according to
@@ -768,14 +729,12 @@ impl Scheduler<LocalLane> {
     /// on all of them.
     pub(crate) fn local(builder: ServiceBuilder, splits: bool) -> Self {
         let core = Core::new(builder.config, builder.model, builder.cache);
-        let workers = builder.policy.workers;
         let lanes = builder
             .devices
             .into_iter()
-            .map(|device| LocalLane::start(device, workers, Arc::clone(&core)))
+            .map(|device| LocalLane::start(device, builder.workers, Arc::clone(&core)))
             .collect();
-        let bound = builder.policy.queue_bound;
-        Self::new(core, lanes, builder.dispatch, bound, splits)
+        Self::new(core, lanes, builder.dispatch, builder.queue_bound, splits)
     }
 }
 
@@ -787,14 +746,12 @@ impl Scheduler<LocalLane> {
 #[derive(Debug)]
 pub struct IntegrationService {
     sched: Scheduler<LocalLane>,
-    policy: ServicePolicy,
 }
 
 impl IntegrationService {
     /// The construction path, fed by [`crate::ServiceBuilder::build`].
     pub(crate) fn from_builder(builder: ServiceBuilder) -> Self {
         Self {
-            policy: builder.policy,
             sched: Scheduler::local(builder, false),
         }
     }
@@ -813,12 +770,6 @@ impl IntegrationService {
     #[must_use]
     pub fn config(&self) -> &PaganiConfig {
         &self.sched.core.config
-    }
-
-    /// The scheduling policy in force.
-    #[must_use]
-    pub fn policy(&self) -> ServicePolicy {
-        self.policy
     }
 
     /// Number of resident worker threads.
@@ -859,8 +810,8 @@ impl IntegrationService {
     /// [`IntegrationService::submit`]: it is never refused.  For every
     /// other job, two admission checks run, in order:
     ///
-    /// 1. **Capacity** — a queue at the policy's
-    ///    [`ServicePolicy::queue_bound`] refuses with
+    /// 1. **Capacity** — a queue at its
+    ///    [`ServiceBuilder::queue_bound`] refuses with
     ///    [`Rejected::QueueFull`].
     /// 2. **Feasibility** — a job carrying a deadline is refused with
     ///    [`Rejected::DeadlineInfeasible`] when the measured [`CostModel`]
@@ -1266,14 +1217,13 @@ mod tests {
             .build()
     }
 
-    /// A single-worker service on a single-worker device, with `policy`.
-    fn one_worker(tolerances: Tolerances, policy: ServicePolicy) -> IntegrationService {
+    /// A single-worker service on a single-worker device, still to build.
+    fn one_worker(tolerances: Tolerances) -> crate::ServiceBuilder {
         crate::ServiceBuilder::new(PaganiConfig::test_small(tolerances))
             .device(Device::new(
                 DeviceConfig::test_small().with_worker_threads(1),
             ))
-            .policy(policy.with_workers(1))
-            .build()
+            .workers(1)
     }
 
     #[test]
@@ -1377,7 +1327,7 @@ mod tests {
                 1.0
             })
         };
-        let service = one_worker(Tolerances::rel(1e-3), ServicePolicy::new());
+        let service = one_worker(Tolerances::rel(1e-3)).build();
         let _running = service.submit(BatchJob::new(blocker));
         while !started.load(Ordering::Acquire) {
             std::thread::yield_now();
@@ -1410,10 +1360,7 @@ mod tests {
             }
             1.0
         });
-        let service = one_worker(
-            Tolerances::rel(1e-3),
-            ServicePolicy::new().with_queue_bound(2),
-        );
+        let service = one_worker(Tolerances::rel(1e-3)).queue_bound(2).build();
         // The blocker is *claimed* (not queued) once the worker picks it up.
         let running = service.submit(BatchJob::new(blocker));
         while !started.load(Ordering::Acquire) {
@@ -1462,10 +1409,7 @@ mod tests {
             }
             1.0
         });
-        let service = one_worker(
-            Tolerances::rel(1e-3),
-            ServicePolicy::new().with_queue_bound(1),
-        );
+        let service = one_worker(Tolerances::rel(1e-3)).queue_bound(1).build();
         let running = service.submit(BatchJob::new(blocker));
         while !started.load(Ordering::Acquire) {
             std::thread::yield_now();
@@ -1511,7 +1455,7 @@ mod tests {
             std::thread::sleep(Duration::from_micros(200));
             (x[0] * x[1] * x[2]).sin().mul_add(0.1, 1.0)
         });
-        let service = one_worker(Tolerances::rel(1e-12), ServicePolicy::new());
+        let service = one_worker(Tolerances::rel(1e-12)).build();
         let handle = service.submit(BatchJob::new(slow).with_deadline(Duration::from_millis(50)));
         let output = handle.wait();
         assert_eq!(output.result.termination, Termination::Cancelled);
@@ -1534,7 +1478,7 @@ mod tests {
             }
             1.0
         });
-        let service = one_worker(Tolerances::rel(1e-4), ServicePolicy::new());
+        let service = one_worker(Tolerances::rel(1e-4)).build();
         let running = service.submit(BatchJob::new(blocker));
         while !started.load(Ordering::Acquire) {
             std::thread::yield_now();

@@ -35,8 +35,7 @@
 //! ## One trait, five methods
 //!
 //! Every integrator implements [`Integrator`], so methods are values: build
-//! any of them from a [`MethodConfig`] (or the fluent [`IntegratorBuilder`])
-//! and sweep them through one loop:
+//! any of them from a [`MethodConfig`] and sweep them through one loop:
 //!
 //! ```
 //! use pagani::prelude::*;
@@ -153,14 +152,14 @@ pub use pagani_integrands as integrands;
 pub use pagani_persist as persist;
 pub use pagani_quadrature as quadrature;
 
-pub use pagani_baselines::{IntegratorBuilder, MethodConfig};
+pub use pagani_baselines::MethodConfig;
 pub use pagani_core::batch::integrate_batch;
 pub use pagani_core::{
     Capabilities, CostKey, CostModel, DeadlineInfeasible, DispatchMode, DistributedService,
     Evaluation, IntegrandRegistry, IntegrationService, Integrator, IntegratorFactory, JobHandle,
     Message, MultiDeviceService, Priority, QueueFull, RegionPack, Rejected, RemoteWorker,
-    ResumableOutput, ResumeError, ServiceBuilder, ServiceMetrics, ServicePolicy, WaitStats,
-    WireError, EVAL_LANES, PROTOCOL_VERSION,
+    ResumableOutput, ResumeError, ServiceBuilder, ServiceMetrics, WaitStats, WireError, EVAL_LANES,
+    PROTOCOL_VERSION,
 };
 pub use pagani_device::{BackendCaps, ComputeBackend, CountingBackend, CpuBackend};
 pub use pagani_persist::{CacheKey, CachedResult, ResultCache, Snapshot, WarmStartInfo};
@@ -168,16 +167,15 @@ pub use pagani_persist::{CacheKey, CachedResult, ResultCache, Snapshot, WarmStar
 /// The most commonly used types, re-exported for convenience.
 pub mod prelude {
     pub use pagani_baselines::{
-        Cuhre, CuhreConfig, IntegratorBuilder, MethodConfig, MonteCarlo, MonteCarloConfig, Qmc,
-        QmcConfig, TwoPhase, TwoPhaseConfig,
+        Cuhre, CuhreConfig, MethodConfig, MonteCarlo, MonteCarloConfig, Qmc, QmcConfig, TwoPhase,
+        TwoPhaseConfig,
     };
     pub use pagani_core::{
         integrate_batch, BatchJob, CancelToken, Capabilities, CostKey, CostModel, DispatchMode,
         DistributedService, HeuristicFiltering, IntegrandRegistry, IntegrationService, Integrator,
         IntegratorFactory, JobHandle, MultiDeviceOutput, MultiDevicePagani, MultiDeviceService,
         Pagani, PaganiConfig, PaganiOutput, Priority, QueueFull, Rejected, RemoteWorker,
-        ResultCache, ScratchArena, ServiceBuilder, ServiceMetrics, ServicePolicy, Snapshot,
-        WaitStats,
+        ResultCache, ScratchArena, ServiceBuilder, ServiceMetrics, Snapshot, WaitStats,
     };
     pub use pagani_device::{ComputeBackend, Device, DeviceConfig};
     pub use pagani_integrands::paper::PaperIntegrand;
@@ -207,8 +205,8 @@ mod tests {
     fn prelude_exposes_the_unified_front_door() {
         let f = FnIntegrand::new(2, |x: &[f64]| x[0] + x[1]);
         let device = Device::test_small();
-        let integrator = IntegratorBuilder::pagani(PaganiConfig::test_small(Tolerances::rel(1e-6)))
-            .build(&device);
+        let integrator =
+            MethodConfig::Pagani(PaganiConfig::test_small(Tolerances::rel(1e-6))).build(&device);
         assert!(integrator.integrate(&f).converged());
         let service = ServiceBuilder::new(PaganiConfig::test_small(Tolerances::rel(1e-6)))
             .device(device)

@@ -546,7 +546,6 @@ fn heartbeats_flow_and_are_counted() {
     let worker = spawn_worker(config(), device_with_workers(1), &registry);
     let frontend = ServiceBuilder::new(config())
         .endpoint(worker.local_addr().to_string())
-        .heartbeat_interval(Duration::from_millis(10))
         .build_distributed()
         .expect("connect the front-end");
 

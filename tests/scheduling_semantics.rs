@@ -9,10 +9,11 @@
 //!   directly, bit for bit;
 //! * cancellation is uniform: whatever the method, a cancelled job reports
 //!   `Termination::Cancelled`;
-//! * `try_submit` refuses with `Rejected::QueueFull` at exactly the policy
-//!   bound, and with `Rejected::DeadlineInfeasible` when the measured cost
-//!   model says the deadline cannot be met at the current backlog — the same
-//!   job is accepted at depth 0;
+//! * `try_submit` refuses with `Rejected::QueueFull` at exactly the queue
+//!   bound (and counts the refusal, even of a job no lane holds whole), and
+//!   with `Rejected::DeadlineInfeasible` when the measured cost model says
+//!   the deadline cannot be met at the current backlog — the same job is
+//!   accepted at depth 0;
 //! * the cost model's EWMA convergence is a pure fold: deterministic across
 //!   the worker matrix, and feedback never changes integration results;
 //! * a deadline landing mid-run cancels with partial statistics intact;
@@ -232,6 +233,54 @@ fn try_submit_refuses_at_exactly_the_bound_across_worker_counts() {
         }
         service.shutdown();
     }
+}
+
+#[test]
+fn an_oversized_job_refused_at_every_bound_is_counted() {
+    // Two 1 MiB one-worker lanes bounded at one queued job, each holding a
+    // claimed gated job plus one queued job.  A 5-D job at 1e-6 fits neither
+    // lane whole, so it would slab-split; with every lane full it is refused
+    // up front, and that refusal counts like any other `QueueFull`.
+    let lane = || {
+        Device::new(
+            DeviceConfig::test_small()
+                .with_memory_capacity(1 << 20)
+                .with_worker_threads(1),
+        )
+    };
+    let service = ServiceBuilder::new(PaganiConfig::test_small(Tolerances::rel(1e-6)))
+        .devices([lane(), lane()])
+        .workers(1)
+        .queue_bound(1)
+        .build_multi();
+    let started = Arc::new(AtomicUsize::new(0));
+    let release = Arc::new(AtomicBool::new(false));
+    let gated = || BatchJob::new(blocking_integrand(started.clone(), release.clone()));
+    let depths = || -> Vec<usize> { service.metrics().iter().map(|m| m.queue_depth).collect() };
+    let mut held: Vec<JobHandle> = (0..2).map(|_| service.submit(gated())).collect();
+    while started.load(Ordering::Acquire) < 2 || depths() != [0, 0] {
+        std::thread::yield_now();
+    }
+    held.extend((0..2).map(|_| service.submit(BatchJob::new(PaperIntegrand::f4(3)))));
+    let full = depths();
+    let refused = service.try_submit(BatchJob::new(PaperIntegrand::f4(5)));
+    let counted: u64 = service
+        .metrics()
+        .iter()
+        .map(|m| m.rejected_queue_full)
+        .sum();
+    // Open the gate before asserting, so a failure cannot park the workers.
+    release.store(true, Ordering::Release);
+    assert_eq!(full, [1, 1]);
+    assert!(
+        matches!(refused, Err(Rejected::QueueFull(_))),
+        "{refused:?}"
+    );
+    assert_eq!(counted, 1);
+    for handle in &held {
+        assert!(handle.wait().result.converged());
+    }
+    service.shutdown();
 }
 
 /// Seed `service`'s cost model so that jobs in `key`'s bucket are predicted
