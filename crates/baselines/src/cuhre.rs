@@ -6,10 +6,13 @@
 //! relative error satisfies the tolerance or the evaluation budget runs out.  The
 //! error estimates are refined with Berntsen's two-level estimate, matching the
 //! `final=1` setting the paper uses for Cuba.
+//!
+//! That loop is written once, here: the two-phase method's phase II runs it on
+//! each region phase I leaves, with a bounded heap (§2.2.1).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use pagani_core::integrator::{check_cancelled, ensure_matching_dims, Capabilities, Integrator};
 use pagani_core::CancelToken;
@@ -25,8 +28,6 @@ pub struct CuhreConfig {
     pub tolerances: Tolerances,
     /// Maximum number of integrand evaluations (the paper sets 10⁹).
     pub max_evaluations: u64,
-    /// Whether to apply the two-level error refinement to children estimates.
-    pub two_level_errors: bool,
 }
 
 impl CuhreConfig {
@@ -36,7 +37,6 @@ impl CuhreConfig {
         Self {
             tolerances,
             max_evaluations: 1_000_000_000,
-            two_level_errors: true,
         }
     }
 
@@ -143,101 +143,124 @@ impl Cuhre {
     ) -> IntegrationResult {
         ensure_matching_dims(f, region);
         let start = Instant::now();
-        let dim = f.dim();
-        let rule = GenzMalik::new(dim);
-        let mut scratch = EvalScratch::new(dim);
-        let tolerances = self.config.tolerances;
-
-        let first = rule.evaluate(f, region, &mut scratch);
-        let mut evaluations = first.evaluations as u64;
-        let mut heap = BinaryHeap::new();
-        heap.push(HeapRegion {
-            region: region.clone(),
-            integral: first.integral,
-            error: first.error,
-            split_axis: first.split_axis,
-        });
-        let mut total_integral = first.integral;
-        let mut total_error = first.error;
-        let mut regions_generated = 1u64;
-        let mut iterations = 0usize;
-        let termination;
-
-        loop {
-            if tolerances.satisfied_by(total_integral, total_error) {
-                termination = Termination::Converged;
-                break;
-            }
-            // Cancellation checkpoint: one per heap pop, after the convergence
-            // check so a run that already satisfied its tolerances keeps its
-            // converged status even when a cancel races the finish.
-            if let Some(cancelled) = check_cancelled(cancel) {
-                termination = cancelled;
-                break;
-            }
-            if evaluations >= self.config.max_evaluations {
-                termination = Termination::MaxEvaluations;
-                break;
-            }
-            let Some(worst) = heap.pop() else {
-                termination = Termination::MaxIterations;
-                break;
-            };
-            iterations += 1;
-            let (left, right) = worst.region.split(worst.split_axis);
-            let left_est = rule.evaluate(f, &left, &mut scratch);
-            let right_est = rule.evaluate(f, &right, &mut scratch);
-            evaluations += (left_est.evaluations + right_est.evaluations) as u64;
-            regions_generated += 2;
-
-            let (left_err, right_err) = if self.config.two_level_errors {
-                (
-                    refine_error(
-                        left_est.integral,
-                        left_est.error,
-                        right_est.integral,
-                        right_est.error,
-                        worst.integral,
-                    ),
-                    refine_error(
-                        right_est.integral,
-                        right_est.error,
-                        left_est.integral,
-                        left_est.error,
-                        worst.integral,
-                    ),
-                )
-            } else {
-                (left_est.error, right_est.error)
-            };
-
-            total_integral += left_est.integral + right_est.integral - worst.integral;
-            total_error += left_err + right_err - worst.error;
-
-            heap.push(HeapRegion {
-                region: left,
-                integral: left_est.integral,
-                error: left_err,
-                split_axis: left_est.split_axis,
-            });
-            heap.push(HeapRegion {
-                region: right,
-                integral: right_est.integral,
-                error: right_err,
-                split_axis: right_est.split_axis,
-            });
-        }
-
+        let result = sequential(
+            f,
+            &GenzMalik::new(f.dim()),
+            region,
+            self.config.tolerances,
+            self.config.max_evaluations,
+            usize::MAX,
+            cancel,
+        );
         IntegrationResult {
-            estimate: total_integral,
-            error_estimate: total_error,
-            termination,
-            iterations,
-            function_evaluations: evaluations,
-            regions_generated,
-            active_regions_final: heap.len(),
             wall_time: start.elapsed(),
+            ..result
         }
+    }
+}
+
+/// The sequential adaptive loop (Algorithm 1) on one region.  Before each heap
+/// pop it stops on the first of: tolerances met, `cancel` set,
+/// `max_evaluations` spent, `heap_capacity` regions held
+/// ([`Termination::MemoryExhausted`]), an empty heap.  Cuhre passes
+/// `usize::MAX` as the capacity, each two-phase phase II processor its local
+/// heap size.  `wall_time` is zero: a caller that reports one times the call.
+pub(crate) fn sequential<F: Integrand + ?Sized>(
+    f: &F,
+    rule: &GenzMalik,
+    region: &Region,
+    tolerances: Tolerances,
+    max_evaluations: u64,
+    heap_capacity: usize,
+    cancel: &CancelToken,
+) -> IntegrationResult {
+    let mut scratch = EvalScratch::new(rule.dim());
+    let first = rule.evaluate(f, region, &mut scratch);
+    let mut evaluations = first.evaluations as u64;
+    let mut heap = BinaryHeap::new();
+    heap.push(HeapRegion {
+        region: region.clone(),
+        integral: first.integral,
+        error: first.error,
+        split_axis: first.split_axis,
+    });
+    let mut total_integral = first.integral;
+    let mut total_error = first.error;
+    let mut regions_generated = 1u64;
+    let mut iterations = 0usize;
+    let termination;
+
+    loop {
+        if tolerances.satisfied_by(total_integral, total_error) {
+            termination = Termination::Converged;
+            break;
+        }
+        // Cancellation checkpoint: one per heap pop, after the convergence
+        // check so a run that already satisfied its tolerances keeps its
+        // converged status even when a cancel races the finish.
+        if let Some(cancelled) = check_cancelled(cancel) {
+            termination = cancelled;
+            break;
+        }
+        if evaluations >= max_evaluations {
+            termination = Termination::MaxEvaluations;
+            break;
+        }
+        if heap.len() >= heap_capacity {
+            termination = Termination::MemoryExhausted;
+            break;
+        }
+        let Some(worst) = heap.pop() else {
+            termination = Termination::MaxIterations;
+            break;
+        };
+        iterations += 1;
+        let (left, right) = worst.region.split(worst.split_axis);
+        let left_est = rule.evaluate(f, &left, &mut scratch);
+        let right_est = rule.evaluate(f, &right, &mut scratch);
+        evaluations += (left_est.evaluations + right_est.evaluations) as u64;
+        regions_generated += 2;
+
+        let left_err = refine_error(
+            left_est.integral,
+            left_est.error,
+            right_est.integral,
+            right_est.error,
+            worst.integral,
+        );
+        let right_err = refine_error(
+            right_est.integral,
+            right_est.error,
+            left_est.integral,
+            left_est.error,
+            worst.integral,
+        );
+        total_integral += left_est.integral + right_est.integral - worst.integral;
+        total_error += left_err + right_err - worst.error;
+
+        heap.push(HeapRegion {
+            region: left,
+            integral: left_est.integral,
+            error: left_err,
+            split_axis: left_est.split_axis,
+        });
+        heap.push(HeapRegion {
+            region: right,
+            integral: right_est.integral,
+            error: right_err,
+            split_axis: right_est.split_axis,
+        });
+    }
+
+    IntegrationResult {
+        estimate: total_integral,
+        error_estimate: total_error,
+        termination,
+        iterations,
+        function_evaluations: evaluations,
+        regions_generated,
+        active_regions_final: heap.len(),
+        wall_time: Duration::ZERO,
     }
 }
 
@@ -380,21 +403,5 @@ mod tests {
         );
         assert_eq!(plain.estimate.to_bits(), with_token.estimate.to_bits());
         assert_eq!(plain.function_evaluations, with_token.function_evaluations);
-    }
-
-    #[test]
-    fn two_level_refinement_changes_error_estimates() {
-        let f = PaperIntegrand::f5(3);
-        let with = Cuhre::new(CuhreConfig::new(Tolerances::rel(1e-4))).integrate(&f);
-        let without = Cuhre::new(CuhreConfig {
-            two_level_errors: false,
-            ..CuhreConfig::new(Tolerances::rel(1e-4))
-        })
-        .integrate(&f);
-        // Both must be accurate; the refined error estimate is more conservative so it
-        // typically needs at least as many regions.
-        assert!(with.true_relative_error(f.reference_value()) < 1e-3);
-        assert!(without.true_relative_error(f.reference_value()) < 1e-3);
-        assert!(with.regions_generated >= without.regions_generated);
     }
 }

@@ -3,19 +3,21 @@
 //! Phase I expands the sub-region tree breadth-first — every region is split each
 //! iteration unless its own relative error already satisfies the tolerance — until the
 //! list is large enough for a 1-1 mapping onto the device's parallel processors
-//! (2¹⁵ blocks in the paper's configuration).  Phase II then hands each surviving
-//! region to an independent processor that runs the sequential Cuhre loop with a
-//! bounded local heap (2048 regions per block) and **no global coordination**: the
-//! processor stops when its *local* error looks good relative to its own estimates or
-//! its memory/evaluation budget runs out.  Those local, globally-blind termination
-//! conditions are exactly why the method loses digits on hard integrands and fails
-//! outright when the per-processor memory runs out — the behaviour Figures 4, 5 and 9
-//! of the paper document and this reproduction reproduces.
+//! (2¹⁵ blocks in the paper's configuration).  Its initial uniform split follows
+//! PAGANI's rule ([`splits_per_axis`]).  Phase II then hands each surviving region to
+//! an independent processor that runs Cuhre's sequential loop (Algorithm 1, the one
+//! copy in [`crate::cuhre`]) with a bounded local heap (2048 regions per block) and
+//! **no global coordination**: the processor stops when its *local* error looks good
+//! relative to its own estimates or its memory/evaluation budget runs out.  Those
+//! local, globally-blind termination conditions are exactly why the method loses
+//! digits on hard integrands and fails outright when the per-processor memory runs
+//! out — the behaviour Figures 4, 5 and 9 of the paper document and this reproduction
+//! reproduces.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::time::Instant;
 
+use crate::cuhre::sequential;
+use pagani_core::config::splits_per_axis;
 use pagani_core::integrator::{check_cancelled, ensure_matching_dims, Capabilities, Integrator};
 use pagani_core::CancelToken;
 use pagani_device::{reduce, Device};
@@ -77,16 +79,6 @@ impl Default for TwoPhaseConfig {
     }
 }
 
-/// Outcome of one phase II processor.
-#[derive(Debug, Clone, Copy)]
-struct ProcessorOutcome {
-    integral: f64,
-    error: f64,
-    evaluations: u64,
-    regions: u64,
-    memory_exhausted: bool,
-}
-
 /// The two-phase integrator.
 #[derive(Debug, Clone)]
 pub struct TwoPhase {
@@ -145,7 +137,7 @@ impl TwoPhase {
         let tolerances = self.config.tolerances;
 
         // ----- Phase I: breadth-first expansion with relative-error filtering. -----
-        let d = initial_splits(dim, self.config.phase1_region_target);
+        let d = splits_per_axis(dim, self.config.phase1_region_target);
         let mut active: Vec<Region> = region.uniform_split(d);
         let mut finished_estimate = 0.0f64;
         let mut finished_error = 0.0f64;
@@ -279,11 +271,11 @@ impl TwoPhase {
             };
         }
 
-        // ----- Phase II: independent sequential Cuhre per region. -------------------
+        // ----- Phase II: Cuhre's sequential loop, independently per region. ------
         let heap_capacity = self.config.phase2_heap_capacity;
         let local_budget = self.config.phase2_max_evaluations;
         // Five lanes per processor: integral, error, evaluation count,
-        // regions processed, and a 0/1 memory-exhaustion flag.  The counts
+        // regions generated, and a 0/1 memory-exhaustion flag.  The counts
         // ride in `f64` lanes; both are bounded far below 2^53 (by the
         // per-processor evaluation budget), so the round trip is exact.
         let mut outcomes = vec![0.0f64; active.len() * 5];
@@ -294,20 +286,23 @@ impl TwoPhase {
                 5,
                 &mut outcomes,
                 |ctx, out| {
-                    let outcome = phase2_processor(
+                    // Local termination: the processor only sees its own
+                    // estimates.  Every processor polls the same token, so a
+                    // cancel stops the whole phase within one local pop each.
+                    let local = sequential(
                         f,
                         &rule,
                         &active[ctx.block_idx],
                         tolerances,
-                        heap_capacity,
                         local_budget,
+                        heap_capacity,
                         cancel,
                     );
-                    out[0] = outcome.integral;
-                    out[1] = outcome.error;
-                    out[2] = outcome.evaluations as f64;
-                    out[3] = outcome.regions as f64;
-                    out[4] = f64::from(u8::from(outcome.memory_exhausted));
+                    out[0] = local.estimate;
+                    out[1] = local.error_estimate;
+                    out[2] = local.function_evaluations as f64;
+                    out[3] = local.regions_generated as f64;
+                    out[4] = f64::from(u8::from(local.termination == Termination::MemoryExhausted));
                 },
             )
             .expect("phase II launch cannot be empty");
@@ -375,137 +370,6 @@ impl Integrator for TwoPhase {
     }
 }
 
-/// Number of parts per axis for the initial uniform split, mirroring PAGANI's rule.
-fn initial_splits(dim: usize, target: usize) -> usize {
-    let mut d = 2usize;
-    loop {
-        let next = d + 1;
-        let Some(count) = next.checked_pow(dim as u32) else {
-            break;
-        };
-        if count > target.max(2) {
-            break;
-        }
-        d = next;
-    }
-    d
-}
-
-#[derive(Debug, Clone)]
-struct LocalRegion {
-    region: Region,
-    integral: f64,
-    error: f64,
-    split_axis: usize,
-}
-
-impl PartialEq for LocalRegion {
-    fn eq(&self, other: &Self) -> bool {
-        self.error == other.error
-    }
-}
-impl Eq for LocalRegion {}
-impl PartialOrd for LocalRegion {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for LocalRegion {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.error
-            .partial_cmp(&other.error)
-            .unwrap_or(Ordering::Equal)
-    }
-}
-
-/// One phase II processor: a locally-bounded sequential Cuhre on a single region.
-#[allow(clippy::too_many_arguments)]
-fn phase2_processor<F: Integrand + ?Sized>(
-    f: &F,
-    rule: &GenzMalik,
-    region: &Region,
-    tolerances: Tolerances,
-    heap_capacity: usize,
-    max_evaluations: u64,
-    cancel: &CancelToken,
-) -> ProcessorOutcome {
-    let mut scratch = EvalScratch::new(rule.dim());
-    let first = rule.evaluate(f, region, &mut scratch);
-    let mut evaluations = first.evaluations as u64;
-    let mut regions = 1u64;
-    let mut heap = BinaryHeap::new();
-    heap.push(LocalRegion {
-        region: region.clone(),
-        integral: first.integral,
-        error: first.error,
-        split_axis: first.split_axis,
-    });
-    let mut total_integral = first.integral;
-    let mut total_error = first.error;
-    let mut memory_exhausted = false;
-
-    loop {
-        // Local termination: the processor only sees its own estimates.
-        if tolerances.satisfied_by(total_integral, total_error) {
-            break;
-        }
-        // The shared cancellation checkpoint: every processor polls the same
-        // token, so a cancel stops the whole phase within one local pop each.
-        if check_cancelled(cancel).is_some() {
-            break;
-        }
-        if evaluations >= max_evaluations {
-            break;
-        }
-        if heap.len() + 1 > heap_capacity {
-            memory_exhausted = true;
-            break;
-        }
-        let Some(worst) = heap.pop() else { break };
-        let (left, right) = worst.region.split(worst.split_axis);
-        let left_est = rule.evaluate(f, &left, &mut scratch);
-        let right_est = rule.evaluate(f, &right, &mut scratch);
-        evaluations += (left_est.evaluations + right_est.evaluations) as u64;
-        regions += 2;
-        let left_err = pagani_quadrature::two_level::refine_error(
-            left_est.integral,
-            left_est.error,
-            right_est.integral,
-            right_est.error,
-            worst.integral,
-        );
-        let right_err = pagani_quadrature::two_level::refine_error(
-            right_est.integral,
-            right_est.error,
-            left_est.integral,
-            left_est.error,
-            worst.integral,
-        );
-        total_integral += left_est.integral + right_est.integral - worst.integral;
-        total_error += left_err + right_err - worst.error;
-        heap.push(LocalRegion {
-            region: left,
-            integral: left_est.integral,
-            error: left_err,
-            split_axis: left_est.split_axis,
-        });
-        heap.push(LocalRegion {
-            region: right,
-            integral: right_est.integral,
-            error: right_err,
-            split_axis: right_est.split_axis,
-        });
-    }
-
-    ProcessorOutcome {
-        integral: total_integral,
-        error: total_error,
-        evaluations,
-        regions,
-        memory_exhausted,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,9 +409,23 @@ mod tests {
 
     #[test]
     fn initial_splits_match_pagani_rule() {
-        assert_eq!(initial_splits(8, 1 << 15), 3);
-        assert_eq!(initial_splits(5, 1 << 15), 8);
-        assert_eq!(initial_splits(3, 512), 8);
+        // Phase I's initial uniform split, at the paper's and the unit-test targets.
+        let paper = TwoPhaseConfig::default().phase1_region_target;
+        let small = TwoPhaseConfig::test_small(Tolerances::rel(1e-3)).phase1_region_target;
+        assert_eq!(splits_per_axis(8, paper), 3);
+        assert_eq!(splits_per_axis(5, paper), 8);
+        assert_eq!(splits_per_axis(3, small), 8);
+        // PAGANI's automatic split at the same target agrees in every dimension.
+        let pagani = pagani_core::config::PaganiConfig {
+            initial_region_target: paper,
+            ..pagani_core::config::PaganiConfig::new(Tolerances::default())
+        };
+        for dim in 1..=8 {
+            assert_eq!(
+                splits_per_axis(dim, paper),
+                pagani.resolve_splits_per_axis(dim)
+            );
+        }
     }
 
     #[test]

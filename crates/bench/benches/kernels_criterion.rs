@@ -7,7 +7,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use pagani_core::classify::ACTIVE;
 use pagani_core::region_list::RegionList;
-use pagani_core::threshold::{threshold_classify, ThresholdPolicy};
+use pagani_core::threshold::threshold_classify;
 use pagani_core::ScratchArena;
 use pagani_device::{reduce, scan, Device, DeviceConfig, MemoryPool};
 use pagani_integrands::paper::PaperIntegrand;
@@ -61,14 +61,7 @@ fn bench_threshold_search(c: &mut Criterion) {
     let arena = ScratchArena::new();
     group.bench_function("100k_regions", |b| {
         b.iter(|| {
-            let outcome = threshold_classify(
-                &mask,
-                &errors,
-                1e-6,
-                iteration_error,
-                ThresholdPolicy::default(),
-                &arena,
-            );
+            let outcome = threshold_classify(&mask, &errors, 1e-6, iteration_error, &arena);
             arena.put_mask(black_box(outcome).mask);
         })
     });

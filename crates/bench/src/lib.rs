@@ -16,6 +16,10 @@
 //!   lower precision but keep host RSS reasonable.
 //! * `PAGANI_BENCH_MAX_EVALS` — evaluation budget for Cuhre/QMC sweeps (default 5·10⁷;
 //!   the paper allows 10⁹ for Cuhre).
+//! * `PAGANI_BENCH_TWO_PHASE_REGIONS`, `PAGANI_BENCH_TWO_PHASE_HEAP`,
+//!   `PAGANI_BENCH_TWO_PHASE_EVALS` — the two-phase method's phase I region target
+//!   (default 2048), phase II heap capacity (512) and phase II evaluation budget per
+//!   processor (500 000); see [`run_two_phase`].
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
@@ -96,7 +100,8 @@ pub fn run_pagani_with_filtering(
 /// the paper's V100 figures (2¹⁵ regions / 2048-region heaps) by the same factor as
 /// the default device memory, so that a full sweep stays tractable on a CPU; override
 /// with `PAGANI_BENCH_TWO_PHASE_REGIONS` / `PAGANI_BENCH_TWO_PHASE_HEAP` to restore
-/// the paper's configuration.
+/// the paper's configuration, and with `PAGANI_BENCH_TWO_PHASE_EVALS` to change each
+/// phase II processor's evaluation budget.
 #[must_use]
 pub fn run_two_phase(
     device: &Device,

@@ -111,22 +111,29 @@ impl PaganiConfig {
             assert!(d >= 1, "splits_per_axis must be at least 1");
             return d;
         }
-        // Largest d ≥ 2 with d^dim ≤ initial_region_target (but never more than the
-        // target itself in one dimension).
-        let target = self.initial_region_target.max(2);
-        let mut d = 2usize;
-        loop {
-            let next = d + 1;
-            let Some(count) = next.checked_pow(dim as u32) else {
-                break;
-            };
-            if count > target {
-                break;
-            }
-            d = next;
-        }
-        d
+        splits_per_axis(dim, self.initial_region_target)
     }
+}
+
+/// The initial uniform split rule (Algorithm 2, line 4): the number of parts
+/// `d` each of `dim` axes is cut into for a list of about `target` regions,
+/// the largest `d` with `d^dim ≤ target` but never less than 2.  PAGANI's
+/// automatic split and the two-phase method's phase I both use it.
+#[must_use]
+pub fn splits_per_axis(dim: usize, target: usize) -> usize {
+    let target = target.max(2);
+    let mut d = 2usize;
+    loop {
+        let next = d + 1;
+        let Some(count) = next.checked_pow(dim as u32) else {
+            break;
+        };
+        if count > target {
+            break;
+        }
+        d = next;
+    }
+    d
 }
 
 impl Default for PaganiConfig {
@@ -157,6 +164,11 @@ mod tests {
         assert_eq!(cfg.resolve_splits_per_axis(5), 8);
         // 2 dimensions: 181² = 32761 ≤ 32768.
         assert_eq!(cfg.resolve_splits_per_axis(2), 181);
+        // The rule itself, at the two-phase method's phase I targets.
+        assert_eq!(splits_per_axis(8, 1 << 15), 3);
+        assert_eq!(splits_per_axis(5, 1 << 15), 8);
+        // 3 dimensions: 8^3 = 512 ≤ 512 < 9^3.
+        assert_eq!(splits_per_axis(3, 512), 8);
     }
 
     #[test]

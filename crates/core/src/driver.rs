@@ -23,7 +23,7 @@ use crate::evaluate::{evaluate_all, Evaluation};
 use crate::integrator::{check_cancelled, ensure_matching_dims};
 use crate::region_list::RegionList;
 use crate::resume::{ResumableOutput, ResumeError};
-use crate::threshold::{threshold_classify, ThresholdPolicy};
+use crate::threshold::threshold_classify;
 use crate::trace::{ExecutionTrace, IterationRecord, ThresholdSearchRecord, ThresholdTrigger};
 
 /// A cooperative cancellation flag shared between a running integration and
@@ -619,14 +619,7 @@ impl<'a, F: Integrand + ?Sized> Run<'a, F> {
         };
         let arena = self.arena;
         let outcome = self.pagani.device.timed_section("threshold.search", || {
-            threshold_classify(
-                mask,
-                &eval.errors,
-                error_budget,
-                generation_error,
-                ThresholdPolicy::default(),
-                arena,
-            )
+            threshold_classify(mask, &eval.errors, error_budget, generation_error, arena)
         });
         self.trace.threshold_searches.push(ThresholdSearchRecord {
             iteration,

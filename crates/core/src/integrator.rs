@@ -29,7 +29,7 @@
 //! and [`crate::MultiDeviceService`] (N lanes, one shared cost model) on top
 //! of that.  `ARCHITECTURE.md` at the repository root draws the full picture.
 
-use std::time::Instant;
+use std::time::Duration;
 
 use pagani_device::Device;
 use pagani_quadrature::{Integrand, IntegrationResult, Region, Termination, Tolerances};
@@ -116,15 +116,16 @@ pub trait Integrator: Send + Sync {
         self.integrate_region(f, &Region::new(lo, hi))
     }
 
-    /// Integrate `f` over a disjoint union of regions and combine the
-    /// per-region results: estimates, errors, function evaluations, generated
-    /// regions and final active-region counts are summed; `iterations` is the
-    /// maximum over the parts (the parts are independent runs, not one longer
-    /// run); the most severe per-region termination is reported.
+    /// Integrate `f` over a disjoint union of regions, one region after
+    /// another, and combine the per-region results: estimates, errors,
+    /// function evaluations, generated regions, final active-region counts
+    /// and wall times are summed (the parts run in sequence, so the call
+    /// reads no clock of its own); `iterations` is the maximum over the parts
+    /// (the parts are independent runs, not one longer run); the most severe
+    /// per-region termination is reported.
     ///
     /// An empty slice yields an exact zero result.
     fn integrate_regions(&self, f: &dyn Integrand, regions: &[Region]) -> IntegrationResult {
-        let start = Instant::now();
         let mut combined = IntegrationResult {
             estimate: 0.0,
             error_estimate: 0.0,
@@ -133,7 +134,7 @@ pub trait Integrator: Send + Sync {
             function_evaluations: 0,
             regions_generated: 0,
             active_regions_final: 0,
-            wall_time: start.elapsed(),
+            wall_time: Duration::ZERO,
         };
         for region in regions {
             let part = self.integrate_region(f, region);
@@ -144,8 +145,8 @@ pub trait Integrator: Send + Sync {
             combined.regions_generated += part.regions_generated;
             combined.active_regions_final += part.active_regions_final;
             combined.termination = worst_termination(combined.termination, part.termination);
+            combined.wall_time += part.wall_time;
         }
-        combined.wall_time = start.elapsed();
         combined
     }
 }

@@ -28,7 +28,7 @@
 //! pools, memory-pressure behaviour) depends on placement.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use pagani_quadrature::{Integrand, IntegrationResult, Region, Termination, Tolerances};
 
@@ -290,6 +290,8 @@ impl MultiDevicePagani {
     }
 
     /// Integrate `f` over an explicit region, one slab per device, concurrently.
+    /// The slab results fold as a slab-split service job's do, so the
+    /// combined wall time is the slowest slab's.
     ///
     /// # Panics
     /// Panics if the region and integrand dimensions differ.
@@ -299,7 +301,6 @@ impl MultiDevicePagani {
         region: &Region,
     ) -> MultiDeviceOutput {
         ensure_matching_dims(f, region);
-        let start = Instant::now();
         let slabs = Self::partition(region, self.devices.len());
 
         let per_device: Vec<PaganiOutput> = std::thread::scope(|scope| {
@@ -319,78 +320,54 @@ impl MultiDevicePagani {
         });
 
         MultiDeviceOutput {
-            result: combine_results(
-                per_device.iter().map(|o| &o.result),
-                self.config.tolerances,
-                start.elapsed(),
-            ),
+            result: combine_slab_outputs(&per_device, self.config.tolerances).result,
             per_device,
         }
     }
 }
 
-/// The slab-composition fold shared by [`MultiDevicePagani::integrate_region`]
-/// and the slab-splitting service path: sum estimates, errors and counters
-/// over the slab results **in slab order** (the fold order is part of the
-/// bit-determinism contract — f64 addition does not commute in the last ulp).
+/// The §4.4 slab fold, shared by [`MultiDevicePagani::integrate_region`] and
+/// the slab-splitting service path: sum estimates, errors and counters over
+/// the slab outputs **in slab order** (the fold order is part of the
+/// bit-determinism contract — f64 addition does not commute in the last
+/// ulp).  `iterations` is the maximum over the slabs.
 ///
 /// The combined run converged if every slab did, or if the summed errors
 /// happen to satisfy the tolerance anyway; otherwise it reports the most
-/// severe slab termination ([`worst_termination`]).
-fn combine_results<'a>(
-    results: impl Iterator<Item = &'a IntegrationResult>,
-    tolerances: Tolerances,
-    wall_time: Duration,
-) -> IntegrationResult {
-    let mut estimate = 0.0;
-    let mut error = 0.0;
-    let mut function_evaluations = 0;
-    let mut regions_generated = 0;
-    let mut iterations = 0;
-    let mut active_final = 0;
-    let mut worst = Termination::Converged;
-    for result in results {
-        estimate += result.estimate;
-        error += result.error_estimate;
-        function_evaluations += result.function_evaluations;
-        regions_generated += result.regions_generated;
-        iterations = iterations.max(result.iterations);
-        active_final += result.active_regions_final;
-        worst = worst_termination(worst, result.termination);
-    }
-    let termination = if tolerances.satisfied_by(estimate, error) {
-        Termination::Converged
-    } else {
-        worst
-    };
-    IntegrationResult {
-        estimate,
-        error_estimate: error,
-        termination,
-        iterations,
-        function_evaluations,
-        regions_generated,
-        active_regions_final: active_final,
-        wall_time,
-    }
-}
-
-/// Recombine slab-child outputs into the parent's output: the
-/// [`combine_results`] fold in slab order, wall time the slowest child's
-/// (children run concurrently; the fold reads no clock of its own, so
-/// results stay a pure function of the slab outputs).  The parent's trace is
-/// empty — per-slab traces describe per-device runs and do not compose.
+/// severe slab termination ([`worst_termination`]).  Its wall time is the
+/// slowest slab's (slabs run concurrently; the fold reads no clock of its
+/// own, so results stay a pure function of the slab outputs).  The combined
+/// trace is empty — per-slab traces describe per-device runs and do not
+/// compose.
 pub(crate) fn combine_slab_outputs(
     outputs: &[PaganiOutput],
     tolerances: Tolerances,
 ) -> PaganiOutput {
-    let wall_time = outputs
-        .iter()
-        .map(|o| o.result.wall_time)
-        .max()
-        .unwrap_or_default();
+    let mut combined = IntegrationResult {
+        estimate: 0.0,
+        error_estimate: 0.0,
+        termination: Termination::Converged,
+        iterations: 0,
+        function_evaluations: 0,
+        regions_generated: 0,
+        active_regions_final: 0,
+        wall_time: Duration::ZERO,
+    };
+    for part in outputs.iter().map(|o| &o.result) {
+        combined.estimate += part.estimate;
+        combined.error_estimate += part.error_estimate;
+        combined.iterations = combined.iterations.max(part.iterations);
+        combined.function_evaluations += part.function_evaluations;
+        combined.regions_generated += part.regions_generated;
+        combined.active_regions_final += part.active_regions_final;
+        combined.termination = worst_termination(combined.termination, part.termination);
+        combined.wall_time = combined.wall_time.max(part.wall_time);
+    }
+    if tolerances.satisfied_by(combined.estimate, combined.error_estimate) {
+        combined.termination = Termination::Converged;
+    }
     PaganiOutput {
-        result: combine_results(outputs.iter().map(|o| &o.result), tolerances, wall_time),
+        result: combined,
         trace: ExecutionTrace::default(),
     }
 }
@@ -695,11 +672,14 @@ mod tests {
             slab(Termination::MaxIterations),
         ];
         for order in [[0, 1], [1, 0]] {
-            let combined = combine_results(
-                order.iter().map(|&i| &slabs[i]),
-                Tolerances::rel(1e-6),
-                Duration::ZERO,
-            );
+            let outputs: Vec<PaganiOutput> = order
+                .iter()
+                .map(|&i| PaganiOutput {
+                    result: slabs[i].clone(),
+                    trace: ExecutionTrace::default(),
+                })
+                .collect();
+            let combined = combine_slab_outputs(&outputs, Tolerances::rel(1e-6)).result;
             assert_eq!(combined.termination, Termination::MemoryExhausted);
         }
     }

@@ -1226,6 +1226,17 @@ mod tests {
             .workers(1)
     }
 
+    /// Opens a gate flag when dropped.  Bound after the service it gates, it
+    /// opens the gate before the lane's `Drop` joins workers parked on it, so
+    /// a failed assertion fails the test instead of hanging it.
+    struct OpenOnDrop(Arc<std::sync::atomic::AtomicBool>);
+
+    impl Drop for OpenOnDrop {
+        fn drop(&mut self) {
+            self.0.store(true, std::sync::atomic::Ordering::Release);
+        }
+    }
+
     #[test]
     fn submit_wait_roundtrip() {
         let service = service(2);
@@ -1328,6 +1339,7 @@ mod tests {
             })
         };
         let service = one_worker(Tolerances::rel(1e-3)).build();
+        let _open = OpenOnDrop(Arc::clone(&release));
         let _running = service.submit(BatchJob::new(blocker));
         while !started.load(Ordering::Acquire) {
             std::thread::yield_now();
@@ -1361,6 +1373,7 @@ mod tests {
             1.0
         });
         let service = one_worker(Tolerances::rel(1e-3)).queue_bound(2).build();
+        let _open = OpenOnDrop(Arc::clone(&release));
         // The blocker is *claimed* (not queued) once the worker picks it up.
         let running = service.submit(BatchJob::new(blocker));
         while !started.load(Ordering::Acquire) {
@@ -1410,6 +1423,7 @@ mod tests {
             1.0
         });
         let service = one_worker(Tolerances::rel(1e-3)).queue_bound(1).build();
+        let _open = OpenOnDrop(Arc::clone(&release));
         let running = service.submit(BatchJob::new(blocker));
         while !started.load(Ordering::Acquire) {
             std::thread::yield_now();
@@ -1479,6 +1493,7 @@ mod tests {
             1.0
         });
         let service = one_worker(Tolerances::rel(1e-4)).build();
+        let _open = OpenOnDrop(Arc::clone(&release));
         let running = service.submit(BatchJob::new(blocker));
         while !started.load(Ordering::Acquire) {
             std::thread::yield_now();
@@ -1520,6 +1535,7 @@ mod tests {
             1.0
         });
         let service = service(1);
+        let _open = OpenOnDrop(Arc::clone(&gate));
         let running = service.submit(BatchJob::new(blocker));
         let queued = service.submit(BatchJob::new(PaperIntegrand::f4(4)));
         queued.cancel();

@@ -49,35 +49,19 @@ pub struct ThresholdOutcome {
     pub probes: Vec<ThresholdProbe>,
 }
 
-/// Tuning constants of the search (fixed in the paper; exposed for tests/ablations).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThresholdPolicy {
-    /// Initial fraction of the error budget the finished regions may consume.
-    pub initial_budget_fraction: f64,
-    /// Relaxation added to the budget fraction on every direction change.
-    pub budget_relaxation: f64,
-    /// Maximum budget fraction after relaxation.
-    pub max_budget_fraction: f64,
-    /// Minimum fraction of the processed regions that must be finished.
-    pub min_finished_fraction: f64,
-    /// Maximum number of search-direction changes before giving up.
-    pub max_direction_changes: usize,
-    /// Hard cap on probes (safety net).
-    pub max_probes: usize,
-}
-
-impl Default for ThresholdPolicy {
-    fn default() -> Self {
-        Self {
-            initial_budget_fraction: 0.25,
-            budget_relaxation: 0.10,
-            max_budget_fraction: 0.95,
-            min_finished_fraction: 0.5,
-            max_direction_changes: 8,
-            max_probes: 64,
-        }
-    }
-}
+// The search's constants, fixed in the paper.
+/// Initial fraction of the error budget the finished regions may consume.
+const INITIAL_BUDGET_FRACTION: f64 = 0.25;
+/// Relaxation added to the budget fraction on every direction change.
+const BUDGET_RELAXATION: f64 = 0.10;
+/// Maximum budget fraction after relaxation.
+const MAX_BUDGET_FRACTION: f64 = 0.95;
+/// Minimum fraction of the processed regions that must be finished.
+const MIN_FINISHED_FRACTION: f64 = 0.5;
+/// Maximum number of search-direction changes before giving up.
+const MAX_DIRECTION_CHANGES: usize = 8;
+/// Hard cap on probes (safety net).
+const MAX_PROBES: usize = 64;
 
 /// Run the threshold classification.
 ///
@@ -105,7 +89,6 @@ pub fn threshold_classify(
     errors: &[f64],
     error_budget: f64,
     iteration_error: f64,
-    policy: ThresholdPolicy,
     arena: &ScratchArena,
 ) -> ThresholdOutcome {
     assert_eq!(mask.len(), errors.len(), "mask/error length mismatch");
@@ -131,12 +114,12 @@ pub fn threshold_classify(
         });
 
     let mut threshold = iteration_error / regions as f64; // average error estimate
-    let mut budget_fraction = policy.initial_budget_fraction;
+    let mut budget_fraction = INITIAL_BUDGET_FRACTION;
     let mut probes = Vec::new();
     let mut direction_changes = 0usize;
     let mut last_direction: Option<i8> = None;
 
-    for _ in 0..policy.max_probes {
+    for _ in 0..MAX_PROBES {
         // Apply the candidate threshold: a region is finished if it was already
         // finished or its error falls below the threshold.  The candidate mask
         // comes off the arena shelf, so repeated probes recycle one buffer.
@@ -160,7 +143,7 @@ pub fn threshold_classify(
 
         let fraction_finished = finished_count as f64 / regions as f64;
         let budget_used = committed_error / error_budget;
-        let memory_ok = fraction_finished > policy.min_finished_fraction;
+        let memory_ok = fraction_finished > MIN_FINISHED_FRACTION;
         let accuracy_ok = committed_error <= budget_fraction * error_budget;
         let accepted = memory_ok && accuracy_ok;
 
@@ -191,9 +174,8 @@ pub fn threshold_classify(
         if let Some(prev) = last_direction {
             if prev != direction {
                 direction_changes += 1;
-                budget_fraction =
-                    (budget_fraction + policy.budget_relaxation).min(policy.max_budget_fraction);
-                if direction_changes > policy.max_direction_changes {
+                budget_fraction = (budget_fraction + BUDGET_RELAXATION).min(MAX_BUDGET_FRACTION);
+                if direction_changes > MAX_DIRECTION_CHANGES {
                     break;
                 }
             }
@@ -222,14 +204,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_a_noop() {
-        let out = threshold_classify(
-            &[],
-            &[],
-            1.0,
-            0.5,
-            ThresholdPolicy::default(),
-            &ScratchArena::new(),
-        );
+        let out = threshold_classify(&[], &[], 1.0, 0.5, &ScratchArena::new());
         assert!(!out.successful);
         assert!(out.mask.is_empty());
         assert_eq!(out.newly_committed_error, 0.0);
@@ -238,14 +213,7 @@ mod tests {
     #[test]
     fn exhausted_budget_returns_unchanged() {
         let mask = all_active(4);
-        let out = threshold_classify(
-            &mask,
-            &[1e-9; 4],
-            0.0,
-            4e-9,
-            ThresholdPolicy::default(),
-            &ScratchArena::new(),
-        );
+        let out = threshold_classify(&mask, &[1e-9; 4], 0.0, 4e-9, &ScratchArena::new());
         assert!(!out.successful);
         assert_eq!(out.mask, mask);
     }
@@ -258,14 +226,7 @@ mod tests {
         errors.extend(vec![1e-3; 100]);
         let mask = all_active(1000);
         let iteration_error: f64 = errors.iter().sum();
-        let out = threshold_classify(
-            &mask,
-            &errors,
-            1e-6,
-            iteration_error,
-            ThresholdPolicy::default(),
-            &ScratchArena::new(),
-        );
+        let out = threshold_classify(&mask, &errors, 1e-6, iteration_error, &ScratchArena::new());
         assert!(out.successful);
         let finished = out.mask.iter().filter(|&&m| m == FINISHED).count();
         assert_eq!(finished, 900);
@@ -281,14 +242,7 @@ mod tests {
         // the search must fail and leave the mask untouched.
         let errors = vec![1e-2; 64];
         let mask = all_active(64);
-        let out = threshold_classify(
-            &mask,
-            &errors,
-            1e-6,
-            0.64,
-            ThresholdPolicy::default(),
-            &ScratchArena::new(),
-        );
+        let out = threshold_classify(&mask, &errors, 1e-6, 0.64, &ScratchArena::new());
         assert!(!out.successful);
         assert_eq!(out.mask, mask);
         assert_eq!(out.newly_committed_error, 0.0);
@@ -301,14 +255,7 @@ mod tests {
         let mask = vec![FINISHED, ACTIVE, ACTIVE, ACTIVE];
         let errors = vec![5e-3, 1e-12, 1e-12, 1e-12];
         let iteration_error: f64 = errors.iter().sum();
-        let out = threshold_classify(
-            &mask,
-            &errors,
-            1e-6,
-            iteration_error,
-            ThresholdPolicy::default(),
-            &ScratchArena::new(),
-        );
+        let out = threshold_classify(&mask, &errors, 1e-6, iteration_error, &ScratchArena::new());
         assert!(out.successful);
         assert_eq!(out.mask, vec![FINISHED; 4]);
         assert!((out.newly_committed_error - 3e-12).abs() < 1e-18);
@@ -320,14 +267,7 @@ mod tests {
         errors.extend(vec![5e-4; 200]);
         let mask = all_active(1000);
         let iteration_error: f64 = errors.iter().sum();
-        let out = threshold_classify(
-            &mask,
-            &errors,
-            1e-5,
-            iteration_error,
-            ThresholdPolicy::default(),
-            &ScratchArena::new(),
-        );
+        let out = threshold_classify(&mask, &errors, 1e-5, iteration_error, &ScratchArena::new());
         assert!(out.successful);
         let last = out.probes.last().unwrap();
         assert!(last.accepted);
@@ -351,14 +291,7 @@ mod tests {
         let mask = all_active(1000);
         let iteration_error: f64 = errors.iter().sum();
         let arena = ScratchArena::new();
-        let out = threshold_classify(
-            &mask,
-            &errors,
-            1e-2,
-            iteration_error,
-            ThresholdPolicy::default(),
-            &arena,
-        );
+        let out = threshold_classify(&mask, &errors, 1e-2, iteration_error, &arena);
         assert!(out.successful);
         assert!(out.probes.len() > 1, "want a multi-probe search");
         assert_eq!(
@@ -371,14 +304,7 @@ mod tests {
         // nothing at all.
         arena.put_mask(out.mask);
         let misses_before = arena.reuse_misses();
-        let again = threshold_classify(
-            &mask,
-            &errors,
-            1e-2,
-            iteration_error,
-            ThresholdPolicy::default(),
-            &arena,
-        );
+        let again = threshold_classify(&mask, &errors, 1e-2, iteration_error, &arena);
         assert!(again.successful);
         assert_eq!(arena.reuse_misses(), misses_before, "warm arena: no allocs");
     }
@@ -403,7 +329,6 @@ mod tests {
                 &errors,
                 headroom - frozen,
                 iteration_error,
-                ThresholdPolicy::default(),
                 &ScratchArena::new(),
             );
             if out.successful {
@@ -430,12 +355,11 @@ mod tests {
             errors.extend(large.iter().copied());
             let mask = all_active(errors.len());
             let iteration_error: f64 = errors.iter().sum();
-            let policy = ThresholdPolicy::default();
-            let out = threshold_classify(&mask, &errors, budget, iteration_error, policy, &ScratchArena::new());
+            let out = threshold_classify(&mask, &errors, budget, iteration_error, &ScratchArena::new());
             if out.successful {
                 let finished: Vec<usize> = out.mask.iter().enumerate().filter(|(_, &m)| m == FINISHED).map(|(i, _)| i).collect();
-                prop_assert!(finished.len() as f64 > policy.min_finished_fraction * errors.len() as f64);
-                prop_assert!(out.newly_committed_error <= policy.max_budget_fraction * budget + 1e-18);
+                prop_assert!(finished.len() as f64 > MIN_FINISHED_FRACTION * errors.len() as f64);
+                prop_assert!(out.newly_committed_error <= MAX_BUDGET_FRACTION * budget + 1e-18);
             } else {
                 prop_assert_eq!(out.mask, mask);
                 prop_assert_eq!(out.newly_committed_error, 0.0);
@@ -450,7 +374,7 @@ mod tests {
         ) {
             let mask: Vec<u8> = (0..errors.len()).map(|i| ((seed >> (i % 61)) & 1) as u8).collect();
             let iteration_error: f64 = errors.iter().sum();
-            let out = threshold_classify(&mask, &errors, budget, iteration_error, ThresholdPolicy::default(), &ScratchArena::new());
+            let out = threshold_classify(&mask, &errors, budget, iteration_error, &ScratchArena::new());
             for (before, after) in mask.iter().zip(&out.mask) {
                 // A region can be newly finished but never resurrected.
                 prop_assert!(*after <= *before);

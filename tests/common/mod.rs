@@ -1,6 +1,9 @@
 //! Helpers shared by the service/scheduling/batch integration-test binaries.
 #![allow(dead_code)] // not every test binary uses every helper
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
 use pagani::prelude::{Device, DeviceConfig};
 
 /// Worker-thread counts under test.  The CI `service-stress` matrix pins a
@@ -22,4 +25,17 @@ pub fn device_with_workers(workers: usize) -> Device {
             .with_memory_capacity(32 << 20)
             .with_worker_threads(workers),
     )
+}
+
+/// Opens a gate flag when dropped.  A test that parks a lane's workers on
+/// the flag binds one *after* the service it gates: locals drop in reverse
+/// order, so when an assertion unwinds before the test opens the gate
+/// itself, the gate opens before the lane's `Drop` joins the parked workers,
+/// and the test fails instead of hanging.
+pub struct OpenOnDrop(pub Arc<AtomicBool>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
 }

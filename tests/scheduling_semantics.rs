@@ -34,7 +34,7 @@ use pagani::prelude::*;
 use pagani::{CountingBackend, CpuBackend};
 
 mod common;
-use common::{device_with_workers, worker_matrix};
+use common::{device_with_workers, worker_matrix, OpenOnDrop};
 
 fn config() -> PaganiConfig {
     PaganiConfig::test_small(Tolerances::rel(1e-4))
@@ -115,6 +115,7 @@ fn cancellation_is_uniform_across_methods() {
         .device(device_with_workers(1))
         .workers(1)
         .build();
+    let _open = OpenOnDrop(release.clone());
     let blocker = service.submit(BatchJob::new(blocking_integrand(
         started.clone(),
         release.clone(),
@@ -164,6 +165,7 @@ fn in_flight_cancel_lands_for_a_baseline_method() {
         .device(device_with_workers(1))
         .workers(1)
         .build();
+    let _open = OpenOnDrop(release.clone());
     let mc = MethodConfig::MonteCarlo(MonteCarloConfig::new(Tolerances::rel(1e-12)));
     let handle = service.submit(
         BatchJob::new(blocking_integrand(started.clone(), release.clone())).with_method(mc),
@@ -194,6 +196,7 @@ fn try_submit_refuses_at_exactly_the_bound_across_worker_counts() {
         // Park every worker so submissions stay queued.
         let started = Arc::new(AtomicUsize::new(0));
         let release = Arc::new(AtomicBool::new(false));
+        let _open = OpenOnDrop(release.clone());
         let blockers: Vec<JobHandle> = (0..workers)
             .map(|_| {
                 service.submit(BatchJob::new(blocking_integrand(
@@ -255,6 +258,7 @@ fn an_oversized_job_refused_at_every_bound_is_counted() {
         .build_multi();
     let started = Arc::new(AtomicUsize::new(0));
     let release = Arc::new(AtomicBool::new(false));
+    let _open = OpenOnDrop(release.clone());
     let gated = || BatchJob::new(blocking_integrand(started.clone(), release.clone()));
     let depths = || -> Vec<usize> { service.metrics().iter().map(|m| m.queue_depth).collect() };
     let mut held: Vec<JobHandle> = (0..2).map(|_| service.submit(gated())).collect();
@@ -309,6 +313,7 @@ fn deadline_infeasible_rejection_depends_on_queue_depth() {
         seed_model(&busy, &key, predicted);
         let started = Arc::new(AtomicUsize::new(0));
         let release = Arc::new(AtomicBool::new(false));
+        let _open = OpenOnDrop(release.clone());
         let blockers: Vec<JobHandle> = (0..workers)
             .map(|_| {
                 busy.submit(BatchJob::new(blocking_integrand(
@@ -372,6 +377,7 @@ fn a_job_priced_by_a_cold_model_adds_no_predicted_backlog() {
         .build();
     let started = Arc::new(AtomicBool::new(false));
     let release = Arc::new(AtomicBool::new(false));
+    let _open = OpenOnDrop(release.clone());
     let gated = {
         let (started, release) = (started.clone(), release.clone());
         FnIntegrand::new(5, move |x: &[f64]| {
@@ -660,6 +666,7 @@ fn an_exact_hit_is_answered_at_submission_even_at_the_queue_bound() {
         assert!(cold.result.converged(), "workers {workers}");
         let started = Arc::new(AtomicUsize::new(0));
         let release = Arc::new(AtomicBool::new(false));
+        let _open = OpenOnDrop(release.clone());
         let held = service.submit(BatchJob::new(blocking_integrand(
             started.clone(),
             release.clone(),
@@ -738,6 +745,7 @@ fn an_exact_hit_is_estimated_to_complete_at_once() {
     // the lane's backlog is not the hit's to wait for.
     let started = Arc::new(AtomicUsize::new(0));
     let release = Arc::new(AtomicBool::new(false));
+    let _open = OpenOnDrop(release.clone());
     let gated = BatchJob::new(blocking_integrand(started.clone(), release.clone()));
     seed_model(
         &service,
@@ -802,6 +810,7 @@ fn a_twin_that_missed_at_submission_is_served_at_claim() {
         let job = || BatchJob::shared(Arc::clone(&twin));
         let (device, counting) = counting_device();
         let service = cached_one_worker(device).build();
+        let _open = OpenOnDrop(release.clone());
         let first = service.submit(job());
         while started.load(Ordering::Acquire) == 0 {
             std::thread::yield_now();
@@ -878,6 +887,7 @@ fn priorities_reorder_claims_but_never_starve() {
         .device(device_with_workers(1))
         .workers(1)
         .build();
+    let _open = OpenOnDrop(release.clone());
     let blocker = service.submit(BatchJob::new(blocking_integrand(
         started.clone(),
         release.clone(),

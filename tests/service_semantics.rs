@@ -16,7 +16,7 @@ use std::sync::Arc;
 use pagani::prelude::*;
 
 mod common;
-use common::{device_with_workers, worker_matrix};
+use common::{device_with_workers, worker_matrix, OpenOnDrop};
 
 fn config() -> PaganiConfig {
     PaganiConfig::test_small(Tolerances::rel(1e-4))
@@ -107,6 +107,7 @@ fn queued_jobs_cancel_deterministically() {
         .device(device_with_workers(1))
         .workers(1)
         .build();
+    let _open = OpenOnDrop(release.clone());
     let blocker = service.submit(BatchJob::new(blocking_integrand(
         started.clone(),
         release.clone(),
@@ -149,6 +150,7 @@ fn in_flight_cancellation_lands_within_one_iteration() {
         .device(device_with_workers(1))
         .workers(1)
         .build();
+    let _open = OpenOnDrop(release.clone());
     let handle = service.submit(BatchJob::new(blocking_integrand(
         started.clone(),
         release.clone(),
