@@ -3,23 +3,24 @@
 //! Phase I expands the sub-region tree breadth-first — every region is split each
 //! iteration unless its own relative error already satisfies the tolerance — until the
 //! list is large enough for a 1-1 mapping onto the device's parallel processors
-//! (2¹⁵ blocks in the paper's configuration).  Its initial uniform split follows
-//! PAGANI's rule ([`splits_per_axis`]).  Phase II then hands each surviving region to
-//! an independent processor that runs Cuhre's sequential loop (Algorithm 1, the one
-//! copy in [`crate::cuhre`]) with a bounded local heap (2048 regions per block) and
-//! **no global coordination**: the processor stops when its *local* error looks good
-//! relative to its own estimates or its memory/evaluation budget runs out.  Those
-//! local, globally-blind termination conditions are exactly why the method loses
-//! digits on hard integrands and fails outright when the per-processor memory runs
-//! out — the behaviour Figures 4, 5 and 9 of the paper document and this reproduction
-//! reproduces.
+//! (2¹⁵ blocks in the paper's configuration) or phase I reaches its iteration cap.
+//! Its initial uniform split follows PAGANI's rule ([`splits_per_axis`]).  A run whose
+//! regions all meet their own tolerance in phase I ends there, converged or not.
+//! Phase II then hands each surviving region to an independent processor that runs
+//! Cuhre's sequential loop (Algorithm 1, the one copy in [`crate::cuhre`]) with a
+//! bounded local heap (2048 regions per block) and **no global coordination**: the
+//! processor stops when its *local* error looks good relative to its own estimates or
+//! its memory/evaluation budget runs out.  Those local, globally-blind termination
+//! conditions are exactly why the method loses digits on hard integrands and fails
+//! outright when the per-processor memory runs out — the behaviour Figures 4, 5 and 9
+//! of the paper document and this reproduction reproduces.
 
 use std::time::Instant;
 
 use crate::cuhre::sequential;
 use pagani_core::config::splits_per_axis;
 use pagani_core::integrator::{check_cancelled, ensure_matching_dims, Capabilities, Integrator};
-use pagani_core::CancelToken;
+use pagani_core::{CancelToken, EVAL_LANES};
 use pagani_device::{reduce, Device};
 use pagani_quadrature::two_level::refine_generation;
 use pagani_quadrature::{
@@ -34,7 +35,8 @@ pub struct TwoPhaseConfig {
     /// Phase I stops expanding once at least this many active regions exist
     /// (the paper uses 2¹⁵, the number of blocks that fit the V100).
     pub phase1_region_target: usize,
-    /// Maximum phase I iterations (safety bound).
+    /// Maximum phase I iterations (safety bound); phase II takes the regions
+    /// phase I has not finished when it is reached.
     pub max_phase1_iterations: usize,
     /// Local heap capacity of each phase II processor (2048 regions in the paper).
     pub phase2_heap_capacity: usize,
@@ -145,19 +147,22 @@ impl TwoPhase {
         let mut regions_generated = active.len() as u64;
         let mut phase1_iterations = 0usize;
         let mut parent_integrals: Option<Vec<f64>> = None;
-        let mut converged_in_phase1 = false;
         let mut cancelled_in_phase1 = false;
 
+        // Phase I ends in one of two ways.  With `active` empty, every region's
+        // estimate is in the `finished_*` totals and there is no phase II.
+        // Otherwise `active` holds the regions phase II integrates, and the
+        // totals hold only the regions phase I finished.
         loop {
             phase1_iterations += 1;
-            // Four lanes per region, the same layout as the core `evaluate`
-            // kernel: integral, error, split axis and evaluation count.
-            let mut lanes = vec![0.0f64; active.len() * 4];
+            // The layout of the core `evaluate` kernel: integral, error and
+            // split axis per region.
+            let mut lanes = vec![0.0f64; active.len() * EVAL_LANES];
             self.device
                 .launch_batch(
                     "two_phase.evaluate",
                     active.len(),
-                    4,
+                    EVAL_LANES,
                     &mut lanes,
                     |ctx, out| {
                         let mut scratch = EvalScratch::new(dim);
@@ -165,18 +170,17 @@ impl TwoPhase {
                         out[0] = est.integral;
                         out[1] = est.error;
                         out[2] = est.split_axis as f64;
-                        out[3] = est.evaluations as f64;
                     },
                 )
                 .expect("phase I launch cannot be empty");
+            function_evaluations += active.len() as u64 * rule.num_points() as u64;
             let mut integrals: Vec<f64> = Vec::with_capacity(active.len());
             let mut errors: Vec<f64> = Vec::with_capacity(active.len());
             let mut axes: Vec<usize> = Vec::with_capacity(active.len());
-            for slot in lanes.chunks_exact(4) {
+            for slot in lanes.chunks_exact(EVAL_LANES) {
                 integrals.push(slot[0]);
                 errors.push(slot[1]);
                 axes.push(slot[2] as usize);
-                function_evaluations += slot[3] as u64;
             }
             if let Some(parents) = &parent_integrals {
                 if parents.len() * 2 == integrals.len() {
@@ -188,23 +192,14 @@ impl TwoPhase {
             let iter_error = reduce::sum(&errors);
             let total_estimate = iter_estimate + finished_estimate;
             let total_error = iter_error + finished_error;
-            if tolerances.satisfied_by(total_estimate, total_error) {
-                finished_estimate = total_estimate;
-                finished_error = total_error;
-                converged_in_phase1 = true;
-                break;
-            }
+            let converged = tolerances.satisfied_by(total_estimate, total_error);
             // Cancellation checkpoint: once per phase I iteration, after the
             // convergence check so a finished run keeps its converged status.
-            if check_cancelled(cancel).is_some() {
+            if converged || check_cancelled(cancel).is_some() {
                 finished_estimate = total_estimate;
                 finished_error = total_error;
-                cancelled_in_phase1 = true;
-                break;
-            }
-            if phase1_iterations >= self.config.max_phase1_iterations {
-                finished_estimate = total_estimate;
-                finished_error = total_error;
+                cancelled_in_phase1 = !converged;
+                active.clear();
                 break;
             }
 
@@ -223,12 +218,13 @@ impl TwoPhase {
                     survivor_axes.push(axes[i]);
                 }
             }
-            if survivors.is_empty() {
-                converged_in_phase1 = tolerances.satisfied_by(finished_estimate, finished_error);
-                break;
-            }
-            if survivors.len() >= self.config.phase1_region_target {
-                // Enough regions for the 1-1 processor mapping: move to phase II.
+            if survivors.is_empty()
+                || survivors.len() >= self.config.phase1_region_target
+                || phase1_iterations >= self.config.max_phase1_iterations
+            {
+                // Nothing left to integrate, enough regions for the 1-1
+                // processor mapping, or phase I's iteration cap: phase II
+                // takes what survived.
                 active = survivors;
                 break;
             }
@@ -248,10 +244,7 @@ impl TwoPhase {
             active = next;
         }
 
-        if cancelled_in_phase1
-            || converged_in_phase1
-            || finished_estimate != 0.0 && active.is_empty()
-        {
+        if active.is_empty() {
             let termination = if cancelled_in_phase1 {
                 Termination::Cancelled
             } else if tolerances.satisfied_by(finished_estimate, finished_error) {

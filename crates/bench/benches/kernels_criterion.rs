@@ -11,8 +11,13 @@ use pagani_core::threshold::threshold_classify;
 use pagani_core::ScratchArena;
 use pagani_device::{reduce, scan, Device, DeviceConfig, MemoryPool};
 use pagani_integrands::paper::PaperIntegrand;
-use pagani_quadrature::{EvalScratch, GenzMalik, Integrand, Region};
+use pagani_quadrature::{EvalScratch, FnIntegrand, GenzMalik, Integrand, Region};
 
+/// One region per iteration.  `genz_malik_evaluate/<dim>` calls f4 through its
+/// concrete type; the `dyn_const/<dim>` and `dyn_f4/<dim>` cases call through
+/// `&dyn Integrand`, the way every service job calls the rule, so `dyn_const`'s
+/// time divided by the rule's `2^d + 2d² + 2d + 1` points (33, 93 and 401 at 3,
+/// 5 and 8D) is the rule's own cost per point.
 fn bench_genz_malik(c: &mut Criterion) {
     let mut group = c.benchmark_group("genz_malik_evaluate");
     group.sample_size(20);
@@ -27,6 +32,26 @@ fn bench_genz_malik(c: &mut Criterion) {
                 black_box(est.integral)
             });
         });
+        let constant = FnIntegrand::new(dim, |_: &[f64]| 1.0);
+        let center = region.center();
+        let halfwidth = region.halfwidths();
+        for (name, f) in [
+            ("dyn_const", &constant as &dyn Integrand),
+            ("dyn_f4", &integrand),
+        ] {
+            group.bench_with_input(BenchmarkId::new(name, dim), &dim, |b, _| {
+                let mut scratch = EvalScratch::new(dim);
+                b.iter(|| {
+                    let est = rule.evaluate_centered(
+                        f,
+                        black_box(&center),
+                        black_box(&halfwidth),
+                        &mut scratch,
+                    );
+                    black_box(est.integral)
+                });
+            });
+        }
     }
     group.finish();
 }

@@ -28,9 +28,10 @@ use crate::arena::ScratchArena;
 use crate::region_list::RegionList;
 
 /// Output lanes per block of the batched `evaluate` launch: integral estimate,
-/// raw error estimate, split axis and evaluation count (the two integer lanes
-/// ride in `f64` values; both are far below 2^53, so the round trip is exact).
-pub const EVAL_LANES: usize = 4;
+/// raw error estimate and split axis (the axis rides in an `f64` value, far
+/// below 2^53, so the round trip is exact).  Every region costs the rule's
+/// [`GenzMalik::num_points`] evaluations, so the count needs no lane.
+pub const EVAL_LANES: usize = 3;
 
 /// A generation of regions packed into contiguous centre/half-width arrays —
 /// the structure-of-arrays input of the batched `evaluate` launch.
@@ -196,7 +197,6 @@ pub fn evaluate_all<F: Integrand + ?Sized>(
             out[0] = est.integral;
             out[1] = est.error;
             out[2] = est.split_axis as f64;
-            out[3] = est.evaluations as f64;
         });
     });
     pack.retire(arena);
@@ -208,19 +208,17 @@ pub fn evaluate_all<F: Integrand + ?Sized>(
     let mut integrals = arena.take_f64(count);
     let mut errors = arena.take_f64(count);
     let mut split_axes = arena.take_axes(count);
-    let mut function_evaluations = 0u64;
     for slot in lanes.chunks_exact(EVAL_LANES) {
         integrals.push(slot[0]);
         errors.push(slot[1]);
         split_axes.push(slot[2] as usize);
-        function_evaluations += slot[3] as u64;
     }
     arena.put_f64(lanes);
     Ok(Evaluation {
         integrals,
         errors,
         split_axes,
-        function_evaluations,
+        function_evaluations: count as u64 * rule.num_points() as u64,
     })
 }
 

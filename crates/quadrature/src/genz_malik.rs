@@ -13,6 +13,22 @@
 //!
 //! The weights follow Genz & Malik (1983); the same constants are used by the
 //! reference `cubature` and `gpuintegration` implementations.
+//!
+//! # How the points are built
+//!
+//! Every integrator spends most of its time in this one point loop, so it does as
+//! little per point as it can.  The `c ± λ₄h` and `c ± λ₅h` coordinates of every axis
+//! are computed once per region, the way the CUDA implementation keeps its generators
+//! precomputed; the two-axis orbit is assembled from the `λ₄` pair.  The `2^n`
+//! corners are visited in counting order (bit `i` of the corner index set means
+//! `c_i − λ₅h_i`), and between two corners only the axes whose bits flip are
+//! rewritten: `0..=trailing_zeros(index)`, two on average.
+//!
+//! A precomputed coordinate is bit for bit the one a per-point `c + (±1·λ)·h` gives,
+//! because IEEE negation is exact (`(−λ)·h = −(λ·h)` and `c + (−x) = c − x`).  The
+//! integrand sees the same points in the same order, and every sum runs in the same
+//! order, so estimates, errors and split axes do not depend on how the points are
+//! built.
 
 use crate::integrand::Integrand;
 use crate::region::Region;
@@ -42,26 +58,44 @@ pub struct RuleEstimate {
 /// Reusable scratch space for rule evaluation.
 ///
 /// The hot loops of every integrator evaluate the rule millions of times; keeping the
-/// point buffer and the per-axis difference accumulators out of the allocator is the
-/// same optimisation the CUDA kernels get from shared memory.
+/// point buffer, the per-axis orbit coordinates and difference accumulators, and the
+/// centre and half-widths [`GenzMalik::evaluate`] derives from a [`Region`] out of the
+/// allocator is the same optimisation the CUDA kernels get from shared and constant
+/// memory.  All of it is one allocation, made here.  Every entry is written before it
+/// is read, so which scratch an evaluation gets never changes its result.
 #[derive(Debug, Clone)]
 pub struct EvalScratch {
-    point: Vec<f64>,
-    fourth_diff: Vec<f64>,
-    sum_lambda2: Vec<f64>,
-    sum_lambda4: Vec<f64>,
+    /// `SCRATCH_ARRAYS` arrays of the rule's dimension, back to back: the
+    /// staged centre and half-widths, then the six orbit arrays.
+    values: Vec<f64>,
 }
+
+/// Per-axis arrays in an [`EvalScratch`]: two staged, six for the orbits.
+const SCRATCH_ARRAYS: usize = 8;
 
 impl EvalScratch {
     /// Scratch space for a `dim`-dimensional rule.
     #[must_use]
     pub fn new(dim: usize) -> Self {
         Self {
-            point: vec![0.0; dim],
-            fourth_diff: vec![0.0; dim],
-            sum_lambda2: vec![0.0; dim],
-            sum_lambda4: vec![0.0; dim],
+            values: vec![0.0; SCRATCH_ARRAYS * dim],
         }
+    }
+
+    /// The staged centre and half-widths of a `dim`-dimensional scratch, and
+    /// its orbit arrays.
+    ///
+    /// # Panics
+    /// Panics if the scratch was made for another dimension.
+    fn split(&mut self, dim: usize) -> (&mut [f64], &mut [f64], &mut [f64]) {
+        assert_eq!(
+            self.values.len(),
+            SCRATCH_ARRAYS * dim,
+            "scratch has wrong dimension"
+        );
+        let (staged, orbits) = self.values.split_at_mut(2 * dim);
+        let (center, halfwidth) = staged.split_at_mut(dim);
+        (center, halfwidth, orbits)
     }
 }
 
@@ -127,7 +161,7 @@ impl GenzMalik {
     /// Evaluate the rule on the region described by `center` and `halfwidth`.
     ///
     /// # Panics
-    /// Panics if the slice lengths do not match the rule dimension.
+    /// Panics if the slices or the scratch do not match the rule dimension.
     pub fn evaluate_centered<F: Integrand + ?Sized>(
         &self,
         f: &F,
@@ -135,15 +169,63 @@ impl GenzMalik {
         halfwidth: &[f64],
         scratch: &mut EvalScratch,
     ) -> RuleEstimate {
+        let (_, _, orbits) = scratch.split(self.dim);
+        self.evaluate_orbits(f, center, halfwidth, orbits)
+    }
+
+    /// Evaluate the rule on a [`Region`].  Its centre `0.5·(lo + hi)` and
+    /// half-widths `0.5·(hi − lo)` are staged in `scratch`, so the call allocates
+    /// nothing.
+    ///
+    /// # Panics
+    /// Panics if the region or the scratch does not match the rule dimension.
+    pub fn evaluate<F: Integrand + ?Sized>(
+        &self,
+        f: &F,
+        region: &Region,
+        scratch: &mut EvalScratch,
+    ) -> RuleEstimate {
+        assert_eq!(region.dim(), self.dim, "region has wrong dimension");
+        let (center, halfwidth, orbits) = scratch.split(self.dim);
+        for (axis, (&l, &h)) in region.lo().iter().zip(region.hi()).enumerate() {
+            center[axis] = 0.5 * (l + h);
+            halfwidth[axis] = 0.5 * (h - l);
+        }
+        self.evaluate_orbits(f, center, halfwidth, orbits)
+    }
+
+    /// The rule itself: the five orbits' points, in a fixed order, and the sums
+    /// over them.  `orbits` holds six arrays of the rule's dimension: the point,
+    /// the fourth differences, and per axis `c − λ₄h`, `c + λ₄h`, `c − λ₅h` and
+    /// `c + λ₅h`.
+    fn evaluate_orbits<F: Integrand + ?Sized>(
+        &self,
+        f: &F,
+        center: &[f64],
+        halfwidth: &[f64],
+        orbits: &mut [f64],
+    ) -> RuleEstimate {
         assert_eq!(center.len(), self.dim, "center has wrong dimension");
         assert_eq!(halfwidth.len(), self.dim, "halfwidth has wrong dimension");
-        assert_eq!(scratch.point.len(), self.dim, "scratch has wrong dimension");
 
         let dim = self.dim;
         let volume: f64 = halfwidth.iter().map(|&h| 2.0 * h).product();
+        let (point, orbits) = orbits.split_at_mut(dim);
+        let (fourth_diff, orbits) = orbits.split_at_mut(dim);
+        let (lo4, orbits) = orbits.split_at_mut(dim);
+        let (hi4, orbits) = orbits.split_at_mut(dim);
+        let (lo5, hi5) = orbits.split_at_mut(dim);
 
-        let point = &mut scratch.point;
-        point.copy_from_slice(center);
+        // The centre and the λ₄ and λ₅ coordinates of every axis, once per region.
+        for axis in 0..dim {
+            let h = halfwidth[axis];
+            let c = center[axis];
+            point[axis] = c;
+            lo4[axis] = c - LAMBDA4 * h;
+            hi4[axis] = c + LAMBDA4 * h;
+            lo5[axis] = c - LAMBDA5 * h;
+            hi5[axis] = c + LAMBDA5 * h;
+        }
 
         // Orbit 1: the centre.
         let f_center = f.eval(point);
@@ -161,9 +243,9 @@ impl GenzMalik {
             point[axis] = c + LAMBDA2 * h;
             let f2_hi = f.eval(point);
 
-            point[axis] = c - LAMBDA4 * h;
+            point[axis] = lo4[axis];
             let f4_lo = f.eval(point);
-            point[axis] = c + LAMBDA4 * h;
+            point[axis] = hi4[axis];
             let f4_hi = f.eval(point);
 
             point[axis] = c;
@@ -172,43 +254,49 @@ impl GenzMalik {
             let pair4 = f4_lo + f4_hi;
             sum2 += pair2;
             sum3 += pair4;
-            scratch.sum_lambda2[axis] = pair2;
-            scratch.sum_lambda4[axis] = pair4;
             // Scaled fourth divided difference along this axis (Genz–Malik split
             // criterion, also used by cubature and DCUHRE).
-            scratch.fourth_diff[axis] =
-                (pair2 - 2.0 * f_center - RATIO * (pair4 - 2.0 * f_center)).abs();
+            fourth_diff[axis] = (pair2 - 2.0 * f_center - RATIO * (pair4 - 2.0 * f_center)).abs();
         }
 
-        // Orbit 4: two-axis offsets (±λ₄, ±λ₄) for every axis pair.
+        // Orbit 4: two-axis offsets (±λ₄, ±λ₄) for every axis pair, in the sign
+        // order (+,+), (+,−), (−,+), (−,−).
         let mut sum4 = 0.0;
         for i in 0..dim {
             for j in (i + 1)..dim {
-                let ci = center[i];
-                let cj = center[j];
-                let hi = halfwidth[i];
-                let hj = halfwidth[j];
-                for &(si, sj) in &[(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)] {
-                    point[i] = ci + si * LAMBDA4 * hi;
-                    point[j] = cj + sj * LAMBDA4 * hj;
-                    sum4 += f.eval(point);
-                }
-                point[i] = ci;
-                point[j] = cj;
+                point[i] = hi4[i];
+                point[j] = hi4[j];
+                sum4 += f.eval(point);
+                point[j] = lo4[j];
+                sum4 += f.eval(point);
+                point[i] = lo4[i];
+                point[j] = hi4[j];
+                sum4 += f.eval(point);
+                point[j] = lo4[j];
+                sum4 += f.eval(point);
+                point[j] = center[j];
             }
+            point[i] = center[i];
         }
 
-        // Orbit 5: the 2^n corner points at ±λ₅ in every axis.
+        // Orbit 5: the 2^n corner points at ±λ₅ in every axis, in counting order of
+        // the corner index; a set bit puts its axis at `c − λ₅h`.  From one index to
+        // the next, bit `flip = trailing_zeros(index)` sets and the bits below it
+        // clear.  Plain loops write the coordinates here and above: `copy_from_slice`
+        // calls `memcpy`, which costs more than the few axes it would copy.
         let mut sum5 = 0.0;
-        let corners = 1usize << dim;
-        for bits in 0..corners {
-            for axis in 0..dim {
-                let sign = if bits & (1 << axis) == 0 { 1.0 } else { -1.0 };
-                point[axis] = center[axis] + sign * LAMBDA5 * halfwidth[axis];
+        for (axis, &x) in hi5.iter().enumerate() {
+            point[axis] = x;
+        }
+        sum5 += f.eval(point);
+        for corner in 1..1usize << dim {
+            let flip = corner.trailing_zeros() as usize;
+            for (axis, &x) in hi5[..flip].iter().enumerate() {
+                point[axis] = x;
             }
+            point[flip] = lo5[flip];
             sum5 += f.eval(point);
         }
-        point.copy_from_slice(center);
 
         let integral = volume
             * (self.w[0] * sum1
@@ -223,9 +311,9 @@ impl GenzMalik {
         // Split axis: largest fourth difference; ties broken towards the widest edge
         // so repeated splitting cannot starve an axis.
         let mut split_axis = 0;
-        let mut best_diff = scratch.fourth_diff[0];
+        let mut best_diff = fourth_diff[0];
         let mut best_width = halfwidth[0];
-        for (axis, (&d, &width)) in scratch.fourth_diff[..dim]
+        for (axis, (&d, &width)) in fourth_diff[..dim]
             .iter()
             .zip(&halfwidth[..dim])
             .enumerate()
@@ -245,16 +333,6 @@ impl GenzMalik {
             evaluations: self.num_points,
         }
     }
-
-    /// Evaluate the rule on a [`Region`].
-    pub fn evaluate<F: Integrand + ?Sized>(
-        &self,
-        f: &F,
-        region: &Region,
-        scratch: &mut EvalScratch,
-    ) -> RuleEstimate {
-        self.evaluate_centered(f, &region.center(), &region.halfwidths(), scratch)
-    }
 }
 
 #[cfg(test)]
@@ -262,6 +340,7 @@ mod tests {
     use super::*;
     use crate::integrand::FnIntegrand;
     use proptest::prelude::*;
+    use std::sync::Mutex;
 
     fn eval_on_unit_cube(dim: usize, f: impl Fn(&[f64]) -> f64 + Sync) -> RuleEstimate {
         let rule = GenzMalik::new(dim);
@@ -405,8 +484,229 @@ mod tests {
         assert_eq!(est.evaluations, rule.num_points());
     }
 
+    /// The rule's point loop as it was before the orbit coordinates were
+    /// precomputed, kept verbatim (its buffers local instead of in a scratch) as
+    /// the reference the rule must match point for point and bit for bit.
+    fn reference_evaluate(
+        rule: &GenzMalik,
+        f: &dyn Integrand,
+        center: &[f64],
+        halfwidth: &[f64],
+    ) -> RuleEstimate {
+        let dim = rule.dim;
+        let volume: f64 = halfwidth.iter().map(|&h| 2.0 * h).product();
+
+        let mut point = center.to_vec();
+        let mut fourth_diff = vec![0.0; dim];
+
+        // Orbit 1: the centre.
+        let f_center = f.eval(&point);
+        let sum1 = f_center;
+
+        // Orbits 2 and 3: single-axis offsets at λ₂ and λ₄.
+        let mut sum2 = 0.0;
+        let mut sum3 = 0.0;
+        for axis in 0..dim {
+            let h = halfwidth[axis];
+            let c = center[axis];
+
+            point[axis] = c - LAMBDA2 * h;
+            let f2_lo = f.eval(&point);
+            point[axis] = c + LAMBDA2 * h;
+            let f2_hi = f.eval(&point);
+
+            point[axis] = c - LAMBDA4 * h;
+            let f4_lo = f.eval(&point);
+            point[axis] = c + LAMBDA4 * h;
+            let f4_hi = f.eval(&point);
+
+            point[axis] = c;
+
+            let pair2 = f2_lo + f2_hi;
+            let pair4 = f4_lo + f4_hi;
+            sum2 += pair2;
+            sum3 += pair4;
+            fourth_diff[axis] = (pair2 - 2.0 * f_center - RATIO * (pair4 - 2.0 * f_center)).abs();
+        }
+
+        // Orbit 4: two-axis offsets (±λ₄, ±λ₄) for every axis pair.
+        let mut sum4 = 0.0;
+        for i in 0..dim {
+            for j in (i + 1)..dim {
+                let ci = center[i];
+                let cj = center[j];
+                let hi = halfwidth[i];
+                let hj = halfwidth[j];
+                for &(si, sj) in &[(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)] {
+                    point[i] = ci + si * LAMBDA4 * hi;
+                    point[j] = cj + sj * LAMBDA4 * hj;
+                    sum4 += f.eval(&point);
+                }
+                point[i] = ci;
+                point[j] = cj;
+            }
+        }
+
+        // Orbit 5: the 2^n corner points at ±λ₅ in every axis.
+        let mut sum5 = 0.0;
+        let corners = 1usize << dim;
+        for bits in 0..corners {
+            for axis in 0..dim {
+                let sign = if bits & (1 << axis) == 0 { 1.0 } else { -1.0 };
+                point[axis] = center[axis] + sign * LAMBDA5 * halfwidth[axis];
+            }
+            sum5 += f.eval(&point);
+        }
+
+        let integral = volume
+            * (rule.w[0] * sum1
+                + rule.w[1] * sum2
+                + rule.w[2] * sum3
+                + rule.w[3] * sum4
+                + rule.w[4] * sum5);
+        let fifth_degree = volume
+            * (rule.we[0] * sum1 + rule.we[1] * sum2 + rule.we[2] * sum3 + rule.we[3] * sum4);
+        let error = (integral - fifth_degree).abs();
+
+        let mut split_axis = 0;
+        let mut best_diff = fourth_diff[0];
+        let mut best_width = halfwidth[0];
+        for (axis, (&d, &width)) in fourth_diff[..dim]
+            .iter()
+            .zip(&halfwidth[..dim])
+            .enumerate()
+            .skip(1)
+        {
+            if d > best_diff || (d == best_diff && width > best_width) {
+                split_axis = axis;
+                best_diff = d;
+                best_width = width;
+            }
+        }
+
+        RuleEstimate {
+            integral,
+            error,
+            split_axis,
+            evaluations: rule.num_points,
+        }
+    }
+
+    /// Records the bits of every coordinate of every point it is asked for, in
+    /// order, and returns a value that depends on all of them.
+    struct Recorder {
+        dim: usize,
+        coordinates: Mutex<Vec<u64>>,
+    }
+
+    impl Recorder {
+        fn new(dim: usize) -> Self {
+            Self {
+                dim,
+                coordinates: Mutex::new(Vec::new()),
+            }
+        }
+
+        fn into_coordinates(self) -> Vec<u64> {
+            self.coordinates.into_inner().unwrap()
+        }
+    }
+
+    impl Integrand for Recorder {
+        fn dim(&self) -> usize {
+            self.dim
+        }
+
+        fn eval(&self, x: &[f64]) -> f64 {
+            let mut coordinates = self.coordinates.lock().unwrap();
+            let mut hash = 0xcbf2_9ce4_8422_2325u64;
+            for &v in x {
+                coordinates.push(v.to_bits());
+                hash = (hash ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+                hash ^= hash >> 29;
+            }
+            (hash >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        }
+    }
+
+    /// Every bit of a [`RuleEstimate`].
+    fn estimate_bits(est: &RuleEstimate) -> (u64, u64, usize, usize) {
+        (
+            est.integral.to_bits(),
+            est.error.to_bits(),
+            est.split_axis,
+            est.evaluations,
+        )
+    }
+
+    /// The rule's points and estimate on one region, through `evaluate_centered`
+    /// and through `evaluate` on the region spanning `center ± halfwidth`, each
+    /// against the reference loop; `None` when all four agree to the bit.
+    fn mismatch_with_reference(center: &[f64], halfwidth: &[f64]) -> Option<String> {
+        let dim = center.len();
+        let rule = GenzMalik::new(dim);
+        let mut scratch = EvalScratch::new(dim);
+        let run = |eval: &mut dyn FnMut(&Recorder) -> RuleEstimate| {
+            let recorder = Recorder::new(dim);
+            let est = eval(&recorder);
+            (recorder.into_coordinates(), estimate_bits(&est))
+        };
+
+        let reference = run(&mut |f| reference_evaluate(&rule, f, center, halfwidth));
+        let centered = run(&mut |f| rule.evaluate_centered(f, center, halfwidth, &mut scratch));
+        if centered != reference {
+            return Some(format!("evaluate_centered differs at {dim}D"));
+        }
+
+        let lo: Vec<f64> = center.iter().zip(halfwidth).map(|(c, h)| c - h).collect();
+        let hi: Vec<f64> = center.iter().zip(halfwidth).map(|(c, h)| c + h).collect();
+        let region = Region::new(lo, hi);
+        let reference =
+            run(&mut |f| reference_evaluate(&rule, f, &region.center(), &region.halfwidths()));
+        let from_region = run(&mut |f| rule.evaluate(f, &region, &mut scratch));
+        (from_region != reference).then(|| format!("evaluate differs at {dim}D"))
+    }
+
+    #[test]
+    fn point_sequence_matches_the_reference_through_long_carry_chains() {
+        let dim = 14usize;
+        let center: Vec<f64> = (0..dim)
+            .map(|axis| match axis % 3 {
+                0 => -0.0,
+                1 => 0.25 * axis as f64,
+                _ => -317.5 / axis as f64,
+            })
+            .collect();
+        let halfwidth: Vec<f64> = (0..dim).map(|axis| 10f64.powi(axis as i32 - 10)).collect();
+        assert_eq!(mismatch_with_reference(&center, &halfwidth), None);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_point_sequence_matches_the_reference(
+            dim in 2usize..11,
+            centers in proptest::collection::vec(-1e3f64..1e3, 10..11),
+            log_halfwidths in proptest::collection::vec(-12.0f64..3.0, 10..11),
+            zero_mask_a in 0u32..1024,
+            zero_mask_b in 0u32..1024,
+        ) {
+            // About a quarter of the axes are centred on −0.0.
+            let center: Vec<f64> = (0..dim)
+                .map(|axis| {
+                    if (zero_mask_a & zero_mask_b) >> axis & 1 == 1 {
+                        -0.0
+                    } else {
+                        centers[axis]
+                    }
+                })
+                .collect();
+            let halfwidth: Vec<f64> =
+                log_halfwidths[..dim].iter().map(|&e| 10f64.powf(e)).collect();
+            let mismatch = mismatch_with_reference(&center, &halfwidth);
+            prop_assert!(mismatch.is_none(), "{mismatch:?}");
+        }
 
         #[test]
         fn prop_linear_functions_are_exact(

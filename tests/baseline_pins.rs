@@ -5,8 +5,10 @@
 //! Each pin holds one run's estimate and error bits, its termination and its
 //! counters.  A change to either method that moves one bit or one count fails
 //! here, whichever way the run ends: converged in phase I, converged in
-//! Cuhre's loop, out of evaluations, or out of phase II heap.  The two-phase
-//! pins hold at every device worker count in the matrix.
+//! Cuhre's loop, out of evaluations, or out of phase II heap.  Two more pins
+//! take phase I's early exits, at its iteration cap and with no region left
+//! to split.  The two-phase pins hold at every device worker count in the
+//! matrix.
 
 mod common;
 
@@ -184,6 +186,71 @@ fn two_phase_runs_are_pinned_at_every_worker_count() {
         for (case, config, integrand, pin) in two_phase_cases() {
             let result = TwoPhase::new(device_with_workers(workers), config).integrate(&*integrand);
             assert_eq!(Pin::of(&result), pin, "{case}, {workers} workers");
+        }
+    }
+}
+
+/// An early-exit case: what it covers, the configuration, the integrand, its
+/// analytic integral and the pinned outcome.
+type ExitCase = (&'static str, TwoPhaseConfig, Box<dyn Integrand>, f64, Pin);
+
+/// Two-phase runs that leave phase I by one of its two early exits.  Each must
+/// count every region once, so its estimate lies within 10 × rel_tol of the
+/// analytic reference; counting phase I's last generation twice read about
+/// twice the reference on both.
+#[test]
+fn two_phase_early_exits_count_each_region_once() {
+    let cases: Vec<ExitCase> = vec![
+        (
+            "f4(3) at 3 digits with phase I capped at one iteration",
+            TwoPhaseConfig {
+                max_phase1_iterations: 1,
+                ..TwoPhaseConfig::test_small(Tolerances::digits(3.0))
+            },
+            Box::new(PaperIntegrand::f4(3)),
+            PaperIntegrand::f4(3).reference_value(),
+            Pin {
+                estimate_bits: 0x3f37_5ae4_988b_1f73,
+                error_bits: 0x3e96_8200_3253_138c,
+                termination: Termination::Converged,
+                iterations: 1,
+                evaluations: 95_832,
+                regions_generated: 2904,
+                active_regions_final: 56,
+            },
+        ),
+        (
+            // Every region meets rel 1e-7 on its own, but the integral, 1e-5, is
+            // a sliver of the integrand's absolute integral, so the summed
+            // errors miss it and phase I ends with no region left to split.
+            "cos(pi x0) + 1e-5 at rel 1e-7 finishes every region in phase I",
+            TwoPhaseConfig::test_small(Tolerances::rel(1e-7)),
+            Box::new(FnIntegrand::new(2, |x: &[f64]| {
+                (std::f64::consts::PI * x[0]).cos() + 1e-5
+            })),
+            1e-5,
+            Pin {
+                estimate_bits: 0x3ee4_f8b5_88db_3600,
+                error_bits: 0x3d89_0af9_5800_0000,
+                termination: Termination::MaxIterations,
+                iterations: 1,
+                evaluations: 8228,
+                regions_generated: 484,
+                active_regions_final: 0,
+            },
+        ),
+    ];
+    for workers in worker_matrix(&[1, 2]) {
+        for (case, config, integrand, reference, pin) in &cases {
+            let rel = config.tolerances.rel;
+            let result =
+                TwoPhase::new(device_with_workers(workers), config.clone()).integrate(&**integrand);
+            assert_eq!(Pin::of(&result), *pin, "{case}, {workers} workers");
+            assert!(
+                (result.estimate - reference).abs() <= 10.0 * rel * reference.abs(),
+                "{case}, {workers} workers: {} against {reference}",
+                result.estimate
+            );
         }
     }
 }
