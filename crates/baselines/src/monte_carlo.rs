@@ -136,9 +136,8 @@ impl MonteCarlo {
                     streams,
                     2,
                     &mut partials,
-                    |ctx, out| {
-                        let mut rng =
-                            StdRng::seed_from_u64(seed ^ (round << 32) ^ ctx.block_idx as u64);
+                    |block, out| {
+                        let mut rng = StdRng::seed_from_u64(seed ^ (round << 32) ^ block as u64);
                         let mut point = vec![0.0; dim];
                         let mut sum = 0.0;
                         let mut sum_sq = 0.0;

@@ -169,8 +169,8 @@ impl Qmc {
                     shifts.len(),
                     1,
                     &mut shift_means,
-                    |ctx, out| {
-                        let shift = &shifts[ctx.block_idx];
+                    |block, out| {
+                        let shift = &shifts[block];
                         let mut sum = 0.0;
                         let mut point = vec![0.0; dim];
                         for k in 0..points_per_shift {

@@ -164,9 +164,9 @@ impl TwoPhase {
                     active.len(),
                     EVAL_LANES,
                     &mut lanes,
-                    |ctx, out| {
+                    |block, out| {
                         let mut scratch = EvalScratch::new(dim);
-                        let est = rule.evaluate(f, &active[ctx.block_idx], &mut scratch);
+                        let est = rule.evaluate(f, &active[block], &mut scratch);
                         out[0] = est.integral;
                         out[1] = est.error;
                         out[2] = est.split_axis as f64;
@@ -278,14 +278,14 @@ impl TwoPhase {
                 active.len(),
                 5,
                 &mut outcomes,
-                |ctx, out| {
+                |block, out| {
                     // Local termination: the processor only sees its own
                     // estimates.  Every processor polls the same token, so a
                     // cancel stops the whole phase within one local pop each.
                     let local = sequential(
                         f,
                         &rule,
-                        &active[ctx.block_idx],
+                        &active[block],
                         tolerances,
                         local_budget,
                         heap_capacity,

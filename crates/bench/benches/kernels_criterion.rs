@@ -65,11 +65,13 @@ fn bench_reductions(c: &mut Criterion) {
     group.bench_function("masked_sum_1M", |b| {
         b.iter(|| black_box(reduce::masked_sum(&values, &mask)))
     });
-    group.bench_function("min_max_1M", |b| {
-        b.iter(|| black_box(reduce::min_max(&values)))
-    });
+    // The driver's call: compaction into one reused vector.
+    let mut compacted = Vec::with_capacity(values.len());
     group.bench_function("compact_1M", |b| {
-        b.iter(|| black_box(scan::compact_by_mask(&values, &mask).len()))
+        b.iter(|| {
+            scan::compact_by_mask_into(&values, &mask, &mut compacted);
+            black_box(compacted.len())
+        })
     });
     group.finish();
 }
@@ -125,8 +127,8 @@ fn bench_launch_overhead(c: &mut Criterion) {
     group.bench_function("launch_batch_64_trivial_global_pool", |b| {
         b.iter(|| {
             shared
-                .launch_batch("bench.trivial", 64, 1, &mut out, |ctx, slot| {
-                    slot[0] = ctx.block_idx as f64;
+                .launch_batch("bench.trivial", 64, 1, &mut out, |block, slot| {
+                    slot[0] = block as f64;
                 })
                 .unwrap();
             black_box(out[63])
@@ -136,8 +138,8 @@ fn bench_launch_overhead(c: &mut Criterion) {
     group.bench_function("launch_batch_64_trivial_2_workers", |b| {
         b.iter(|| {
             pooled
-                .launch_batch("bench.trivial", 64, 1, &mut out, |ctx, slot| {
-                    slot[0] = ctx.block_idx as f64;
+                .launch_batch("bench.trivial", 64, 1, &mut out, |block, slot| {
+                    slot[0] = block as f64;
                 })
                 .unwrap();
             black_box(out[63])
@@ -147,8 +149,8 @@ fn bench_launch_overhead(c: &mut Criterion) {
     group.bench_function("launch_batch_64_trivial_1_worker", |b| {
         b.iter(|| {
             single
-                .launch_batch("bench.trivial", 64, 1, &mut out, |ctx, slot| {
-                    slot[0] = ctx.block_idx as f64;
+                .launch_batch("bench.trivial", 64, 1, &mut out, |block, slot| {
+                    slot[0] = block as f64;
                 })
                 .unwrap();
             black_box(out[63])

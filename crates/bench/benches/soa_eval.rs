@@ -48,7 +48,8 @@ fn with_block_scratch<R>(dim: usize, body: impl FnOnce(&mut BlockScratch) -> R) 
 }
 
 /// Faithful replica of the pre-refactor `evaluate_all`: one closure launch
-/// per generation returning a `Vec` of estimates, unpacked on the host.
+/// per generation returning a `Vec` of estimates, unpacked on the host.  The
+/// launch carries one lane per block that the blocks leave unwritten.
 fn evaluate_all_scalar<F: Integrand + ?Sized>(
     device: &Device,
     rule: &GenzMalik,
@@ -61,10 +62,12 @@ fn evaluate_all_scalar<F: Integrand + ?Sized>(
     // allocated internally: the cost being pinned here.
     let slots: Vec<Mutex<Option<RuleEstimate>>> =
         (0..list.len()).map(|_| Mutex::new(None)).collect();
+    let mut unused = arena.take_f64(list.len());
+    unused.resize(list.len(), 0.0);
     device
-        .launch("soa_eval.scalar", list.len(), |ctx| {
+        .launch_batch("soa_eval.scalar", list.len(), 1, &mut unused, |i, _| {
             let est = with_block_scratch(dim, |block| {
-                list.centered_view(ctx.block_idx, &mut block.center, &mut block.halfwidth);
+                list.centered_view(i, &mut block.center, &mut block.halfwidth);
                 rule.evaluate_centered(
                     integrand,
                     &block.center,
@@ -72,11 +75,10 @@ fn evaluate_all_scalar<F: Integrand + ?Sized>(
                     &mut block.scratch,
                 )
             });
-            *slots[ctx.block_idx]
-                .lock()
-                .expect("slot lock never poisons") = Some(est);
+            *slots[i].lock().expect("slot lock never poisons") = Some(est);
         })
         .expect("scalar launch is never empty");
+    arena.put_f64(unused);
     let estimates: Vec<RuleEstimate> = slots
         .into_iter()
         .map(|slot| {

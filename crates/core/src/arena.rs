@@ -9,13 +9,14 @@
 //! batch-runner worker — across jobs.
 //!
 //! Recycling is invisible to the algorithm: taken vectors are always cleared
-//! before refilling, and retired device buffers release their pool charge on
-//! the way to the shelf (see [`VecShelf`]), so device-memory accounting and
-//! every memory-pressure heuristic behave exactly as they would without reuse.
-//! Results are therefore bit-identical with and without an arena, which is
-//! what lets `integrate_batch` guarantee batch/sequential equivalence.
+//! before refilling, and shelved storage is host memory only — a region list's
+//! device charge is its own reservation (see [`VecShelf`]) — so device-memory
+//! accounting and every memory-pressure heuristic behave exactly as they would
+//! without reuse.  Results are therefore bit-identical with and without an
+//! arena, which is what lets `integrate_batch` guarantee batch/sequential
+//! equivalence.
 
-use pagani_device::{DeviceBuffer, DeviceResult, MemoryPool, VecShelf};
+use pagani_device::VecShelf;
 
 /// Typed shelves recycling the per-generation arrays of the PAGANI driver.
 #[derive(Debug, Default)]
@@ -68,19 +69,6 @@ impl ScratchArena {
         self.masks.put(storage);
     }
 
-    /// Charge a filled vector against `pool` as a device buffer.
-    ///
-    /// # Errors
-    /// Returns `OutOfDeviceMemory` if the backing bytes do not fit the pool.
-    pub fn adopt_f64(&self, pool: &MemoryPool, data: Vec<f64>) -> DeviceResult<DeviceBuffer<f64>> {
-        pool.adopt_vec(data)
-    }
-
-    /// Retire a device buffer: release its pool charge, shelve its storage.
-    pub fn retire_f64(&self, buffer: DeviceBuffer<f64>) {
-        self.f64s.retire(buffer);
-    }
-
     /// Total `take` calls served from recycled storage, across all shelves.
     #[must_use]
     pub fn reuse_hits(&self) -> usize {
@@ -117,20 +105,5 @@ mod tests {
             "f64 and mask shelves hit; axes missed"
         );
         assert_eq!(arena.reuse_misses(), 3);
-    }
-
-    #[test]
-    fn retired_device_buffers_feed_later_takes() {
-        let pool = MemoryPool::new(1 << 20);
-        let arena = ScratchArena::new();
-        let mut data = arena.take_f64(128);
-        data.resize(128, 0.5);
-        let buf = arena.adopt_f64(&pool, data).unwrap();
-        assert_eq!(pool.usage().used, 1024);
-        arena.retire_f64(buf);
-        assert_eq!(pool.usage().used, 0, "retired storage is uncharged");
-        let reused = arena.take_f64(100);
-        assert!(reused.capacity() >= 128);
-        assert_eq!(arena.reuse_hits(), 1);
     }
 }

@@ -189,8 +189,7 @@ pub fn evaluate_all<F: Integrand + ?Sized>(
     let pack = RegionPack::pack(list, arena);
     let mut lanes = arena.take_f64(count * EVAL_LANES);
     lanes.resize(count * EVAL_LANES, 0.0);
-    let launched = device.launch_batch("evaluate", count, EVAL_LANES, &mut lanes, |ctx, out| {
-        let i = ctx.block_idx;
+    let launched = device.launch_batch("evaluate", count, EVAL_LANES, &mut lanes, |i, out| {
         with_block_scratch(dim, |scratch| {
             let est =
                 rule.evaluate_centered(integrand, pack.center_of(i), pack.halfwidth_of(i), scratch);

@@ -2,16 +2,16 @@
 //!
 //! PAGANI never builds a tree or a heap: the regions alive at one iteration are stored
 //! as two flat coordinate arrays (per-axis left edge and per-axis length), exactly like
-//! the `dRegions` / `dRegionsLength` buffers of the CUDA implementation.  All geometry
-//! arrays are allocated from the simulated device's [`MemoryPool`], so subdivision
-//! fails with `OutOfDeviceMemory` at the same point it would fail on the 16 GiB V100.
+//! the `dRegions` / `dRegionsLength` buffers of the CUDA implementation.  Each list
+//! reserves its bytes from the simulated device's [`MemoryPool`] before it fills any
+//! storage, so subdivision fails with `OutOfDeviceMemory` where it would on the V100.
 //!
 //! The generation produced by [`RegionList::split_all`] uses the sibling layout the
 //! `RefineError` kernel expects: splitting `m` parents yields `2m` children with all
 //! left halves in slots `0..m` and all right halves in slots `m..2m`; child `i` and
 //! `i ± m` are siblings and their parent is `i mod m`.
 
-use pagani_device::{DeviceBuffer, DeviceResult, MemoryPool};
+use pagani_device::{DeviceResult, MemoryPool, Reservation};
 use pagani_quadrature::Region;
 
 use crate::arena::ScratchArena;
@@ -22,36 +22,11 @@ pub struct RegionList {
     dim: usize,
     len: usize,
     /// `len * dim` left edges, region-major (`lefts[i*dim + axis]`).
-    lefts: DeviceBuffer<f64>,
-    /// `len * dim` edge lengths, region-major.
-    lengths: DeviceBuffer<f64>,
-}
-
-/// Charge a geometry pair against `pool`.  On failure, whatever storage is
-/// still recoverable goes back to `arena`: the sibling vector (and, when the
-/// *second* charge fails, the already-charged first buffer), but not the
-/// vector consumed by the failing `adopt_vec` itself — so an OOM retry
-/// re-allocates at most one of the two arrays.
-fn adopt_pair(
-    pool: &MemoryPool,
-    arena: &ScratchArena,
     lefts: Vec<f64>,
+    /// `len * dim` edge lengths, region-major.
     lengths: Vec<f64>,
-) -> DeviceResult<(DeviceBuffer<f64>, DeviceBuffer<f64>)> {
-    let lefts = match arena.adopt_f64(pool, lefts) {
-        Ok(buf) => buf,
-        Err(err) => {
-            arena.put_f64(lengths);
-            return Err(err);
-        }
-    };
-    match arena.adopt_f64(pool, lengths) {
-        Ok(lengths) => Ok((lefts, lengths)),
-        Err(err) => {
-            arena.retire_f64(lefts);
-            Err(err)
-        }
-    }
+    /// The device-memory charge of both arrays, released on drop or retire.
+    charge: Reservation,
 }
 
 impl RegionList {
@@ -74,6 +49,7 @@ impl RegionList {
     ) -> DeviceResult<Self> {
         let dim = root.dim();
         let count = d.pow(dim as u32);
+        let charge = pool.reserve(Self::bytes_for(count, dim))?;
         let mut lefts = arena.take_f64(count * dim);
         let mut lengths = arena.take_f64(count * dim);
         let mut coords = vec![0usize; dim];
@@ -91,16 +67,16 @@ impl RegionList {
                 *c = 0;
             }
         }
-        let (lefts, lengths) = adopt_pair(pool, arena, lefts, lengths)?;
         Ok(Self {
             dim,
             len: count,
             lefts,
             lengths,
+            charge,
         })
     }
 
-    /// Build a list from explicit owned regions (used by the baselines and tests).
+    /// Build a list from explicit owned regions, through [`Self::from_flat_in`].
     ///
     /// # Errors
     /// Returns `OutOfDeviceMemory` if the regions do not fit in the pool.
@@ -114,20 +90,15 @@ impl RegionList {
             regions.iter().all(|r| r.dim() == dim),
             "regions must share a dimension"
         );
-        let mut lefts = Vec::with_capacity(regions.len() * dim);
-        let mut lengths = Vec::with_capacity(regions.len() * dim);
-        for region in regions {
-            for axis in 0..dim {
-                lefts.push(region.lo()[axis]);
-                lengths.push(region.extent(axis));
-            }
-        }
-        Ok(Self {
-            dim,
-            len: regions.len(),
-            lefts: pool.adopt_vec(lefts)?,
-            lengths: pool.adopt_vec(lengths)?,
-        })
+        let lefts: Vec<f64> = regions
+            .iter()
+            .flat_map(|r| r.lo().iter().copied())
+            .collect();
+        let lengths: Vec<f64> = regions
+            .iter()
+            .flat_map(|r| (0..dim).map(|axis| r.extent(axis)))
+            .collect();
+        Self::from_flat_in(dim, &lefts, &lengths, pool, &ScratchArena::new())
     }
 
     /// Rebuild a list from flat region-major geometry (the snapshot/resume
@@ -135,8 +106,7 @@ impl RegionList {
     /// [`Self::lefts`] / [`Self::lengths`] expose them.
     ///
     /// # Errors
-    /// Returns `OutOfDeviceMemory` if the regions do not fit in the pool; the
-    /// staging buffers are shelved back into the arena on failure.
+    /// Returns `OutOfDeviceMemory` if the regions do not fit in the pool.
     ///
     /// # Panics
     /// Panics if `dim` is zero, the buffers disagree in length, the length is
@@ -152,16 +122,18 @@ impl RegionList {
         assert_eq!(lefts.len(), lengths.len(), "geometry buffers must match");
         assert_eq!(lefts.len() % dim, 0, "geometry must be region-major");
         assert!(!lefts.is_empty(), "region list cannot be empty");
+        let len = lefts.len() / dim;
+        let charge = pool.reserve(Self::bytes_for(len, dim))?;
         let mut left_buf = arena.take_f64(lefts.len());
         left_buf.extend_from_slice(lefts);
         let mut length_buf = arena.take_f64(lengths.len());
         length_buf.extend_from_slice(lengths);
-        let (left_buf, length_buf) = adopt_pair(pool, arena, left_buf, length_buf)?;
         Ok(Self {
             dim,
-            len: lefts.len() / dim,
+            len,
             lefts: left_buf,
             lengths: length_buf,
+            charge,
         })
     }
 
@@ -186,7 +158,7 @@ impl RegionList {
     /// Device-memory bytes charged by this list.
     #[must_use]
     pub fn charged_bytes(&self) -> usize {
-        self.lefts.charged_bytes() + self.lengths.charged_bytes()
+        self.charge.bytes()
     }
 
     /// The whole flat left-edge array, region-major (`[i*dim + axis]`) —
@@ -258,27 +230,20 @@ impl RegionList {
         arena: &ScratchArena,
     ) -> DeviceResult<Self> {
         assert_eq!(mask.len(), self.len, "mask length mismatch");
-        let mut survivors = arena.take_axes(self.len);
-        survivors.extend(
-            mask.iter()
-                .enumerate()
-                .filter(|(_, &m)| m != 0)
-                .map(|(i, _)| i),
-        );
-        let mut lefts = arena.take_f64(survivors.len() * self.dim);
-        let mut lengths = arena.take_f64(survivors.len() * self.dim);
-        for &i in &survivors {
+        let len = mask.iter().filter(|&&m| m != 0).count();
+        let charge = pool.reserve(Self::bytes_for(len, self.dim))?;
+        let mut lefts = arena.take_f64(len * self.dim);
+        let mut lengths = arena.take_f64(len * self.dim);
+        for (i, _) in mask.iter().enumerate().filter(|(_, &m)| m != 0) {
             lefts.extend_from_slice(self.lefts_of(i));
             lengths.extend_from_slice(self.lengths_of(i));
         }
-        let len = survivors.len();
-        arena.put_axes(survivors);
-        let (lefts, lengths) = adopt_pair(pool, arena, lefts, lengths)?;
         Ok(Self {
             dim: self.dim,
             len,
             lefts,
             lengths,
+            charge,
         })
     }
 
@@ -301,6 +266,7 @@ impl RegionList {
         assert_eq!(axes.len(), self.len, "axis list length mismatch");
         let m = self.len;
         let dim = self.dim;
+        let charge = pool.reserve(Self::bytes_for(2 * m, dim))?;
         let mut lefts = arena.take_f64(2 * m * dim);
         lefts.resize(2 * m * dim, 0.0);
         let mut lengths = arena.take_f64(2 * m * dim);
@@ -323,27 +289,27 @@ impl RegionList {
             lengths[right_slot_start..right_slot_start + dim].copy_from_slice(src_len);
             lengths[right_slot_start + axis] = half;
         }
-        let (lefts, lengths) = adopt_pair(pool, arena, lefts, lengths)?;
         Ok(Self {
             dim,
             len: 2 * m,
             lefts,
             lengths,
+            charge,
         })
     }
 
-    /// Consume the list, releasing its device-memory charge and shelving its
-    /// backing storage into `arena` for the next generation or job.
+    /// Consume the list, shelving its backing storage into `arena` for the
+    /// next generation or job and releasing its device-memory charge.
     pub fn retire(self, arena: &ScratchArena) {
-        arena.retire_f64(self.lefts);
-        arena.retire_f64(self.lengths);
+        arena.put_f64(self.lefts);
+        arena.put_f64(self.lengths);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pagani_device::MemoryPool;
+    use pagani_device::{DeviceError, MemoryPool};
     use proptest::prelude::*;
 
     fn big_pool() -> MemoryPool {
@@ -504,6 +470,31 @@ mod tests {
         let arena = ScratchArena::new();
         let list = RegionList::initial_split(&Region::unit_cube(dim), 4, &pool, &arena).unwrap();
         assert!(list.split_all(&[0; 16], &pool, &arena).is_err());
+    }
+
+    #[test]
+    fn refused_lists_leave_the_arena_and_the_pool_untouched() {
+        // The pool holds one 16-region list and has no room for another.  Each
+        // constructor reserves before it draws arena storage, so a refusal
+        // takes nothing from the arena and leaves the pool's charge as it was.
+        let dim = 2;
+        let pool = MemoryPool::new(RegionList::bytes_for(16, dim));
+        let arena = ScratchArena::new();
+        let list = RegionList::initial_split(&Region::unit_cube(dim), 4, &pool, &arena).unwrap();
+        let used = pool.usage().used;
+        let takes = || arena.reuse_hits() + arena.reuse_misses();
+        let before = takes();
+        let refusals = [
+            RegionList::initial_split(&Region::unit_cube(dim), 4, &pool, &arena).unwrap_err(),
+            list.filter(&[1; 16], &pool, &arena).unwrap_err(),
+            list.split_all(&[0; 16], &pool, &arena).unwrap_err(),
+            RegionList::from_flat_in(dim, list.lefts(), list.lengths(), &pool, &arena).unwrap_err(),
+        ];
+        assert!(refusals
+            .iter()
+            .all(|e| matches!(e, DeviceError::OutOfDeviceMemory { .. })));
+        assert_eq!(takes(), before, "a refused list drew arena storage");
+        assert_eq!(pool.usage().used, used);
     }
 
     proptest! {

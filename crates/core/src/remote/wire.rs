@@ -500,12 +500,24 @@ impl Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
+    /// Round-trip `message` through one frame, then feed the decoder every
+    /// strict prefix of the frame (each must be refused) and the frame with
+    /// each byte overwritten by every value (none may panic).
     fn round_trip(message: Message) {
         let mut frame = Vec::new();
         message.write_to(&mut frame).unwrap();
         let decoded = Message::read_from(&mut frame.as_slice()).unwrap();
         assert_eq!(decoded, message);
+        for cut in 0..frame.len() {
+            assert!(Message::read_from(&mut &frame[..cut]).is_err(), "cut {cut}");
+        }
+        for (at, byte) in (0..frame.len()).flat_map(|at| (0..=255u8).map(move |b| (at, b))) {
+            let mut hostile = frame.clone();
+            hostile[at] = byte;
+            let _ = Message::read_from(&mut hostile.as_slice());
+        }
     }
 
     #[test]
@@ -641,5 +653,22 @@ mod tests {
         }
         assert!(tag_to_priority(3).is_err());
         assert!(tag_to_termination(5).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Decoding never panics on a random payload behind a valid length
+        /// prefix, its tag byte mostly a known one so the field decoders run.
+        #[test]
+        fn prop_the_decoder_never_panics_on_random_payloads(
+            tag in 0u8..12,
+            payload in proptest::collection::vec(0u8..=255, 0..512),
+        ) {
+            let mut frame = (payload.len() as u32 + 1).to_le_bytes().to_vec();
+            frame.push(tag);
+            frame.extend_from_slice(&payload);
+            let _ = Message::read_from(&mut frame.as_slice());
+        }
     }
 }

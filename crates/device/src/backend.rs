@@ -1,20 +1,18 @@
 //! The pluggable compute-backend seam.
 //!
-//! PAGANI's driver needs exactly four things from an execution substrate:
-//! a batched kernel launch over flat buffers, memory alloc/free accounting,
-//! reductions, and scans.  [`ComputeBackend`] captures that surface as a
-//! dyn-safe trait so the driver — and everything above it — is written
-//! against the trait, not against the simulated CPU device.  A wgpu-style
-//! GPU backend slots in by implementing this trait; nothing in the driver
-//! changes.
+//! PAGANI's driver needs exactly three things from an execution substrate:
+//! a batched kernel launch over flat buffers, memory-accounting views, and
+//! two reductions.  [`ComputeBackend`] captures that surface as a dyn-safe
+//! trait so the driver — and everything above it — is written against the
+//! trait, not against the simulated CPU device.  A wgpu-style GPU backend
+//! slots in by implementing this trait; nothing in the driver changes.
 //!
 //! Two implementations live here:
 //!
-//! * [`CpuBackend`] — the reference implementation: today's worker-pool
-//!   device (wave serialisation at `max_resident_blocks`, per-kernel
-//!   profiling, FIFO submission gate).  Its results are bit-identical
-//!   across worker counts because every parallel step runs on the
-//!   deterministic span-splitting pool.
+//! * [`CpuBackend`] — the reference implementation: the worker-pool device
+//!   (per-kernel profiling, FIFO submission gate).  Its results are
+//!   bit-identical across worker counts because every parallel step runs on
+//!   the deterministic span-splitting pool.
 //! * [`CountingBackend`] — a trivial wrapper that counts launches and lane
 //!   bytes while delegating to an inner backend.  It exists to prove the
 //!   trait is actually pluggable and to power tests that assert launch
@@ -24,14 +22,13 @@
 //!
 //! [`ComputeBackend::launch_batch`] is the structure-of-arrays calling
 //! convention: the host passes one flat `f64` output buffer of
-//! `grid_size * lanes` values and every block `i` writes only its own
-//! `lanes`-length slot `out[i*lanes .. (i+1)*lanes]`.  Blocks never share
-//! output cells, so the convention is race-free by construction and keeps
-//! the blessed-reduction discipline (analyzer rule R3): cross-block
+//! `grid_size * lanes` values (`lanes ≥ 1`) and every block `i` writes only
+//! its own `lanes`-length slot `out[i*lanes .. (i+1)*lanes]`.  Blocks never
+//! share output cells, so the convention is race-free by construction and
+//! keeps the blessed-reduction discipline (analyzer rule R3): cross-block
 //! combining happens on the host via [`ComputeBackend::reduce_sum`] and
-//! friends, never by accumulating into captured state inside the kernel.
-//! `lanes == 0` (with an empty `out`) is the side-effect launch used by
-//! kernels that write through their own captured buffers.
+//! [`ComputeBackend::reduce_masked_sum`], never by accumulating into
+//! captured state inside the kernel.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,15 +41,14 @@ use rayon::prelude::*;
 use crate::device::DeviceConfig;
 use crate::error::{DeviceError, DeviceResult};
 use crate::gate::FairGate;
-use crate::launch::{BlockContext, LaunchConfig};
 use crate::memory::MemoryPool;
 use crate::profile::DeviceProfile;
-use crate::{reduce, scan};
+use crate::reduce;
 
-/// Upper bound on the number of contiguous multi-block chunks a wave's lane
-/// buffer is split into for parallel dispatch.  Matches the span granularity
-/// of the worker pool, so going finer buys no extra parallelism — it only
-/// multiplies per-chunk bookkeeping.
+/// Upper bound on the number of contiguous multi-block chunks a launch's
+/// lane buffer is split into for parallel dispatch.  Matches the span
+/// granularity of the worker pool, so going finer buys no extra parallelism
+/// — it only multiplies per-chunk bookkeeping.
 const LANE_DISPATCH_SPANS: usize = 64;
 
 /// Static description of a backend, mirroring the fields of
@@ -64,52 +60,45 @@ pub struct BackendCaps {
     /// Device memory capacity in bytes; every memory view allocated from
     /// the backend has this capacity.
     pub memory_capacity: usize,
-    /// Maximum number of blocks resident at once; larger grids are
-    /// serialised into waves of at most this many blocks.
-    pub max_resident_blocks: usize,
-    /// Default threads per block for launches that do not pick one.
-    pub default_block_size: usize,
     /// Effective parallel width: how many blocks can make progress
     /// simultaneously (the worker-pool size on the CPU reference).
     pub workers: usize,
 }
 
-/// The four primitives PAGANI's driver needs from an execution substrate,
-/// as a dyn-safe trait: batched launch, memory accounting, reduce, scan —
-/// plus the profiling/admission plumbing that keeps [`crate::Device`]'s
-/// existing surface working unchanged over `Arc<dyn ComputeBackend>`.
+/// The three primitives PAGANI's driver needs from an execution substrate,
+/// as a dyn-safe trait: batched launch, memory views, two reductions — plus
+/// the profiling/admission plumbing that keeps [`crate::Device`]'s surface
+/// working over `Arc<dyn ComputeBackend>`.
 ///
 /// Implementations must be deterministic: for a fixed input, `launch_batch`
 /// must produce bit-identical `out` contents regardless of how many workers
-/// execute the grid, and the reduce/scan primitives must combine partial
-/// results in an input-length-determined order.
+/// execute the grid, and the reductions must combine partial results in an
+/// input-length-determined order.
 pub trait ComputeBackend: Send + Sync {
     /// Static description of this backend.
     fn caps(&self) -> BackendCaps;
 
-    /// Launch `config.grid_size` blocks; block `i` writes its results into
-    /// the `lanes`-length slot `out[i*lanes .. (i+1)*lanes]` handed to
-    /// `body` alongside the block context.  Blocks run in parallel, waves
-    /// of at most `max_resident_blocks` at a time, and the call returns
-    /// once the whole grid completed (bulk-synchronous).  `lanes == 0`
-    /// with an empty `out` launches a pure side-effect kernel.
+    /// Launch `grid_size` blocks; block `i` is handed its index and the
+    /// `lanes`-length slot `out[i*lanes .. (i+1)*lanes]` to write its
+    /// results into.  Blocks run in parallel and the call returns once the
+    /// whole grid completed (bulk-synchronous).
     ///
     /// # Errors
     /// [`DeviceError::EmptyLaunch`] for an empty grid;
-    /// [`DeviceError::InvalidLaunchConfig`] for a zero block size or when
+    /// [`DeviceError::InvalidLaunchConfig`] for `lanes == 0` or when
     /// `out.len() != grid_size * lanes`.
     fn launch_batch(
         &self,
         kernel: &'static str,
-        config: LaunchConfig,
+        grid_size: usize,
         lanes: usize,
         out: &mut [f64],
-        body: &(dyn Fn(BlockContext, &mut [f64]) + Sync),
+        body: &(dyn Fn(usize, &mut [f64]) + Sync),
     ) -> DeviceResult<()>;
 
     /// A fresh, full-capacity memory-accounting view of the backend's
-    /// device memory.  Every buffer a driver allocates is charged against
-    /// a pool created here, so alloc/free accounting — and the
+    /// device memory.  Every region list a driver holds reserves its bytes
+    /// from a pool created here, so memory accounting — and the
     /// memory-exhaustion behaviour the paper's experiments rely on — is a
     /// backend decision, not a host-side convention.
     fn alloc_memory_view(&self) -> MemoryPool;
@@ -120,17 +109,9 @@ pub trait ComputeBackend: Send + Sync {
     /// Deterministic sum of `values[i]` where `mask[i] != 0`.
     fn reduce_masked_sum(&self, values: &[f64], mask: &[u8]) -> f64;
 
-    /// Deterministic `(min, max)` of `values`, `None` when empty.
-    fn reduce_min_max(&self, values: &[f64]) -> Option<(f64, f64)>;
-
-    /// Exclusive prefix scan of `values`; returns the scanned vector and
-    /// the total sum.
-    fn scan_exclusive(&self, values: &[usize]) -> (Vec<usize>, usize);
-
     /// Run a host-side section on the backend's workers and record its
-    /// wall time in the profile under `kernel` (the Thrust-style
-    /// primitives go through here so they show up in the §4.3.2
-    /// breakdown).
+    /// wall time in the profile under `kernel` (the post-processing steps
+    /// go through here so they show up in the §4.3.2 breakdown).
     fn timed(&self, kernel: &str, op: &mut (dyn FnMut() + Send));
 
     /// The per-kernel wall-time profile shared by every view of this
@@ -143,11 +124,11 @@ pub trait ComputeBackend: Send + Sync {
 }
 
 /// The reference [`ComputeBackend`]: a persistent CPU worker pool with
-/// wave-serialised launches, deterministic reductions, per-kernel
-/// profiling and a FIFO submission gate.
+/// batched launches, deterministic reductions, per-kernel profiling and a
+/// FIFO submission gate.
 ///
 /// A device of `worker_threads(n)` with `n >= 2` hands each launch,
-/// reduction, scan and timed section to its `n` pool workers and waits for
+/// reduction and timed section to its `n` pool workers and waits for
 /// them.  A `worker_threads(1)` device has no thread of its own: the same
 /// calls run on the thread that makes them, one such thread at a time, with
 /// the results a one-worker pool gives.
@@ -221,8 +202,6 @@ impl ComputeBackend for CpuBackend {
         BackendCaps {
             name: self.config.name.clone(),
             memory_capacity: self.config.memory_capacity,
-            max_resident_blocks: self.config.max_resident_blocks,
-            default_block_size: self.config.default_block_size,
             workers: self.gate.capacity(),
         }
     }
@@ -230,21 +209,19 @@ impl ComputeBackend for CpuBackend {
     fn launch_batch(
         &self,
         kernel: &'static str,
-        config: LaunchConfig,
+        grid_size: usize,
         lanes: usize,
         out: &mut [f64],
-        body: &(dyn Fn(BlockContext, &mut [f64]) + Sync),
+        body: &(dyn Fn(usize, &mut [f64]) + Sync),
     ) -> DeviceResult<()> {
-        if config.grid_size == 0 {
+        if grid_size == 0 {
             return Err(DeviceError::EmptyLaunch { kernel });
         }
-        if config.block_size == 0 {
+        if lanes == 0 {
             return Err(DeviceError::InvalidLaunchConfig {
-                reason: format!("kernel `{kernel}` launched with zero threads per block"),
+                reason: format!("kernel `{kernel}` launched with zero lanes per block"),
             });
         }
-        let grid_size = config.grid_size;
-        let block_size = config.block_size;
         let expected = grid_size.checked_mul(lanes);
         if expected != Some(out.len()) {
             return Err(DeviceError::InvalidLaunchConfig {
@@ -256,47 +233,26 @@ impl ComputeBackend for CpuBackend {
                 ),
             });
         }
-        let wave_cap = self.config.max_resident_blocks.max(1);
-        let waves = grid_size.div_ceil(wave_cap);
-        let ctx = |block_idx: usize| BlockContext {
-            block_idx,
-            grid_size,
-            block_size,
-        };
+        // Hand the substrate coarse multi-block chunks rather than one slice
+        // per block: the slice-handle iterator pays per item, so a
+        // thousands-block grid as individual lanes-sized chunks would cost
+        // more in bookkeeping than the blocks themselves.  Chunk boundaries
+        // depend only on the grid size (never the pool size), and each block
+        // writes only its own slot, so every lane value is identical across
+        // worker counts.
+        let span_blocks = grid_size.div_ceil(LANE_DISPATCH_SPANS);
         let start = Instant::now();
         self.run_in_pool(|| {
-            for wave in 0..waves {
-                let wave_start = wave * wave_cap;
-                let wave_end = grid_size.min(wave_start + wave_cap);
-                if lanes == 0 {
-                    (wave_start..wave_end)
-                        .into_par_iter()
-                        .for_each(|block_idx| body(ctx(block_idx), &mut []));
-                } else {
-                    // Hand the substrate coarse multi-block chunks rather than
-                    // one slice per block: the slice-handle iterator pays per
-                    // item, so a thousands-block wave as individual lanes-sized
-                    // chunks would cost more in bookkeeping than the blocks
-                    // themselves.  Chunk boundaries depend only on the wave
-                    // length (never the pool size), so block execution order
-                    // within a chunk — and therefore every lane value — is
-                    // identical across worker counts.
-                    let wave_blocks = wave_end - wave_start;
-                    let span_blocks = wave_blocks.div_ceil(LANE_DISPATCH_SPANS);
-                    out[wave_start * lanes..wave_end * lanes]
-                        .par_chunks_mut(span_blocks * lanes)
-                        .enumerate()
-                        .for_each(|(span, chunk)| {
-                            let base = wave_start + span * span_blocks;
-                            for (j, slot) in chunk.chunks_mut(lanes).enumerate() {
-                                body(ctx(base + j), slot);
-                            }
-                        });
-                }
-            }
+            out.par_chunks_mut(span_blocks * lanes)
+                .enumerate()
+                .for_each(|(span, chunk)| {
+                    let base = span * span_blocks;
+                    for (j, slot) in chunk.chunks_mut(lanes).enumerate() {
+                        body(base + j, slot);
+                    }
+                });
         });
-        self.profile
-            .record_launch(kernel, grid_size, waves, start.elapsed());
+        self.profile.record(kernel, grid_size, start.elapsed());
         Ok(())
     }
 
@@ -310,14 +266,6 @@ impl ComputeBackend for CpuBackend {
 
     fn reduce_masked_sum(&self, values: &[f64], mask: &[u8]) -> f64 {
         self.run_in_pool(|| reduce::masked_sum(values, mask))
-    }
-
-    fn reduce_min_max(&self, values: &[f64]) -> Option<(f64, f64)> {
-        self.run_in_pool(|| reduce::min_max(values))
-    }
-
-    fn scan_exclusive(&self, values: &[usize]) -> (Vec<usize>, usize) {
-        self.run_in_pool(|| scan::exclusive_scan(values))
     }
 
     fn timed(&self, kernel: &str, op: &mut (dyn FnMut() + Send)) {
@@ -393,13 +341,14 @@ impl ComputeBackend for CountingBackend {
     fn launch_batch(
         &self,
         kernel: &'static str,
-        config: LaunchConfig,
+        grid_size: usize,
         lanes: usize,
         out: &mut [f64],
-        body: &(dyn Fn(BlockContext, &mut [f64]) + Sync),
+        body: &(dyn Fn(usize, &mut [f64]) + Sync),
     ) -> DeviceResult<()> {
         let bytes = std::mem::size_of_val(out);
-        self.inner.launch_batch(kernel, config, lanes, out, body)?;
+        self.inner
+            .launch_batch(kernel, grid_size, lanes, out, body)?;
         *self.launches.lock().entry(kernel).or_insert(0) += 1;
         self.lane_bytes.fetch_add(bytes, Ordering::Relaxed);
         Ok(())
@@ -416,14 +365,6 @@ impl ComputeBackend for CountingBackend {
 
     fn reduce_masked_sum(&self, values: &[f64], mask: &[u8]) -> f64 {
         self.inner.reduce_masked_sum(values, mask)
-    }
-
-    fn reduce_min_max(&self, values: &[f64]) -> Option<(f64, f64)> {
-        self.inner.reduce_min_max(values)
-    }
-
-    fn scan_exclusive(&self, values: &[usize]) -> (Vec<usize>, usize) {
-        self.inner.scan_exclusive(values)
     }
 
     fn timed(&self, kernel: &str, op: &mut (dyn FnMut() + Send)) {
@@ -453,34 +394,27 @@ mod tests {
         let caps = backend.caps();
         assert_eq!(caps.name, "simulated-test");
         assert_eq!(caps.memory_capacity, 8 * (1 << 20));
-        assert_eq!(caps.max_resident_blocks, 1 << 10);
-        assert_eq!(caps.default_block_size, 64);
         assert_eq!(caps.workers, 2);
     }
 
     #[test]
     fn launch_batch_writes_each_block_slot_in_order() {
         let backend = cpu();
-        let mut out = vec![0.0; 3 * 2560];
+        let grid = 2560;
+        let mut out = vec![0.0; 3 * grid];
         backend
-            .launch_batch(
-                "batch",
-                LaunchConfig::grid(2560),
-                3,
-                &mut out,
-                &|ctx, slot| {
-                    slot[0] = ctx.block_idx as f64;
-                    slot[1] = ctx.grid_size as f64;
-                    slot[2] = -1.0;
-                },
-            )
+            .launch_batch("batch", grid, 3, &mut out, &|block, slot| {
+                slot[0] = block as f64;
+                slot[1] = grid as f64;
+                slot[2] = -1.0;
+            })
             .unwrap();
         for (i, slot) in out.chunks_exact(3).enumerate() {
             assert_eq!(slot, &[i as f64, 2560.0, -1.0]);
         }
-        // 2560 blocks over a 1024-block cap: three waves, one launch.
+        // 2560 blocks, one launch.
         let t = backend.profile().kernel("batch").unwrap();
-        assert_eq!((t.launches, t.blocks, t.waves), (1, 2560, 3));
+        assert_eq!((t.launches, t.blocks), (1, 2560));
     }
 
     #[test]
@@ -488,68 +422,46 @@ mod tests {
         let backend = cpu();
         let mut out = vec![0.0; 7];
         let err = backend
-            .launch_batch("bad", LaunchConfig::grid(4), 2, &mut out, &|_, _| {})
+            .launch_batch("bad", 4, 2, &mut out, &|_, _| {})
             .unwrap_err();
         assert!(matches!(err, DeviceError::InvalidLaunchConfig { .. }));
     }
 
     #[test]
-    fn zero_lane_launch_requires_an_empty_buffer() {
+    fn zero_lane_launch_is_rejected() {
         let backend = cpu();
-        let mut out = vec![0.0; 1];
-        let err = backend
-            .launch_batch("bad", LaunchConfig::grid(4), 0, &mut out, &|_, _| {})
-            .unwrap_err();
-        assert!(matches!(err, DeviceError::InvalidLaunchConfig { .. }));
-        backend
-            .launch_batch("ok", LaunchConfig::grid(4), 0, &mut [], &|_, slot| {
-                assert!(slot.is_empty());
-            })
-            .unwrap();
+        for out in [&mut [][..], &mut [0.0][..]] {
+            let err = backend
+                .launch_batch("bad", 4, 0, out, &|_, _| {})
+                .unwrap_err();
+            assert!(matches!(err, DeviceError::InvalidLaunchConfig { .. }));
+        }
+        assert!(backend.profile().kernel("bad").is_none());
     }
 
     #[test]
     fn launch_batch_is_bit_identical_across_worker_counts() {
-        let reference: Vec<f64> = {
-            let backend = CpuBackend::new(DeviceConfig::test_small().with_worker_threads(1));
-            let mut out = vec![0.0; 3000];
-            backend
-                .launch_batch(
-                    "det",
-                    LaunchConfig::grid(3000),
-                    1,
-                    &mut out,
-                    &|ctx, slot| {
-                        let x = ctx.block_idx as f64;
-                        slot[0] = (x * 0.1).sin() + (x * 0.01).cos();
-                    },
-                )
-                .unwrap();
-            out
-        };
-        for workers in [2, 8] {
+        let run = |workers: usize| {
             let backend = CpuBackend::new(DeviceConfig::test_small().with_worker_threads(workers));
             let mut out = vec![0.0; 3000];
             backend
-                .launch_batch(
-                    "det",
-                    LaunchConfig::grid(3000),
-                    1,
-                    &mut out,
-                    &|ctx, slot| {
-                        let x = ctx.block_idx as f64;
-                        slot[0] = (x * 0.1).sin() + (x * 0.01).cos();
-                    },
-                )
+                .launch_batch("det", 3000, 1, &mut out, &|block, slot| {
+                    let x = block as f64;
+                    slot[0] = (x * 0.1).sin() + (x * 0.01).cos();
+                })
                 .unwrap();
-            for (a, b) in reference.iter().zip(&out) {
+            out
+        };
+        let reference = run(1);
+        for workers in [2, 8] {
+            for (a, b) in reference.iter().zip(&run(workers)) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
     }
 
     #[test]
-    fn reduce_and_scan_delegate_to_the_deterministic_primitives() {
+    fn reductions_delegate_to_the_deterministic_primitives() {
         let backend = cpu();
         let values: Vec<f64> = (0..5000).map(|i| i as f64 * 0.25).collect();
         assert_eq!(
@@ -561,12 +473,6 @@ mod tests {
             backend.reduce_masked_sum(&values, &mask).to_bits(),
             reduce::masked_sum(&values, &mask).to_bits()
         );
-        assert_eq!(backend.reduce_min_max(&values), Some((0.0, 4999.0 * 0.25)));
-        let counts: Vec<usize> = (0..100).map(|i| i % 5).collect();
-        assert_eq!(
-            backend.scan_exclusive(&counts),
-            scan::exclusive_scan(&counts)
-        );
     }
 
     #[test]
@@ -575,23 +481,23 @@ mod tests {
         let counting = CountingBackend::new(inner);
         let mut out = vec![0.0; 8];
         counting
-            .launch_batch("a", LaunchConfig::grid(4), 2, &mut out, &|ctx, slot| {
-                slot[0] = ctx.block_idx as f64;
-                slot[1] = 2.0 * ctx.block_idx as f64;
+            .launch_batch("a", 4, 2, &mut out, &|block, slot| {
+                slot[0] = block as f64;
+                slot[1] = 2.0 * block as f64;
             })
             .unwrap();
         counting
-            .launch_batch("b", LaunchConfig::grid(2), 0, &mut [], &|_, _| {})
+            .launch_batch("b", 2, 1, &mut [0.0; 2], &|_, _| {})
             .unwrap();
         assert_eq!(counting.launches(), 2);
         assert_eq!(counting.launches_for("a"), 1);
         assert_eq!(counting.launches_for("b"), 1);
         assert_eq!(counting.launches_for("missing"), 0);
-        assert_eq!(counting.lane_bytes(), 8 * std::mem::size_of::<f64>());
+        assert_eq!(counting.lane_bytes(), (8 + 2) * std::mem::size_of::<f64>());
         assert_eq!(out, vec![0.0, 0.0, 1.0, 2.0, 2.0, 4.0, 3.0, 6.0]);
         // Failed launches are not counted.
         let err = counting
-            .launch_batch("a", LaunchConfig::grid(0), 0, &mut [], &|_, _| {})
+            .launch_batch("a", 0, 1, &mut [], &|_, _| {})
             .unwrap_err();
         assert_eq!(err, DeviceError::EmptyLaunch { kernel: "a" });
         assert_eq!(counting.launches_for("a"), 1);

@@ -3,15 +3,14 @@
 //!
 //! Since the backend redesign, [`Device`] is a thin handle: an
 //! `Arc<dyn ComputeBackend>` plus one [`MemoryPool`] accounting view.  All
-//! execution — wave-serialised launches, reductions, profiled host sections —
-//! goes through the trait, so swapping the substrate (see
+//! execution — batched launches, reductions, profiled host sections — goes
+//! through the trait, so swapping the substrate (see
 //! [`crate::backend`]) leaves every caller of this type untouched.
 
 use std::sync::Arc;
 
 use crate::backend::{ComputeBackend, CpuBackend};
 use crate::error::DeviceResult;
-use crate::launch::{BlockContext, LaunchConfig};
 use crate::memory::MemoryPool;
 use crate::profile::DeviceProfile;
 use crate::FairGate;
@@ -21,12 +20,6 @@ use crate::FairGate;
 pub struct DeviceConfig {
     /// Device memory capacity in bytes (the paper's V100 has 16 GiB).
     pub memory_capacity: usize,
-    /// Maximum number of blocks resident at once.  Launches with larger grids are
-    /// serialised into waves of at most this many blocks (the paper's phase-I cap is
-    /// 2^15 concurrent blocks); the wave count is recorded in the profile.
-    pub max_resident_blocks: usize,
-    /// Default threads per block.
-    pub default_block_size: usize,
     /// Number of worker threads to use.  `Some(n)` gives the device a dedicated
     /// persistent pool of `n` workers that caps every parallel call made during a
     /// launch — including calls nested inside kernel bodies, which inherit the
@@ -41,27 +34,22 @@ pub struct DeviceConfig {
 }
 
 impl DeviceConfig {
-    /// The configuration used throughout the paper: a 16 GiB V100 with 256-thread
-    /// blocks and a 2^15 resident-block cap.
+    /// The configuration used throughout the paper: a 16 GiB V100.
     #[must_use]
     pub fn v100_like() -> Self {
         Self {
             memory_capacity: 16 * (1 << 30),
-            max_resident_blocks: 1 << 15,
-            default_block_size: 256,
             worker_threads: None,
             name: "simulated-v100".to_owned(),
         }
     }
 
     /// A small configuration for tests: a few MiB of memory so exhaustion paths are
-    /// easy to trigger, and a small resident-block cap.
+    /// easy to trigger.
     #[must_use]
     pub fn test_small() -> Self {
         Self {
             memory_capacity: 8 * (1 << 20),
-            max_resident_blocks: 1 << 10,
-            default_block_size: 64,
             worker_threads: None,
             name: "simulated-test".to_owned(),
         }
@@ -139,8 +127,6 @@ impl Device {
         let caps = backend.caps();
         let config = DeviceConfig {
             memory_capacity: caps.memory_capacity,
-            max_resident_blocks: caps.max_resident_blocks,
-            default_block_size: caps.default_block_size,
             worker_threads: Some(caps.workers),
             name: caps.name,
         };
@@ -174,12 +160,6 @@ impl Device {
     #[must_use]
     pub fn config(&self) -> &DeviceConfig {
         &self.inner.config
-    }
-
-    /// The backend this device executes on.
-    #[must_use]
-    pub fn backend(&self) -> &Arc<dyn ComputeBackend> {
-        &self.inner.backend
     }
 
     /// The device memory pool.
@@ -223,8 +203,7 @@ impl Device {
     /// it were the only job on the device, so memory-pressure heuristics — and
     /// therefore results — are bit-identical to running the job alone.  The
     /// engine assumes each job individually fits the device; enforcing a
-    /// *combined* cross-job quota is an explicit non-goal here (tracked on the
-    /// roadmap).
+    /// *combined* cross-job quota is an explicit non-goal here.
     #[must_use]
     pub fn isolated_memory_view(&self) -> Device {
         Device {
@@ -236,48 +215,22 @@ impl Device {
         }
     }
 
-    fn default_config(&self, grid_size: usize) -> LaunchConfig {
-        LaunchConfig {
-            grid_size,
-            block_size: self.inner.config.default_block_size,
-        }
-    }
-
-    /// Launch a pure side-effect kernel: run `body` once per block of a
-    /// `grid_size`-block grid of the default block size, in parallel, and
-    /// block until the whole grid has completed.  Grids larger than the
-    /// device's `max_resident_blocks` execute as consecutive waves of at
-    /// most that many blocks.  Wall time is recorded in the profile under
+    /// Launch a batched structure-of-arrays kernel: `body` runs once per
+    /// block of a `grid_size`-block grid, in parallel, with the block index
+    /// and the block's `lanes` output values `out[i*lanes .. (i+1)*lanes]`,
+    /// and the call blocks until the whole grid has completed.  This is the
+    /// shape of PAGANI's `evaluate` kernel — one launch covers a whole
+    /// generation of regions, with the per-region estimates landing in flat,
+    /// reusable buffers.  Wall time is recorded in the profile under
     /// `kernel`.
-    ///
-    /// # Errors
-    /// Returns [`crate::DeviceError::EmptyLaunch`] for an empty grid.
-    pub fn launch<F>(&self, kernel: &'static str, grid_size: usize, body: F) -> DeviceResult<()>
-    where
-        F: Fn(BlockContext) + Sync,
-    {
-        self.inner.backend.launch_batch(
-            kernel,
-            self.default_config(grid_size),
-            0,
-            &mut [],
-            &|ctx, _| body(ctx),
-        )
-    }
-
-    /// Launch a batched structure-of-arrays kernel: every block `i` of a
-    /// `grid_size`-block grid writes its `lanes` output values into
-    /// `out[i*lanes .. (i+1)*lanes]`.  This is the shape of PAGANI's
-    /// `evaluate` kernel — one launch covers a whole generation of regions,
-    /// with the per-region estimates landing in flat, reusable buffers.
     ///
     /// Blocks never share output cells, so the convention is race-free by
     /// construction; combine across blocks on the host with
-    /// [`Device::reduce_sum`] and friends.
+    /// [`Device::reduce_sum`] and [`Device::reduce_masked_sum`].
     ///
     /// # Errors
     /// Returns [`crate::DeviceError::EmptyLaunch`] for an empty grid and
-    /// [`crate::DeviceError::InvalidLaunchConfig`] when
+    /// [`crate::DeviceError::InvalidLaunchConfig`] for `lanes == 0` or when
     /// `out.len() != grid_size * lanes`.
     pub fn launch_batch<F>(
         &self,
@@ -288,11 +241,11 @@ impl Device {
         body: F,
     ) -> DeviceResult<()>
     where
-        F: Fn(BlockContext, &mut [f64]) + Sync,
+        F: Fn(usize, &mut [f64]) + Sync,
     {
         self.inner
             .backend
-            .launch_batch(kernel, self.default_config(grid_size), lanes, out, &body)
+            .launch_batch(kernel, grid_size, lanes, out, &body)
     }
 
     /// Deterministic sum reduction on the device's backend.
@@ -307,20 +260,8 @@ impl Device {
         self.inner.backend.reduce_masked_sum(values, mask)
     }
 
-    /// Deterministic `(min, max)` reduction on the device's backend.
-    #[must_use]
-    pub fn reduce_min_max(&self, values: &[f64]) -> Option<(f64, f64)> {
-        self.inner.backend.reduce_min_max(values)
-    }
-
-    /// Exclusive prefix scan on the device's backend.
-    #[must_use]
-    pub fn scan_exclusive(&self, values: &[usize]) -> (Vec<usize>, usize) {
-        self.inner.backend.scan_exclusive(values)
-    }
-
     /// Run a host-side parallel section inside the device's worker pool and record it
-    /// in the profile.  Used for the Thrust-style primitives so that their time shows
+    /// in the profile.  Used for the post-processing steps so that their time shows
     /// up in the §4.3.2 breakdown.
     pub fn timed_section<R: Send>(&self, kernel: &str, op: impl FnOnce() -> R + Send) -> R {
         let mut op = Some(op);
@@ -344,7 +285,7 @@ mod tests {
         let device = Device::test_small();
         let counter = AtomicUsize::new(0);
         device
-            .launch("count", 1000, |_| {
+            .launch_batch("count", 1000, 1, &mut [0.0; 1000], |_, _| {
                 counter.fetch_add(1, Ordering::Relaxed);
             })
             .unwrap();
@@ -356,8 +297,8 @@ mod tests {
         let device = Device::test_small();
         let mut out = vec![0.0; 64];
         device
-            .launch_batch("square", 64, 1, &mut out, |ctx, slot| {
-                slot[0] = (ctx.block_idx * ctx.block_idx) as f64;
+            .launch_batch("square", 64, 1, &mut out, |block, slot| {
+                slot[0] = (block * block) as f64;
             })
             .unwrap();
         for (i, v) in out.iter().enumerate() {
@@ -368,8 +309,6 @@ mod tests {
     #[test]
     fn empty_launch_is_an_error() {
         let device = Device::test_small();
-        let err = device.launch("noop", 0, |_| {}).unwrap_err();
-        assert_eq!(err, DeviceError::EmptyLaunch { kernel: "noop" });
         let err = device
             .launch_batch("noop", 0, 1, &mut [], |_, _| {})
             .unwrap_err();
@@ -377,21 +316,15 @@ mod tests {
     }
 
     #[test]
-    fn zero_block_size_is_rejected() {
-        let device = Device::test_small();
-        let cfg = LaunchConfig::grid(4).with_block_size(0);
-        let err = device
-            .backend()
-            .launch_batch("bad", cfg, 0, &mut [], &|_, _| {})
-            .unwrap_err();
-        assert!(matches!(err, DeviceError::InvalidLaunchConfig { .. }));
-    }
-
-    #[test]
     fn launches_are_profiled() {
         let device = Device::test_small();
-        device.launch("profiled", 16, |_| {}).unwrap();
-        device.launch("profiled", 16, |_| {}).unwrap();
+        let mut out = [0.0; 16];
+        device
+            .launch_batch("profiled", 16, 1, &mut out, |_, _| {})
+            .unwrap();
+        device
+            .launch_batch("profiled", 16, 1, &mut out, |_, _| {})
+            .unwrap();
         let timing = device.profile().kernel("profiled").unwrap();
         assert_eq!(timing.launches, 2);
         assert_eq!(timing.blocks, 32);
@@ -405,51 +338,34 @@ mod tests {
         let mut order = vec![0usize; 32];
         let order_ptr = std::sync::Mutex::new(&mut order);
         device
-            .launch("sequential", 32, |ctx| {
+            .launch_batch("sequential", 32, 1, &mut [0.0; 32], |block, _| {
                 let mut guard = order_ptr.lock().unwrap();
-                guard[ctx.block_idx] = ctx.block_idx + 1;
+                guard[block] = block + 1;
             })
             .unwrap();
         assert!(order.iter().enumerate().all(|(i, &v)| v == i + 1));
     }
 
     #[test]
-    fn oversized_grids_are_serialised_into_waves() {
-        let device = Device::test_small(); // max_resident_blocks = 1024
-        device.launch("waved", 4096, |_| {}).unwrap();
-        let t = device.profile().kernel("waved").unwrap();
-        assert_eq!(t.launches, 1);
-        assert_eq!(t.blocks, 4096);
-        assert_eq!(t.waves, 4);
-    }
-
-    #[test]
-    fn wave_execution_preserves_block_order_and_coverage() {
+    fn large_grids_preserve_block_order_and_coverage() {
         let device = Device::test_small();
-        // 2.5 waves worth of blocks; outputs must still arrive in block order.
+        // A grid far wider than the 64 dispatch spans; outputs must still
+        // arrive in block order, from one launch.
         let mut out = vec![0.0; 2560];
         device
-            .launch_batch("waved.map", 2560, 1, &mut out, |ctx, slot| {
-                slot[0] = ctx.block_idx as f64;
+            .launch_batch("wide.map", 2560, 1, &mut out, |block, slot| {
+                slot[0] = block as f64;
             })
             .unwrap();
         assert!(out.iter().enumerate().all(|(i, &v)| v == i as f64));
-        let t = device.profile().kernel("waved.map").unwrap();
-        assert_eq!(t.waves, 3);
-    }
-
-    #[test]
-    fn resident_grids_run_in_one_wave() {
-        let device = Device::test_small();
-        device.launch("single", 1024, |_| {}).unwrap();
-        assert_eq!(device.profile().kernel("single").unwrap().waves, 1);
+        let t = device.profile().kernel("wide.map").unwrap();
+        assert_eq!((t.launches, t.blocks), (1, 2560));
     }
 
     #[test]
     fn v100_like_has_16_gib() {
         let device = Device::v100_like();
         assert_eq!(device.config().memory_capacity, 16 * (1 << 30));
-        assert_eq!(device.config().max_resident_blocks, 1 << 15);
     }
 
     #[test]
@@ -473,16 +389,13 @@ mod tests {
             device.reduce_masked_sum(&values, &mask).to_bits(),
             crate::reduce::masked_sum(&values, &mask).to_bits()
         );
-        assert_eq!(device.reduce_min_max(&[]), None);
-        let counts = vec![1usize, 2, 3];
-        assert_eq!(device.scan_exclusive(&counts), (vec![0, 1, 3], 6));
     }
 
     #[test]
     fn clones_share_memory_pool() {
         let device = Device::test_small();
         let clone = device.clone();
-        let _buf = clone.memory().alloc_zeroed::<f64>(128).unwrap();
+        let _held = clone.memory().reserve(1024).unwrap();
         assert_eq!(device.memory().usage().used, 1024);
     }
 
@@ -490,16 +403,17 @@ mod tests {
     fn isolated_view_has_its_own_memory_but_shares_the_profile() {
         let device = Device::test_small();
         let view = device.isolated_memory_view();
-        let _buf = view.memory().alloc_zeroed::<f64>(128).unwrap();
+        let _held = view.memory().reserve(1024).unwrap();
         assert_eq!(view.memory().usage().used, 1024);
         assert_eq!(
             device.memory().usage().used,
             0,
-            "view allocations are not charged to the parent pool"
+            "view reservations are not charged to the parent pool"
         );
         assert_eq!(view.memory().capacity(), device.memory().capacity());
         // Kernels launched on the view land in the shared profile.
-        view.launch("view.kernel", 8, |_| {}).unwrap();
+        view.launch_batch("view.kernel", 8, 1, &mut [0.0; 8], |_, _| {})
+            .unwrap();
         assert!(device.profile().kernel("view.kernel").is_some());
     }
 
@@ -542,14 +456,15 @@ mod tests {
         let device = Device::with_backend(Arc::clone(&counting) as Arc<dyn ComputeBackend>);
         let mut out = vec![0.0; 4];
         device
-            .launch_batch("counted", 4, 1, &mut out, |ctx, slot| {
-                slot[0] = ctx.block_idx as f64 + 1.0;
+            .launch_batch("counted", 4, 1, &mut out, |block, slot| {
+                slot[0] = block as f64 + 1.0;
             })
             .unwrap();
         assert_eq!(out, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(counting.launches_for("counted"), 1);
         let view = device.isolated_memory_view();
-        view.launch("counted", 2, |_| {}).unwrap();
+        view.launch_batch("counted", 2, 1, &mut [0.0; 2], |_, _| {})
+            .unwrap();
         assert_eq!(counting.launches_for("counted"), 2);
         // Two views: the device's own plus the isolated one.
         assert_eq!(counting.memory_views(), 2);

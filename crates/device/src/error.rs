@@ -23,7 +23,7 @@ pub enum DeviceError {
         /// Name of the kernel that was launched.
         kernel: &'static str,
     },
-    /// A launch configuration was invalid (e.g. zero threads per block).
+    /// A launch configuration was invalid (e.g. zero lanes per block).
     InvalidLaunchConfig {
         /// Human readable description of the problem.
         reason: String,

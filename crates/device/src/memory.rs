@@ -3,11 +3,13 @@
 //! The paper's evaluation hinges on what happens when the 16 GiB of V100 memory is
 //! close to exhaustion: the two-phase baseline fails outright, while PAGANI triggers
 //! its heuristic threshold classification to shed finished regions.  To reproduce that
-//! behaviour the region lists of every integrator in this repository are allocated
-//! through a [`MemoryPool`] whose capacity is part of the device configuration.
+//! behaviour the region lists of every integrator in this repository reserve their
+//! bytes from a [`MemoryPool`] whose capacity is part of the device configuration.
 //!
-//! A [`DeviceBuffer<T>`] is a plain `Vec<T>` whose backing bytes are charged against
-//! the pool for its entire lifetime; dropping the buffer releases the charge.
+//! [`MemoryPool::reserve`] is the pool's only charging call: a [`Reservation`] holds
+//! its bytes against the pool until it is dropped.  Callers reserve *before* they
+//! allocate and fill host storage, so an exhausted pool refuses a list before the
+//! host has paid for it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -21,27 +23,10 @@ use crate::error::{DeviceError, DeviceResult};
 pub struct MemoryUsage {
     /// Total capacity in bytes.
     pub capacity: usize,
-    /// Bytes currently allocated.
+    /// Bytes currently reserved.
     pub used: usize,
-    /// High-water mark of allocated bytes over the pool lifetime.
+    /// High-water mark of reserved bytes over the pool lifetime.
     pub peak: usize,
-}
-
-impl MemoryUsage {
-    /// Bytes still available for allocation.
-    #[must_use]
-    pub fn available(&self) -> usize {
-        self.capacity.saturating_sub(self.used)
-    }
-
-    /// Fraction of the capacity currently in use, in `[0, 1]`.
-    #[must_use]
-    pub fn utilisation(&self) -> f64 {
-        if self.capacity == 0 {
-            return 1.0;
-        }
-        self.used as f64 / self.capacity as f64
-    }
 }
 
 #[derive(Debug)]
@@ -49,14 +34,13 @@ struct PoolInner {
     capacity: usize,
     used: AtomicUsize,
     peak: AtomicUsize,
-    allocations: AtomicUsize,
-    failed_allocations: AtomicUsize,
 }
 
-/// A byte-capacity-limited allocator standing in for device (HBM) memory.
+/// A byte-capacity-limited budget standing in for device (HBM) memory.
 ///
 /// The pool is cheap to clone (`Arc` internally); all clones share the same capacity
-/// accounting, so a [`crate::Device`] and the buffers it hands out stay consistent.
+/// accounting, so a [`crate::Device`] and the reservations taken from it stay
+/// consistent.
 #[derive(Debug, Clone)]
 pub struct MemoryPool {
     inner: Arc<PoolInner>,
@@ -71,8 +55,6 @@ impl MemoryPool {
                 capacity,
                 used: AtomicUsize::new(0),
                 peak: AtomicUsize::new(0),
-                allocations: AtomicUsize::new(0),
-                failed_allocations: AtomicUsize::new(0),
             }),
         }
     }
@@ -93,19 +75,9 @@ impl MemoryPool {
         }
     }
 
-    /// Number of successful allocations made through this pool.
-    #[must_use]
-    pub fn allocation_count(&self) -> usize {
-        self.inner.allocations.load(Ordering::Relaxed)
-    }
-
-    /// Number of allocation requests rejected for lack of capacity.
-    #[must_use]
-    pub fn failed_allocation_count(&self) -> usize {
-        self.inner.failed_allocations.load(Ordering::Relaxed)
-    }
-
-    /// Whether a request for `bytes` additional bytes would currently succeed.
+    /// Whether a reservation of `bytes` additional bytes would currently
+    /// succeed.  A read-only probe: it charges nothing, so it never makes a
+    /// concurrent reservation on a shared pool fail.
     #[must_use]
     pub fn can_allocate(&self, bytes: usize) -> bool {
         let used = self.inner.used.load(Ordering::Relaxed);
@@ -113,29 +85,22 @@ impl MemoryPool {
             .is_some_and(|total| total <= self.inner.capacity)
     }
 
-    /// Reserve `bytes` against the pool, failing with
-    /// [`DeviceError::OutOfDeviceMemory`] if the capacity would be exceeded.
-    fn reserve(&self, bytes: usize) -> DeviceResult<()> {
+    /// Charge `bytes` against the pool until the returned [`Reservation`] is
+    /// dropped.
+    ///
+    /// # Errors
+    /// Returns [`DeviceError::OutOfDeviceMemory`] if the capacity would be
+    /// exceeded; nothing is charged then.
+    pub fn reserve(&self, bytes: usize) -> DeviceResult<Reservation> {
         let mut used = self.inner.used.load(Ordering::Relaxed);
         loop {
-            let Some(next) = used.checked_add(bytes) else {
-                self.inner
-                    .failed_allocations
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(DeviceError::OutOfDeviceMemory {
+            let next = used
+                .checked_add(bytes)
+                .filter(|&next| next <= self.inner.capacity)
+                .ok_or_else(|| DeviceError::OutOfDeviceMemory {
                     requested: bytes,
                     available: self.inner.capacity.saturating_sub(used),
-                });
-            };
-            if next > self.inner.capacity {
-                self.inner
-                    .failed_allocations
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(DeviceError::OutOfDeviceMemory {
-                    requested: bytes,
-                    available: self.inner.capacity.saturating_sub(used),
-                });
-            }
+                })?;
             match self.inner.used.compare_exchange_weak(
                 used,
                 next,
@@ -144,136 +109,37 @@ impl MemoryPool {
             ) {
                 Ok(_) => {
                     self.inner.peak.fetch_max(next, Ordering::Relaxed);
-                    self.inner.allocations.fetch_add(1, Ordering::Relaxed);
-                    return Ok(());
+                    return Ok(Reservation {
+                        bytes,
+                        pool: self.clone(),
+                    });
                 }
                 Err(actual) => used = actual,
             }
         }
     }
-
-    fn release(&self, bytes: usize) {
-        self.inner.used.fetch_sub(bytes, Ordering::AcqRel);
-    }
-
-    /// Allocate a zero-initialised buffer of `len` elements.
-    ///
-    /// # Errors
-    /// Returns [`DeviceError::OutOfDeviceMemory`] if the backing bytes do not fit.
-    pub fn alloc_zeroed<T: Default + Clone>(&self, len: usize) -> DeviceResult<DeviceBuffer<T>> {
-        self.alloc_with(len, |_| T::default())
-    }
-
-    /// Allocate a buffer of `len` elements produced by `init(index)`.
-    ///
-    /// # Errors
-    /// Returns [`DeviceError::OutOfDeviceMemory`] if the backing bytes do not fit.
-    pub fn alloc_with<T, F>(&self, len: usize, init: F) -> DeviceResult<DeviceBuffer<T>>
-    where
-        F: FnMut(usize) -> T,
-    {
-        let bytes = len * std::mem::size_of::<T>();
-        self.reserve(bytes)?;
-        let data: Vec<T> = (0..len).map(init).collect();
-        Ok(DeviceBuffer {
-            data,
-            charged_bytes: bytes,
-            pool: self.clone(),
-        })
-    }
-
-    /// Allocate a buffer by copying `src`.
-    ///
-    /// # Errors
-    /// Returns [`DeviceError::OutOfDeviceMemory`] if the backing bytes do not fit.
-    pub fn alloc_from_slice<T: Clone>(&self, src: &[T]) -> DeviceResult<DeviceBuffer<T>> {
-        let bytes = std::mem::size_of_val(src);
-        self.reserve(bytes)?;
-        Ok(DeviceBuffer {
-            data: src.to_vec(),
-            charged_bytes: bytes,
-            pool: self.clone(),
-        })
-    }
-
-    /// Allocate a buffer by taking ownership of `data`, charging its capacity.
-    ///
-    /// # Errors
-    /// Returns [`DeviceError::OutOfDeviceMemory`] if the backing bytes do not fit.
-    pub fn adopt_vec<T>(&self, data: Vec<T>) -> DeviceResult<DeviceBuffer<T>> {
-        let bytes = data.len() * std::mem::size_of::<T>();
-        self.reserve(bytes)?;
-        Ok(DeviceBuffer {
-            data,
-            charged_bytes: bytes,
-            pool: self.clone(),
-        })
-    }
 }
 
-/// A typed allocation charged against a [`MemoryPool`].
-///
-/// Dereferences to a slice; the charge is released when the buffer is dropped.
+/// Bytes charged against a [`MemoryPool`] by [`MemoryPool::reserve`]; dropping
+/// the reservation releases the charge.
 #[derive(Debug)]
-pub struct DeviceBuffer<T> {
-    data: Vec<T>,
-    charged_bytes: usize,
+#[must_use = "dropping a reservation releases its charge at once"]
+pub struct Reservation {
+    bytes: usize,
     pool: MemoryPool,
 }
 
-impl<T> DeviceBuffer<T> {
-    /// Number of elements in the buffer.
+impl Reservation {
+    /// Bytes this reservation charges against its pool.
     #[must_use]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the buffer holds no elements.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Bytes charged against the pool by this buffer.
-    #[must_use]
-    pub fn charged_bytes(&self) -> usize {
-        self.charged_bytes
-    }
-
-    /// Immutable view of the elements.
-    #[must_use]
-    pub fn as_slice(&self) -> &[T] {
-        &self.data
-    }
-
-    /// Mutable view of the elements.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
-    /// Consume the buffer and return the underlying `Vec`, releasing the charge.
-    #[must_use]
-    pub fn into_vec(mut self) -> Vec<T> {
-        std::mem::take(&mut self.data)
+    pub fn bytes(&self) -> usize {
+        self.bytes
     }
 }
 
-impl<T> std::ops::Deref for DeviceBuffer<T> {
-    type Target = [T];
-    fn deref(&self) -> &[T] {
-        &self.data
-    }
-}
-
-impl<T> std::ops::DerefMut for DeviceBuffer<T> {
-    fn deref_mut(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-}
-
-impl<T> Drop for DeviceBuffer<T> {
+impl Drop for Reservation {
     fn drop(&mut self) {
-        self.pool.release(self.charged_bytes);
+        self.pool.inner.used.fetch_sub(self.bytes, Ordering::AcqRel);
     }
 }
 
@@ -284,14 +150,15 @@ const MAX_SHELVED: usize = 32;
 /// A free-list of retired `Vec<T>` backing storage: the buffer-recycling
 /// primitive behind the scratch arenas of the batch execution engine.
 ///
-/// Shelved storage is **host capacity only** and is never charged against a
-/// [`MemoryPool`]: a [`DeviceBuffer`] retired through [`VecShelf::retire`]
-/// first releases its pool charge (via [`DeviceBuffer::into_vec`]), so pool
-/// accounting — and every memory-pressure heuristic built on it — behaves
-/// exactly as if the buffer had been freed and a later reuse were a fresh
-/// allocation.  What recycling saves is host allocator traffic: [`VecShelf::take`]
-/// hands back retained capacity instead of growing a new `Vec` from nothing,
-/// which is the dominant per-iteration cost of the simulated kernels.
+/// Shelved storage is **host memory only** and is never charged against a
+/// [`MemoryPool`]: device memory is charged by the [`Reservation`] of whatever
+/// holds the storage (a region list), taken before the storage leaves the
+/// shelf and dropped when it goes back.  Pool accounting — and every
+/// memory-pressure heuristic built on it — therefore behaves exactly as if
+/// each generation were a fresh allocation.  What recycling saves is host
+/// allocator traffic: [`VecShelf::take`] hands back retained capacity instead
+/// of growing a new `Vec` from nothing, which is the dominant per-iteration
+/// cost of the simulated kernels.
 ///
 /// `take` is deterministic best-fit, so recycling never changes computed
 /// values — a recycled vector is always cleared and refilled by its consumer.
@@ -369,12 +236,6 @@ impl<T> VecShelf<T> {
         free.push(storage);
     }
 
-    /// Retire a device buffer: release its pool charge and shelve its backing
-    /// storage for reuse.
-    pub fn retire(&self, buffer: DeviceBuffer<T>) {
-        self.put(buffer.into_vec());
-    }
-
     /// Number of `take` calls served from retired storage.
     #[must_use]
     pub fn reuse_hits(&self) -> usize {
@@ -405,10 +266,9 @@ mod tests {
         let pool = MemoryPool::new(64 * KIB);
         assert_eq!(pool.usage().used, 0);
         {
-            let buf = pool.alloc_zeroed::<f64>(1024).unwrap();
-            assert_eq!(buf.len(), 1024);
+            let held = pool.reserve(8 * KIB).unwrap();
             assert_eq!(pool.usage().used, 8 * KIB);
-            assert_eq!(buf.charged_bytes(), 8 * KIB);
+            assert_eq!(held.bytes(), 8 * KIB);
         }
         assert_eq!(pool.usage().used, 0);
         assert_eq!(pool.usage().peak, 8 * KIB);
@@ -417,7 +277,7 @@ mod tests {
     #[test]
     fn out_of_memory_is_reported() {
         let pool = MemoryPool::new(KIB);
-        let err = pool.alloc_zeroed::<f64>(1024).unwrap_err();
+        let err = pool.reserve(8 * KIB).unwrap_err();
         match err {
             DeviceError::OutOfDeviceMemory {
                 requested,
@@ -428,73 +288,35 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
-        assert_eq!(pool.failed_allocation_count(), 1);
+        assert_eq!(
+            pool.usage().used,
+            0,
+            "a refused reservation charges nothing"
+        );
     }
 
     #[test]
     fn can_allocate_reflects_occupancy() {
         let pool = MemoryPool::new(16);
         assert!(pool.can_allocate(16));
-        let _buf = pool.alloc_zeroed::<u8>(8).unwrap();
+        let _held = pool.reserve(8).unwrap();
         assert!(pool.can_allocate(8));
         assert!(!pool.can_allocate(9));
-    }
-
-    #[test]
-    fn alloc_with_initialises_by_index() {
-        let pool = MemoryPool::new(KIB);
-        let buf = pool.alloc_with(10, |i| i as u32 * 3).unwrap();
-        assert_eq!(buf.as_slice()[4], 12);
-    }
-
-    #[test]
-    fn alloc_from_slice_copies() {
-        let pool = MemoryPool::new(KIB);
-        let buf = pool.alloc_from_slice(&[1.0f64, 2.0, 3.0]).unwrap();
-        assert_eq!(buf.as_slice(), &[1.0, 2.0, 3.0]);
-        assert_eq!(pool.usage().used, 24);
-    }
-
-    #[test]
-    fn adopt_vec_charges_length() {
-        let pool = MemoryPool::new(KIB);
-        let buf = pool.adopt_vec(vec![0u16; 100]).unwrap();
-        assert_eq!(buf.charged_bytes(), 200);
-        drop(buf);
-        assert_eq!(pool.usage().used, 0);
-    }
-
-    #[test]
-    fn into_vec_releases_charge() {
-        let pool = MemoryPool::new(KIB);
-        let buf = pool.alloc_zeroed::<u8>(100).unwrap();
-        let v = buf.into_vec();
-        assert_eq!(v.len(), 100);
-        assert_eq!(pool.usage().used, 0);
     }
 
     #[test]
     fn clones_share_accounting() {
         let pool = MemoryPool::new(KIB);
         let clone = pool.clone();
-        let _buf = clone.alloc_zeroed::<u8>(512).unwrap();
+        let _held = clone.reserve(512).unwrap();
         assert_eq!(pool.usage().used, 512);
-    }
-
-    #[test]
-    fn utilisation_and_available() {
-        let pool = MemoryPool::new(1000);
-        let _buf = pool.alloc_zeroed::<u8>(250).unwrap();
-        let usage = pool.usage();
-        assert_eq!(usage.available(), 750);
-        assert!((usage.utilisation() - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn zero_capacity_pool_rejects_everything() {
         let pool = MemoryPool::new(0);
-        assert!(pool.alloc_zeroed::<u8>(1).is_err());
-        assert!((pool.usage().utilisation() - 1.0).abs() < 1e-12);
+        assert!(pool.reserve(1).is_err());
+        assert!(!pool.can_allocate(1));
     }
 
     #[test]
@@ -548,17 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn retiring_a_device_buffer_releases_its_charge() {
-        let pool = MemoryPool::new(KIB);
-        let shelf = VecShelf::<f64>::new();
-        let buf = pool.alloc_zeroed::<f64>(64).unwrap();
-        assert_eq!(pool.usage().used, 512);
-        shelf.retire(buf);
-        assert_eq!(pool.usage().used, 0, "shelved storage is uncharged");
-        assert_eq!(shelf.shelved(), 1);
-    }
-
-    #[test]
     fn empty_vectors_are_not_shelved() {
         let shelf = VecShelf::<f64>::new();
         shelf.put(Vec::new());
@@ -576,9 +387,9 @@ mod tests {
                     barrier.wait();
                     let mut held = Vec::new();
                     for _ in 0..100 {
-                        if let Ok(buf) = pool.alloc_zeroed::<u8>(KIB) {
+                        if let Ok(reservation) = pool.reserve(KIB) {
                             assert!(pool.usage().used <= pool.capacity());
-                            held.push(buf);
+                            held.push(reservation);
                             if held.len() > 4 {
                                 held.clear();
                             }

@@ -19,22 +19,6 @@ pub struct KernelTiming {
     pub total: Duration,
     /// Total number of blocks executed across all launches.
     pub blocks: usize,
-    /// Total number of resident-block waves across all launches.  A launch
-    /// whose grid fits within `max_resident_blocks` contributes one wave;
-    /// larger grids are serialised and contribute `ceil(grid / cap)` waves.
-    pub waves: usize,
-}
-
-impl KernelTiming {
-    /// Mean wall time per launch; zero if nothing was recorded.
-    #[must_use]
-    pub fn mean(&self) -> Duration {
-        if self.launches == 0 {
-            Duration::ZERO
-        } else {
-            self.total / self.launches as u32
-        }
-    }
 }
 
 /// Thread-safe accumulator of per-kernel timings.
@@ -50,22 +34,13 @@ impl DeviceProfile {
         Self::default()
     }
 
-    /// Record one launch of `kernel` that ran `blocks` blocks in a single
-    /// wave in `elapsed`.  Equivalent to [`DeviceProfile::record_launch`] with
-    /// one wave.
+    /// Record one launch of `kernel` that ran `blocks` blocks in `elapsed`.
     pub fn record(&self, kernel: &str, blocks: usize, elapsed: Duration) {
-        self.record_launch(kernel, blocks, 1, elapsed);
-    }
-
-    /// Record one launch of `kernel` that ran `blocks` blocks serialised into
-    /// `waves` resident-block waves in `elapsed`.
-    pub fn record_launch(&self, kernel: &str, blocks: usize, waves: usize, elapsed: Duration) {
         let mut records = self.records.lock();
         let entry = records.entry(kernel.to_owned()).or_default();
         entry.launches += 1;
         entry.total += elapsed;
         entry.blocks += blocks;
-        entry.waves += waves;
     }
 
     /// Timing for one kernel, if any launches were recorded.
@@ -82,12 +57,6 @@ impl DeviceProfile {
             .iter()
             .map(|(k, v)| (k.clone(), *v))
             .collect()
-    }
-
-    /// Total wall time across all kernels.
-    #[must_use]
-    pub fn total_time(&self) -> Duration {
-        self.records.lock().values().map(|t| t.total).sum()
     }
 
     /// Fraction of total kernel time spent in kernels whose name starts with `prefix`.
@@ -107,11 +76,6 @@ impl DeviceProfile {
             .sum();
         matching.as_secs_f64() / total.as_secs_f64()
     }
-
-    /// Remove all recorded timings.
-    pub fn reset(&self) {
-        self.records.lock().clear();
-    }
 }
 
 #[cfg(test)]
@@ -127,18 +91,6 @@ mod tests {
         assert_eq!(t.launches, 2);
         assert_eq!(t.blocks, 30);
         assert_eq!(t.total, Duration::from_millis(10));
-        assert_eq!(t.mean(), Duration::from_millis(5));
-    }
-
-    #[test]
-    fn waves_accumulate_across_launches() {
-        let profile = DeviceProfile::new();
-        profile.record_launch("evaluate", 4096, 4, Duration::from_millis(2));
-        profile.record("evaluate", 100, Duration::from_millis(1));
-        let t = profile.kernel("evaluate").unwrap();
-        assert_eq!(t.launches, 2);
-        assert_eq!(t.blocks, 4196);
-        assert_eq!(t.waves, 5);
     }
 
     #[test]
@@ -162,14 +114,6 @@ mod tests {
     fn empty_profile_fraction_is_zero() {
         let profile = DeviceProfile::new();
         assert_eq!(profile.fraction_for_prefix("evaluate"), 0.0);
-        assert_eq!(profile.total_time(), Duration::ZERO);
-    }
-
-    #[test]
-    fn reset_clears_records() {
-        let profile = DeviceProfile::new();
-        profile.record("evaluate", 1, Duration::from_millis(1));
-        profile.reset();
         assert!(profile.snapshot().is_empty());
     }
 
@@ -180,10 +124,5 @@ mod tests {
         profile.record("a", 1, Duration::from_millis(1));
         let names: Vec<String> = profile.snapshot().into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["a".to_string(), "z".to_string()]);
-    }
-
-    #[test]
-    fn mean_of_empty_timing_is_zero() {
-        assert_eq!(KernelTiming::default().mean(), Duration::ZERO);
     }
 }

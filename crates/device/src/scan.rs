@@ -1,94 +1,17 @@
-//! Prefix scans and stream compaction.
+//! Stream compaction.
 //!
-//! PAGANI's filtering step removes the finished regions from the region lists.  On the
-//! GPU this is done with a prefix scan over the activity mask followed by a scatter of
-//! the surviving entries (the Thrust `exclusive_scan` + copy pattern).  The same
-//! primitives are provided here: [`exclusive_scan`] over `usize` counters and
-//! [`compact_by_mask`] / [`compaction_indices`] for the scatter.
+//! PAGANI's filtering step removes the finished regions from the per-region arrays.
+//! On the GPU this is a prefix scan over the activity mask followed by a scatter of
+//! the surviving entries (the Thrust `exclusive_scan` + copy pattern); here
+//! [`compact_by_mask_into`] produces the same survivors in the same order.
 
-use rayon::prelude::*;
-
-/// Chunk length for the two-pass parallel scan.
-const CHUNK: usize = 8192;
-
-/// Exclusive prefix sum of `values`: `out[i] = Σ_{j<i} values[j]`.
+/// Keep only the elements of `values` whose `mask` entry is non-zero,
+/// preserving order, writing them into `out` and reusing its capacity.
 ///
-/// Returns the scanned vector and the total sum.
-#[must_use]
-pub fn exclusive_scan(values: &[usize]) -> (Vec<usize>, usize) {
-    if values.is_empty() {
-        return (Vec::new(), 0);
-    }
-    if values.len() <= CHUNK {
-        let mut out = Vec::with_capacity(values.len());
-        let mut running = 0usize;
-        for &v in values {
-            out.push(running);
-            running += v;
-        }
-        return (out, running);
-    }
-    // Pass 1: per-chunk sums.
-    let chunk_sums: Vec<usize> = values
-        .par_chunks(CHUNK)
-        .map(|chunk| chunk.iter().sum())
-        .collect();
-    // Sequential scan of the (small) chunk-sum array.
-    let mut chunk_offsets = Vec::with_capacity(chunk_sums.len());
-    let mut running = 0usize;
-    for &s in &chunk_sums {
-        chunk_offsets.push(running);
-        running += s;
-    }
-    // Pass 2: local scans offset by the chunk base.
-    let mut out = vec![0usize; values.len()];
-    out.par_chunks_mut(CHUNK)
-        .zip(values.par_chunks(CHUNK))
-        .zip(chunk_offsets.par_iter())
-        .for_each(|((out_chunk, in_chunk), &base)| {
-            let mut local = base;
-            for (o, &v) in out_chunk.iter_mut().zip(in_chunk) {
-                *o = local;
-                local += v;
-            }
-        });
-    (out, running)
-}
-
-/// Destination index for every surviving (mask ≠ 0) element, plus the survivor count.
-///
-/// `indices[i]` is meaningful only where `mask[i] != 0`.
-#[must_use]
-pub fn compaction_indices(mask: &[u8]) -> (Vec<usize>, usize) {
-    let counters: Vec<usize> = mask.iter().map(|&m| usize::from(m != 0)).collect();
-    exclusive_scan(&counters)
-}
-
-/// Keep only the elements of `values` whose `mask` entry is non-zero, preserving order.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-#[must_use]
-pub fn compact_by_mask<T: Clone + Send + Sync>(values: &[T], mask: &[u8]) -> Vec<T> {
-    assert_eq!(
-        values.len(),
-        mask.len(),
-        "compaction requires equal lengths"
-    );
-    // Scan for destination offsets, then gather in parallel: every destination is
-    // produced by exactly one source, so the gather is embarrassingly parallel.
-    let sources = surviving_indices(mask);
-    gather(values, &sources)
-}
-
-/// Like [`compact_by_mask`], but writing into `out`, reusing its capacity.
-///
-/// This is the allocation-free variant used by the scratch-arena execution
-/// path: `out` is cleared and refilled, so repeated iterations recycle one
-/// vector instead of allocating a fresh one per generation.  The gather is
+/// `out` is cleared and refilled, so repeated iterations recycle one vector
+/// instead of allocating a fresh one per generation.  The gather is
 /// sequential — the surviving count per generation is small compared to the
-/// evaluate kernel — and produces exactly the same element order as the
-/// parallel variant.
+/// evaluate kernel.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
@@ -108,61 +31,22 @@ pub fn compact_by_mask_into<T: Clone>(values: &[T], mask: &[u8], out: &mut Vec<T
     );
 }
 
-/// Gather `values[src]` for every index in `sources`.
-///
-/// Used when the surviving-region indices have already been computed once and several
-/// parallel arrays must be compacted consistently.
-#[must_use]
-pub fn gather<T: Clone + Send + Sync>(values: &[T], sources: &[usize]) -> Vec<T> {
-    sources.par_iter().map(|&src| values[src].clone()).collect()
-}
-
-/// Indices of the non-zero entries of `mask`, in order.
-#[must_use]
-pub fn surviving_indices(mask: &[u8]) -> Vec<usize> {
-    mask.iter()
-        .enumerate()
-        .filter(|(_, &m)| m != 0)
-        .map(|(i, _)| i)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    #[test]
-    fn exclusive_scan_small() {
-        let (scan, total) = exclusive_scan(&[1, 2, 3, 4]);
-        assert_eq!(scan, vec![0, 1, 3, 6]);
-        assert_eq!(total, 10);
-    }
-
-    #[test]
-    fn exclusive_scan_empty() {
-        let (scan, total) = exclusive_scan(&[]);
-        assert!(scan.is_empty());
-        assert_eq!(total, 0);
-    }
-
-    #[test]
-    fn exclusive_scan_large_matches_sequential() {
-        let values: Vec<usize> = (0..100_000).map(|i| i % 7).collect();
-        let (scan, total) = exclusive_scan(&values);
-        let mut running = 0;
-        for (i, &v) in values.iter().enumerate() {
-            assert_eq!(scan[i], running, "mismatch at {i}");
-            running += v;
-        }
-        assert_eq!(total, running);
+    fn compact<T: Clone>(values: &[T], mask: &[u8]) -> Vec<T> {
+        let mut out = Vec::new();
+        compact_by_mask_into(values, mask, &mut out);
+        out
     }
 
     #[test]
     fn compact_preserves_order() {
         let values = vec![10, 11, 12, 13, 14];
         let mask = vec![1u8, 0, 1, 0, 1];
-        assert_eq!(compact_by_mask(&values, &mask), vec![10, 12, 14]);
+        assert_eq!(compact(&values, &mask), vec![10, 12, 14]);
     }
 
     #[test]
@@ -173,48 +57,33 @@ mod tests {
         out.push(-1); // stale content must be cleared
         let cap = out.capacity();
         compact_by_mask_into(&values, &mask, &mut out);
-        assert_eq!(out, compact_by_mask(&values, &mask));
+        // The allocating variant: a filter collected into a fresh vector.
+        let allocating: Vec<i32> = values.iter().copied().filter(|v| v % 3 == 0).collect();
+        assert_eq!(out, allocating);
         assert_eq!(out.capacity(), cap, "no reallocation needed");
     }
 
     #[test]
     fn compact_all_or_nothing() {
         let values = vec![1.0, 2.0, 3.0];
-        assert_eq!(compact_by_mask(&values, &[1, 1, 1]), values);
-        assert!(compact_by_mask(&values, &[0, 0, 0]).is_empty());
+        assert_eq!(compact(&values, &[1, 1, 1]), values);
+        assert!(compact(&values, &[0, 0, 0]).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "equal lengths")]
     fn compact_rejects_mismatched_lengths() {
-        let _ = compact_by_mask(&[1, 2, 3], &[1u8]);
-    }
-
-    #[test]
-    fn gather_picks_sources() {
-        let values = vec!["a", "b", "c", "d"];
-        assert_eq!(gather(&values, &[3, 0, 0]), vec!["d", "a", "a"]);
-    }
-
-    #[test]
-    fn surviving_indices_match_mask() {
-        assert_eq!(surviving_indices(&[0, 1, 1, 0, 1]), vec![1, 2, 4]);
+        let _ = compact(&[1, 2, 3], &[1u8]);
     }
 
     proptest! {
-        #[test]
-        fn prop_scan_total_equals_sum(values in proptest::collection::vec(0usize..5, 0..20_000)) {
-            let (_, total) = exclusive_scan(&values);
-            prop_assert_eq!(total, values.iter().sum::<usize>());
-        }
-
         #[test]
         fn prop_compaction_matches_filter(
             values in proptest::collection::vec(-1e6f64..1e6, 0..5000),
             seed in 0u64..u64::MAX,
         ) {
             let mask: Vec<u8> = (0..values.len()).map(|i| ((seed >> (i % 61)) & 1) as u8).collect();
-            let compacted = compact_by_mask(&values, &mask);
+            let compacted = compact(&values, &mask);
             let expected: Vec<f64> = values
                 .iter()
                 .zip(&mask)
@@ -222,17 +91,6 @@ mod tests {
                 .map(|(&v, _)| v)
                 .collect();
             prop_assert_eq!(compacted, expected);
-        }
-
-        #[test]
-        fn prop_gather_of_surviving_indices_equals_compaction(
-            values in proptest::collection::vec(0i64..1000, 0..3000),
-            seed in 0u64..u64::MAX,
-        ) {
-            let mask: Vec<u8> = (0..values.len()).map(|i| ((seed >> (i % 53)) & 1) as u8).collect();
-            let via_gather = gather(&values, &surviving_indices(&mask));
-            let via_compact = compact_by_mask(&values, &mask);
-            prop_assert_eq!(via_gather, via_compact);
         }
     }
 }

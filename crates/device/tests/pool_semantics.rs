@@ -58,7 +58,7 @@ fn nested_reduce_inside_kernel_body_respects_worker_threads_cap() {
     let gauge = Gauge::default();
     let mut sums = vec![0.0f64; 8];
     device
-        .launch_batch("nested.sum", 8, 1, &mut sums, |_ctx, slot| {
+        .launch_batch("nested.sum", 8, 1, &mut sums, |_, slot| {
             // Inside a kernel body we must still be inside the device's
             // 1-thread pool, not the machine-wide default.
             assert_eq!(rayon::current_num_threads(), 1);
@@ -88,7 +88,7 @@ fn nested_parallelism_stays_within_a_multi_thread_cap() {
     let device = Device::new(DeviceConfig::test_small().with_worker_threads(cap));
     let gauge = Gauge::default();
     device
-        .launch("nested.capped", 8, |_ctx| {
+        .launch_batch("nested.capped", 8, 1, &mut [0.0; 8], |_, _| {
             assert_eq!(rayon::current_num_threads(), cap);
             (0..32).into_par_iter().for_each(|_| {
                 gauge.enter();
@@ -111,9 +111,9 @@ fn a_one_thread_device_runs_its_work_on_the_calling_thread() {
     let in_blocks: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
     let mut out = vec![0.0f64; 16];
     device
-        .launch_batch("caller.blocks", 16, 1, &mut out, |ctx, slot| {
+        .launch_batch("caller.blocks", 16, 1, &mut out, |block, slot| {
             in_blocks.lock().unwrap().push(std::thread::current().id());
-            slot[0] = ctx.block_idx as f64;
+            slot[0] = block as f64;
         })
         .unwrap();
     let in_section = device.timed_section("caller.section", || std::thread::current().id());
@@ -143,7 +143,7 @@ fn threads_sharing_a_one_thread_device_never_overlap() {
             scope.spawn(move || {
                 start.wait();
                 device
-                    .launch("shared.sleep", 16, |_ctx| {
+                    .launch_batch("shared.sleep", 16, 1, &mut [0.0; 16], |_, _| {
                         gauge.enter();
                         std::thread::sleep(Duration::from_micros(200));
                         gauge.exit();
@@ -165,8 +165,8 @@ fn a_panicking_kernel_on_a_one_thread_device_leaves_it_usable() {
     let cap_before = rayon::current_num_threads();
     let mut out = vec![0.0f64; 8];
     let launched = catch_unwind(AssertUnwindSafe(|| {
-        device.launch_batch("panics", 8, 1, &mut out, |ctx, _slot| {
-            assert!(ctx.block_idx != 5, "boom at block 5");
+        device.launch_batch("panics", 8, 1, &mut out, |block, _slot| {
+            assert!(block != 5, "boom at block 5");
         })
     }));
     assert!(
@@ -180,8 +180,8 @@ fn a_panicking_kernel_on_a_one_thread_device_leaves_it_usable() {
     let (done, finished) = std::sync::mpsc::channel();
     let second = std::thread::spawn(move || {
         let mut out = vec![0.0f64; 8];
-        let launched = device.launch_batch("after.panic", 8, 1, &mut out, |ctx, slot| {
-            slot[0] = 1.0 + ctx.block_idx as f64;
+        let launched = device.launch_batch("after.panic", 8, 1, &mut out, |block, slot| {
+            slot[0] = 1.0 + block as f64;
         });
         done.send(launched.map(|()| out)).unwrap();
     });
@@ -225,8 +225,8 @@ fn device_launch_batch_is_identical_across_worker_counts() {
             let device = Device::new(DeviceConfig::test_small().with_worker_threads(n));
             let mut out = vec![0.0f64; 3000];
             device
-                .launch_batch("det.map", 3000, 1, &mut out, |ctx, slot| {
-                    slot[0] = (ctx.block_idx as f64).sin() * 1e9;
+                .launch_batch("det.map", 3000, 1, &mut out, |block, slot| {
+                    slot[0] = (block as f64).sin() * 1e9;
                 })
                 .unwrap();
             out.iter().map(|v| v.to_bits()).collect()
@@ -290,7 +290,8 @@ proptest! {
             .num_threads(cap)
             .build()
             .expect("pool build");
-        let run = || pool.install(|| reduce::dot(&values, &values).to_bits());
+        let mask: Vec<u8> = (0..values.len()).map(|i| u8::from(i % 3 != 0)).collect();
+        let run = || pool.install(|| reduce::masked_sum(&values, &mask).to_bits());
         prop_assert_eq!(run(), run());
     }
 }

@@ -114,8 +114,8 @@
 //! ## Pluggable compute backends
 //!
 //! The simulated device is one implementation of the [`ComputeBackend`]
-//! trait — the four-primitive seam (batched launch over flat lane buffers,
-//! memory views, reductions, scans) every layer above is written against.
+//! trait — the three-primitive seam (batched launch over flat lane buffers,
+//! memory views, two reductions) every layer above is written against.
 //! Wrap or replace the backend without touching the algorithm; the bundled
 //! [`CountingBackend`] proves the point by counting launches:
 //!

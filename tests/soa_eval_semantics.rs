@@ -7,6 +7,7 @@ mod common;
 
 use std::sync::Arc;
 
+use pagani::core::evaluate::evaluate_all;
 use pagani::core::region_list::RegionList;
 use pagani::prelude::*;
 use pagani::{CountingBackend, CpuBackend, RegionPack};
@@ -91,6 +92,42 @@ fn counting_backend_sees_exactly_one_batched_launch_per_generation() {
         plain.result.error_estimate.to_bits()
     );
     assert_eq!(counted.result.iterations, plain.result.iterations);
+}
+
+#[test]
+fn one_launch_matches_the_same_regions_in_three_sub_lists() {
+    // A launch covers its whole grid at once and each block writes only its
+    // own slot, so cutting a generation into several launches never moves a
+    // bit, at any worker count.
+    let dim = 3;
+    let rule = pagani::quadrature::GenzMalik::new(dim);
+    let f = FnIntegrand::new(dim, |x: &[f64]| {
+        (5.0 * x[0]).sin() * x[1] + (x[2] * x[0]).exp()
+    });
+    let pool = pagani::device::MemoryPool::new(64 << 20);
+    let arena = ScratchArena::new();
+    let list = RegionList::initial_split(&Region::unit_cube(dim), 15, &pool, &arena).unwrap();
+    assert_eq!(list.len(), 3375);
+    for workers in common::worker_matrix(&[1, 2, 8]) {
+        let device = common::device_with_workers(workers);
+        let evaluate = |list: &RegionList| {
+            let eval = evaluate_all(&device, &rule, &f, list, &arena).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            (bits(&eval.integrals), bits(&eval.errors), eval.split_axes)
+        };
+        let whole = evaluate(&list);
+        let mut parts: (Vec<u64>, Vec<u64>, Vec<usize>) = Default::default();
+        for (start, end) in [(0, 1000), (1000, 2200), (2200, list.len())] {
+            let (lo, hi) = (start * dim, end * dim);
+            let (lefts, lengths) = (&list.lefts()[lo..hi], &list.lengths()[lo..hi]);
+            let sub = RegionList::from_flat_in(dim, lefts, lengths, &pool, &arena).unwrap();
+            let (integrals, errors, axes) = evaluate(&sub);
+            parts.0.extend(integrals);
+            parts.1.extend(errors);
+            parts.2.extend(axes);
+        }
+        assert_eq!(whole, parts, "{workers} workers");
+    }
 }
 
 proptest! {
