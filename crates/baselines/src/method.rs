@@ -105,8 +105,7 @@ impl MethodConfig {
         }
     }
 
-    /// Every method at its paper-default configuration for `tolerances` — the
-    /// sweep the benchmark harness and the comparison example iterate.
+    /// Every method at its paper-default configuration for `tolerances`.
     #[must_use]
     pub fn all(tolerances: Tolerances) -> Vec<MethodConfig> {
         vec![

@@ -24,12 +24,10 @@ pub struct PaganiConfig {
     pub tolerances: Tolerances,
     /// Maximum number of breadth-first iterations.
     pub max_iterations: usize,
-    /// Number of parts each axis is cut into by the initial uniform split
-    /// (Algorithm 2, line 4).  `None` picks the largest `d` with
-    /// `d^dim ≤ initial_region_target`.
-    pub splits_per_axis: Option<usize>,
-    /// Target size of the initial region list when `splits_per_axis` is `None`.
-    /// The paper sizes the initial list to fill the device (2^15 blocks on the V100).
+    /// Target size of the initial region list: the initial uniform split
+    /// (Algorithm 2, line 4) cuts each axis into the largest `d ≥ 2` with
+    /// `d^dim ≤ initial_region_target`.  The paper sizes the initial list to
+    /// fill the device (2^15 blocks on the V100).
     pub initial_region_target: usize,
     /// Whether individual regions may be finished by their relative error (§3.5.1).
     /// Must be disabled for integrands that oscillate between signs.
@@ -48,7 +46,6 @@ impl PaganiConfig {
         Self {
             tolerances,
             max_iterations: 100,
-            splits_per_axis: None,
             initial_region_target: 1 << 15,
             rel_err_filtering: true,
             heuristic_filtering: HeuristicFiltering::Full,
@@ -94,23 +91,9 @@ impl PaganiConfig {
         self
     }
 
-    /// Fix the number of initial splits per axis.
-    #[must_use]
-    pub fn with_splits_per_axis(mut self, d: usize) -> Self {
-        self.splits_per_axis = Some(d);
-        self
-    }
-
     /// The number of parts `d` each axis is cut into for a `dim`-dimensional problem.
-    ///
-    /// # Panics
-    /// Panics if an explicit `splits_per_axis` of zero was configured.
     #[must_use]
     pub fn resolve_splits_per_axis(&self, dim: usize) -> usize {
-        if let Some(d) = self.splits_per_axis {
-            assert!(d >= 1, "splits_per_axis must be at least 1");
-            return d;
-        }
         splits_per_axis(dim, self.initial_region_target)
     }
 }
@@ -169,12 +152,6 @@ mod tests {
         assert_eq!(splits_per_axis(5, 1 << 15), 8);
         // 3 dimensions: 8^3 = 512 ≤ 512 < 9^3.
         assert_eq!(splits_per_axis(3, 512), 8);
-    }
-
-    #[test]
-    fn explicit_splits_override_auto() {
-        let cfg = PaganiConfig::default().with_splits_per_axis(4);
-        assert_eq!(cfg.resolve_splits_per_axis(8), 4);
     }
 
     #[test]

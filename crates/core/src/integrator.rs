@@ -24,10 +24,10 @@
 //! whatever the method: the run stopped within one checkpoint of the request,
 //! carrying its partial statistics.
 //!
-//! In the serving stack this trait is **layer 1**: [`crate::IntegrationService`]
-//! (one device, priority queue, deadline-aware admission) sits on top of it,
-//! and [`crate::MultiDeviceService`] (N lanes, one shared cost model) on top
-//! of that.  `ARCHITECTURE.md` at the repository root draws the full picture.
+//! In the serving stack this trait is **layer 1**: every job a lane claims
+//! runs through it.  [`crate::IntegrationService`] (one device) and
+//! [`crate::MultiDeviceService`] (N lanes) are both facades over one private
+//! scheduler on top of it; `ARCHITECTURE.md` draws the full picture.
 
 use std::time::Duration;
 

@@ -1,9 +1,9 @@
 //! Execution traces: per-iteration statistics and threshold-search probes.
 //!
-//! The trace is what the benchmark harness mines to regenerate Figure 3 (the threshold
-//! search), Figure 9 (generated sub-regions), the tree-shape comparison of Figure 2
-//! and the §4.3.2 performance breakdown.  Collecting it costs a few scalars per
-//! iteration, and every run collects it.
+//! The paper table (`pagani-bench`) reads Figure 3's threshold-search probes and
+//! Figure 2's tree widths from it; Figure 9 reads the result's `regions_generated`
+//! and the §4.3.2 breakdown the device profile.  Collecting it costs a few scalars
+//! per iteration, and every run collects it.
 
 /// One probe of the threshold search (one dotted line of the paper's Figure 3).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -138,8 +138,8 @@
 //! The `examples/` directory contains runnable end-to-end scenarios (quick start, a
 //! cosmology-flavoured likelihood normalisation, a basket-option payoff, a
 //! batch-throughput demo, the threshold search trace of the paper's Figure 3 and a
-//! head-to-head method comparison), and the `pagani-bench` crate regenerates every
-//! figure of the paper's evaluation.
+//! head-to-head method comparison), and the `pagani-bench` crate's `paper` bench
+//! regenerates the paper's evaluation as one table, `BENCH_paper.json`.
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
