@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks of the kernels that make up a PAGANI iteration:
 //! Genz–Malik region evaluation across dimensions, the parallel reductions and stream
-//! compaction of the post-processing step, the threshold search, and region-list
-//! splitting.  These complement the figure benchmarks by pinpointing where the wall
-//! time of §4.3.2 actually goes.
+//! compaction of the post-processing step, the threshold search, and the region list's
+//! in-place filter-and-split.  These complement the figure benchmarks by pinpointing
+//! where the wall time of §4.3.2 actually goes.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use pagani_core::classify::ACTIVE;
@@ -76,6 +76,12 @@ fn bench_reductions(c: &mut Criterion) {
     group.finish();
 }
 
+/// The threshold search over one generation of 100k regions whose errors no
+/// threshold can both freeze within the budget and finish half of, so each
+/// search probes until the direction-change cap gives up: 19 probes at
+/// `100k_regions`'s budget, and 36 at `tight_budget_100k_regions`'s,
+/// a hundredth of it (5D f4 at 5 digits runs failing searches of 39 and 35
+/// probes).
 fn bench_threshold_search(c: &mut Criterion) {
     let mut group = c.benchmark_group("threshold_classify");
     group.sample_size(20);
@@ -83,31 +89,36 @@ fn bench_threshold_search(c: &mut Criterion) {
     let errors: Vec<f64> = (0..n).map(|i| 1e-12 * (1.0 + (i % 977) as f64)).collect();
     let mask = vec![ACTIVE; n];
     let iteration_error: f64 = errors.iter().sum();
-    // One warm arena across iterations, as in the driver loop: candidate-mask
-    // probes recycle shelved storage instead of allocating.
+    // One warm arena across iterations, as in the driver loop: the search's
+    // one mask comes off the shelf instead of being allocated.
     let arena = ScratchArena::new();
-    group.bench_function("100k_regions", |b| {
-        b.iter(|| {
-            let outcome = threshold_classify(&mask, &errors, 1e-6, iteration_error, &arena);
-            arena.put_mask(black_box(outcome).mask);
-        })
-    });
+    for (name, budget) in [("100k_regions", 1e-6), ("tight_budget_100k_regions", 1e-8)] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let outcome = threshold_classify(&mask, &errors, budget, iteration_error, &arena);
+                arena.put_mask(black_box(outcome).mask);
+            })
+        });
+    }
     group.finish();
 }
 
+/// The filter-and-split of one generation: 32k 5D regions, every other one
+/// kept, so each call turns a 32k-region list into the next 32k-region
+/// generation in place.
 fn bench_region_list(c: &mut Criterion) {
     let mut group = c.benchmark_group("region_list");
     group.sample_size(20);
     let pool = MemoryPool::new(4 << 30);
     let arena = ScratchArena::new();
-    let list = RegionList::initial_split(&Region::unit_cube(5), 8, &pool, &arena).unwrap();
+    let mut list = RegionList::initial_split(&Region::unit_cube(5), 8, &pool, &arena).unwrap();
     let axes: Vec<usize> = (0..list.len()).map(|i| i % 5).collect();
     let mask: Vec<u8> = (0..list.len()).map(|i| (i % 2) as u8).collect();
-    group.bench_function("split_all_32k_5d", |b| {
-        b.iter(|| black_box(list.split_all(&axes, &pool, &arena).unwrap().len()))
-    });
-    group.bench_function("filter_32k_5d", |b| {
-        b.iter(|| black_box(list.filter(&mask, &pool, &arena).unwrap().len()))
+    group.bench_function("split_active_32k_5d", |b| {
+        b.iter(|| {
+            list.split_active(&mask, &axes, &pool).unwrap();
+            black_box(list.len())
+        })
     });
     group.finish();
 }

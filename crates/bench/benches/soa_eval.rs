@@ -2,8 +2,8 @@
 //!
 //! The backend redesign replaced `evaluate_all`'s per-region closure
 //! launches (one boxed `RuleEstimate` per block, collected into a fresh `Vec`
-//! every generation) with one batched `launch_batch` over packed
-//! centre/half-width buffers.  This group pins the payoff: `scalar_*`
+//! every generation) with one batched `launch_batch` whose blocks write flat
+//! lanes.  This group pins the payoff: `scalar_*`
 //! replicates the pre-refactor path — per-block locked slots collected into a
 //! `Vec` after the launch — `batched_*` is the live SoA path, both on the
 //! same 8-worker device over an identical generation.  The workload is deliberately launch-bound (2-D rule,

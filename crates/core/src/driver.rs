@@ -21,7 +21,7 @@ use crate::classify::{active_count, rel_err_classify_into};
 use crate::config::{HeuristicFiltering, PaganiConfig};
 use crate::evaluate::{evaluate_all, Evaluation};
 use crate::integrator::{check_cancelled, ensure_matching_dims};
-use crate::region_list::RegionList;
+use crate::region_list::{RegionList, SplitRefusal};
 use crate::resume::{ResumableOutput, ResumeError};
 use crate::threshold::threshold_classify;
 use crate::trace::{ExecutionTrace, IterationRecord, ThresholdSearchRecord, ThresholdTrigger};
@@ -108,10 +108,12 @@ struct Scalars {
     finished_estimate: f64,
     finished_error: f64,
     /// Error frozen specifically by the heuristic threshold classification.
-    /// It is capped at half of the allowed total error so that
-    /// relative-error filtering (whose commitments are proportional to the
-    /// frozen integral mass) always has headroom left and convergence is
-    /// never ruled out by the heuristic alone.
+    /// An estimate-converged search may freeze at most half of the allowed
+    /// total error, leaving relative-error filtering (whose commitments are
+    /// proportional to the frozen integral mass) headroom of its own.  This
+    /// bounds only what the search freezes: relative-error classification can
+    /// still freeze more afterwards and rule convergence out (see the
+    /// Algorithm 3 item in ROADMAP.md).
     threshold_frozen_error: f64,
     function_evaluations: u64,
     regions_generated: u64,
@@ -594,9 +596,11 @@ impl<'a, F: Integrand + ?Sized> Run<'a, F> {
             .scalars
             .previous_cumulative
             .is_some_and(|prev| (cumulative - prev).abs() <= cumulative.abs() * tolerances.rel);
-        // Splitting keeps the filtered copy and the doubled generation alive at
-        // the same time as the current list, so require room for 3× the active
-        // geometry on top of what is already allocated.
+        // Room for 3× the active geometry on top of what is allocated.  The
+        // split's real peak is max(n + a, 3a) for n current and a active
+        // regions, since the current list is released before the children
+        // are reserved, so this check is conservative; it stays as it is
+        // because it decides when the search fires.
         let bytes_needed = RegionList::bytes_for(3 * active_count(mask), self.list.dim());
         let memory_pressure = !self.pagani.device.memory().can_allocate(bytes_needed);
         let trigger = match config.heuristic_filtering {
@@ -618,7 +622,7 @@ impl<'a, F: Integrand + ?Sized> Run<'a, F> {
             ThresholdTrigger::MemoryPressure => headroom,
         };
         let arena = self.arena;
-        let outcome = self.pagani.device.timed_section("threshold.search", || {
+        let mut outcome = self.pagani.device.timed_section("threshold.search", || {
             threshold_classify(mask, &eval.errors, error_budget, generation_error, arena)
         });
         self.trace.threshold_searches.push(ThresholdSearchRecord {
@@ -629,8 +633,10 @@ impl<'a, F: Integrand + ?Sized> Run<'a, F> {
         });
         if outcome.successful {
             self.scalars.threshold_frozen_error += outcome.newly_committed_error;
-            arena.put_mask(std::mem::replace(mask, outcome.mask));
+            std::mem::swap(mask, &mut outcome.mask);
         }
+        // The mask the generation no longer reads goes back on the shelf.
+        arena.put_mask(outcome.mask);
         true
     }
 
@@ -674,31 +680,26 @@ impl<'a, F: Integrand + ?Sized> Run<'a, F> {
             return Err(rerun.reporting(termination));
         }
         let (device, arena) = (&self.pagani.device, self.arena);
-        let pool = device.memory();
-        let filtered = device
-            .timed_section("filter.compact", || self.list.filter(mask, pool, arena))
-            .map_err(|_| rerun.reporting(Termination::MemoryExhausted))?;
+        let list = &mut self.list;
+        let split = device.timed_section("filter.split", || {
+            list.split_active(mask, &eval.split_axes, device.memory())
+        });
+        match split {
+            Ok(()) => {}
+            Err(SplitRefusal::Kept) => return Err(rerun.reporting(Termination::MemoryExhausted)),
+            Err(SplitRefusal::Children) => {
+                // Memory exhausted and no further subdivision possible
+                // (§3.5.2).  The survivors, with this generation's scalars
+                // and no parents, are where a resumed run picks up.
+                if let Some(parents) = self.parents.take() {
+                    arena.put_f64(parents);
+                }
+                return Err(self.stop(Termination::MemoryExhausted));
+            }
+        }
+        self.scalars.regions_generated += self.list.len() as u64;
         let mut active_integrals = arena.take_f64(active);
         scan::compact_by_mask_into(&eval.integrals, mask, &mut active_integrals);
-        let mut active_axes = arena.take_axes(active);
-        scan::compact_by_mask_into(&eval.split_axes, mask, &mut active_axes);
-        std::mem::replace(&mut self.list, filtered).retire(arena);
-        let split = device.timed_section("filter.split", || {
-            self.list.split_all(&active_axes, pool, arena)
-        });
-        arena.put_axes(active_axes);
-        let Ok(children) = split else {
-            // Memory exhausted and no further subdivision possible (§3.5.2).
-            // The survivors, with this generation's scalars and no parents,
-            // are where a resumed run picks up.
-            arena.put_f64(active_integrals);
-            if let Some(parents) = self.parents.take() {
-                arena.put_f64(parents);
-            }
-            return Err(self.stop(Termination::MemoryExhausted));
-        };
-        self.scalars.regions_generated += children.len() as u64;
-        std::mem::replace(&mut self.list, children).retire(arena);
         if let Some(parents) = self.parents.replace(active_integrals) {
             arena.put_f64(parents);
         }

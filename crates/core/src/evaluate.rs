@@ -5,19 +5,21 @@
 //! block/region mapping the CUDA implementation uses — and produces the region's
 //! integral estimate, raw error estimate and recommended split axis.
 //!
-//! Since the backend redesign the whole generation goes through **one batched
-//! structure-of-arrays launch**: the region list's centres and half-widths are
-//! packed into contiguous [`RegionPack`] buffers, every block reads its region
-//! straight out of the pack and writes its [`EVAL_LANES`] result values into its
-//! own slot of one flat output buffer, and the host unpacks the lanes in block
-//! order.  No per-block return values, no per-launch `Vec` of estimates — the
-//! same flat `dRegions`/`dRegionsLength` idiom the CUDA implementation uses.
+//! The whole generation goes through **one batched structure-of-arrays
+//! launch**: every block reads its region's left edges and lengths straight
+//! out of the [`RegionList`], stages its centre and half-widths in its own
+//! scratch with [`RegionList::centered_view`], and writes its [`EVAL_LANES`]
+//! result values into its own slot of one flat output buffer; the host unpacks
+//! the lanes in block order.  No per-block return values, no per-launch `Vec`
+//! of estimates — the same flat `dRegions`/`dRegionsLength` idiom the CUDA
+//! implementation uses.
 //!
-//! Two layers of storage are recycled on the hot path: the pack, the lane buffer
-//! and the per-generation output arrays come from a [`ScratchArena`] (see
-//! [`evaluate_all`]), and the per-block rule scratch ([`EvalScratch`]) is
-//! cached per worker thread, mirroring how a CUDA block reuses its shared-memory
-//! scratch across kernel launches instead of re-allocating it per region.
+//! Two layers of storage are recycled on the hot path: the lane buffer and the
+//! per-generation output arrays come from a [`ScratchArena`] (see
+//! [`evaluate_all`]), and the per-block scratch (the rule's [`EvalScratch`] and
+//! the staged centre and half-widths) is cached per worker thread, mirroring
+//! how a CUDA block reuses its shared-memory scratch across kernel launches
+//! instead of re-allocating it per region.
 
 use std::cell::RefCell;
 
@@ -32,92 +34,6 @@ use crate::region_list::RegionList;
 /// below 2^53, so the round trip is exact).  Every region costs the rule's
 /// [`GenzMalik::num_points`] evaluations, so the count needs no lane.
 pub const EVAL_LANES: usize = 3;
-
-/// A generation of regions packed into contiguous centre/half-width arrays —
-/// the structure-of-arrays input of the batched `evaluate` launch.
-///
-/// Layout is region-major like [`RegionList`]: region `i`'s centre occupies
-/// `centers[i*dim .. (i+1)*dim]`.  The arrays are taken from (and retired to)
-/// a [`ScratchArena`], so steady-state generations allocate nothing.
-#[derive(Debug)]
-pub struct RegionPack {
-    centers: Vec<f64>,
-    halfwidths: Vec<f64>,
-    len: usize,
-    dim: usize,
-}
-
-impl RegionPack {
-    /// Pack `list` into contiguous centre/half-width buffers drawn from
-    /// `arena`.  The per-element arithmetic is exactly
-    /// [`RegionList::centered_view`]'s, so a packed centre is bit-identical
-    /// to the scalar path's.
-    #[must_use]
-    pub fn pack(list: &RegionList, arena: &ScratchArena) -> Self {
-        let values = list.len() * list.dim();
-        let mut centers = arena.take_f64(values);
-        let mut halfwidths = arena.take_f64(values);
-        for (&left, &length) in list.lefts().iter().zip(list.lengths()) {
-            let halfwidth = 0.5 * length;
-            halfwidths.push(halfwidth);
-            centers.push(left + halfwidth);
-        }
-        Self {
-            centers,
-            halfwidths,
-            len: list.len(),
-            dim: list.dim(),
-        }
-    }
-
-    /// Number of packed regions.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the pack is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Dimensionality of the packed regions.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Centre of region `i`.
-    #[must_use]
-    pub fn center_of(&self, i: usize) -> &[f64] {
-        &self.centers[i * self.dim..(i + 1) * self.dim]
-    }
-
-    /// Half-widths of region `i`.
-    #[must_use]
-    pub fn halfwidth_of(&self, i: usize) -> &[f64] {
-        &self.halfwidths[i * self.dim..(i + 1) * self.dim]
-    }
-
-    /// The whole flat centre array, region-major.
-    #[must_use]
-    pub fn centers(&self) -> &[f64] {
-        &self.centers
-    }
-
-    /// The whole flat half-width array, region-major.
-    #[must_use]
-    pub fn halfwidths(&self) -> &[f64] {
-        &self.halfwidths
-    }
-
-    /// Shelve the pack's buffers into `arena` for the next generation.
-    pub fn retire(self, arena: &ScratchArena) {
-        arena.put_f64(self.centers);
-        arena.put_f64(self.halfwidths);
-    }
-}
 
 /// Per-generation output of the evaluate kernel (PAGANI's `V`, `E` and `K` lists).
 #[derive(Debug, Clone)]
@@ -141,22 +57,34 @@ impl Evaluation {
     }
 }
 
-thread_local! {
-    /// This thread's rule scratch, one slot per dimension (the rule supports
-    /// at most 30, so the table stays tiny).
-    static BLOCK_SCRATCH: RefCell<Vec<Option<EvalScratch>>> = const { RefCell::new(Vec::new()) };
+/// One block's scratch: the rule's workspace and the centre and half-widths
+/// its region is staged into.
+struct BlockScratch {
+    rule: EvalScratch,
+    center: Vec<f64>,
+    halfwidth: Vec<f64>,
 }
 
-/// Run `body` with this thread's cached rule scratch for `dim`, creating it on
-/// first use.  The scratch is taken out of its slot for the duration of the
+thread_local! {
+    /// This thread's block scratch, one slot per dimension (the rule supports
+    /// at most 30, so the table stays tiny).
+    static BLOCK_SCRATCH: RefCell<Vec<Option<BlockScratch>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Run `body` with this thread's cached block scratch for `dim`, creating it
+/// on first use.  The scratch is taken out of its slot for the duration of the
 /// call (and put back afterwards), so a re-entrant evaluation on the same
 /// thread finds the slot empty and allocates a fresh scratch instead of
-/// panicking on the borrow.  The rule writes every scratch entry before
-/// reading it, so which scratch a block gets never changes its result.
-fn with_block_scratch<R>(dim: usize, body: impl FnOnce(&mut EvalScratch) -> R) -> R {
+/// panicking on the borrow.  Every scratch entry is written before it is
+/// read, so which scratch a block gets never changes its result.
+fn with_block_scratch<R>(dim: usize, body: impl FnOnce(&mut BlockScratch) -> R) -> R {
     let mut scratch = BLOCK_SCRATCH
         .with(|slots| slots.borrow_mut().get_mut(dim).and_then(Option::take))
-        .unwrap_or_else(|| EvalScratch::new(dim));
+        .unwrap_or_else(|| BlockScratch {
+            rule: EvalScratch::new(dim),
+            center: vec![0.0; dim],
+            halfwidth: vec![0.0; dim],
+        });
     let out = body(&mut scratch);
     BLOCK_SCRATCH.with(|slots| {
         let mut slots = slots.borrow_mut();
@@ -169,9 +97,9 @@ fn with_block_scratch<R>(dim: usize, body: impl FnOnce(&mut EvalScratch) -> R) -
 }
 
 /// Evaluate all regions of `list` with `rule`, one block per region, drawing
-/// the pack, lane and output arrays from `arena`: pack the generation into a
-/// [`RegionPack`], issue **one** batched [`Device::launch_batch`] over it, and
-/// unpack the flat lanes in block order.
+/// the lane and output arrays from `arena`: issue **one** batched
+/// [`Device::launch_batch`] in which block `i` stages region `i`'s centre and
+/// half-widths from the list itself, and unpack the flat lanes in block order.
 ///
 /// # Errors
 /// Propagates launch errors from the device (an empty list is rejected as an empty
@@ -186,19 +114,18 @@ pub fn evaluate_all<F: Integrand + ?Sized>(
     let dim = list.dim();
     debug_assert_eq!(rule.dim(), dim);
     let count = list.len();
-    let pack = RegionPack::pack(list, arena);
     let mut lanes = arena.take_f64(count * EVAL_LANES);
     lanes.resize(count * EVAL_LANES, 0.0);
     let launched = device.launch_batch("evaluate", count, EVAL_LANES, &mut lanes, |i, out| {
-        with_block_scratch(dim, |scratch| {
+        with_block_scratch(dim, |block| {
+            list.centered_view(i, &mut block.center, &mut block.halfwidth);
             let est =
-                rule.evaluate_centered(integrand, pack.center_of(i), pack.halfwidth_of(i), scratch);
+                rule.evaluate_centered(integrand, &block.center, &block.halfwidth, &mut block.rule);
             out[0] = est.integral;
             out[1] = est.error;
             out[2] = est.split_axis as f64;
         });
     });
-    pack.retire(arena);
     if let Err(err) = launched {
         arena.put_f64(lanes);
         return Err(err);
@@ -285,34 +212,6 @@ mod tests {
         let timing = device.profile().kernel("evaluate").unwrap();
         assert_eq!(timing.launches, 1);
         assert_eq!(timing.blocks, 16);
-    }
-
-    #[test]
-    fn pack_matches_centered_view_bit_for_bit() {
-        let (device, _, _) = setup(2, 2);
-        let regions = [
-            Region::new(vec![0.25, -3.0, 10.0], vec![0.75, 4.5, 10.125]),
-            Region::new(vec![-1e-9, 0.0, -5.5], vec![2e-9, 0.1, -2.25]),
-        ];
-        let list = RegionList::from_regions(&regions, device.memory()).unwrap();
-        let arena = ScratchArena::new();
-        let pack = RegionPack::pack(&list, &arena);
-        assert_eq!((pack.len(), pack.dim()), (2, 3));
-        let mut center = vec![0.0; 3];
-        let mut halfwidth = vec![0.0; 3];
-        for i in 0..list.len() {
-            list.centered_view(i, &mut center, &mut halfwidth);
-            for axis in 0..3 {
-                assert_eq!(pack.center_of(i)[axis].to_bits(), center[axis].to_bits());
-                assert_eq!(
-                    pack.halfwidth_of(i)[axis].to_bits(),
-                    halfwidth[axis].to_bits()
-                );
-            }
-        }
-        assert_eq!(pack.centers().len(), 6);
-        assert_eq!(pack.halfwidths().len(), 6);
-        pack.retire(&arena);
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub use cost::{
     job_tolerances, slab_weights, CostKey, CostModel, Ewma,
 };
 pub use driver::{CancelToken, Pagani, PaganiOutput};
-pub use evaluate::{Evaluation, RegionPack, EVAL_LANES};
+pub use evaluate::{Evaluation, EVAL_LANES};
 pub use integrator::{check_cancelled, Capabilities, Integrator, IntegratorFactory};
 pub use multi_device::{DispatchMode, MultiDeviceOutput, MultiDevicePagani, MultiDeviceService};
 // Persistence types, re-exported so service callers need not depend on

@@ -6,15 +6,24 @@
 //! reserves its bytes from the simulated device's [`MemoryPool`] before it fills any
 //! storage, so subdivision fails with `OutOfDeviceMemory` where it would on the V100.
 //!
-//! The generation produced by [`RegionList::split_all`] uses the sibling layout the
-//! `RefineError` kernel expects: splitting `m` parents yields `2m` children with all
-//! left halves in slots `0..m` and all right halves in slots `m..2m`; child `i` and
-//! `i ± m` are siblings and their parent is `i mod m`.
+//! The generation produced by [`RegionList::split_active`] uses the sibling layout the
+//! `RefineError` kernel expects: splitting `m` kept parents yields `2m` children with
+//! all left halves in slots `0..m` and all right halves in slots `m..2m`; child `i` and
+//! `i ± m` are siblings and their parent is the `i mod m`-th kept region.
 
 use pagani_device::{DeviceResult, MemoryPool, Reservation};
 use pagani_quadrature::Region;
 
 use crate::arena::ScratchArena;
+
+/// Which reservation of [`RegionList::split_active`] the pool refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SplitRefusal {
+    /// The kept regions did not fit beside the whole list.
+    Kept,
+    /// The children did not fit beside the kept regions.
+    Children,
+}
 
 /// Structure-of-arrays storage for one generation of sub-regions.
 #[derive(Debug)]
@@ -52,13 +61,13 @@ impl RegionList {
         let charge = pool.reserve(Self::bytes_for(count, dim))?;
         let mut lefts = arena.take_f64(count * dim);
         let mut lengths = arena.take_f64(count * dim);
+        let steps: Vec<f64> = (0..dim).map(|axis| root.extent(axis) / d as f64).collect();
         let mut coords = vec![0usize; dim];
         for _ in 0..count {
-            for (axis, &c) in coords.iter().enumerate() {
-                let step = root.extent(axis) / d as f64;
-                lefts.push(root.lo()[axis] + c as f64 * step);
-                lengths.push(step);
+            for ((&lo, &step), &c) in root.lo().iter().zip(&steps).zip(&coords) {
+                lefts.push(lo + c as f64 * step);
             }
+            lengths.extend_from_slice(&steps);
             for c in coords.iter_mut().rev() {
                 *c += 1;
                 if *c < d {
@@ -214,88 +223,70 @@ impl RegionList {
             .sum()
     }
 
-    /// Keep only the regions whose `mask` entry is non-zero, drawing the
-    /// compacted copy's storage from `arena`.
+    /// Replace this generation with the next, in place: drop the regions
+    /// whose `mask` entry is zero and split every kept one in half along its
+    /// `axes` entry, in the sibling layout of the module docs — the children
+    /// of the `k`-th kept region go to slots `k` and `kept + k`.
+    ///
+    /// Device memory is charged as a copy of the kept regions followed by
+    /// their split would be: the kept regions' bytes are reserved while this
+    /// list is charged, then this list's charge is released, then the
+    /// children's bytes are reserved while the kept regions' are held.
     ///
     /// # Errors
-    /// Returns `OutOfDeviceMemory` if the compacted copy does not fit (the original
-    /// list is still alive while the copy is built, as on the GPU).
+    /// [`SplitRefusal::Kept`] if the kept regions do not fit beside this list,
+    /// which is left as it was; [`SplitRefusal::Children`] if the children do
+    /// not fit beside the kept regions — the condition PAGANI's
+    /// memory-exhaustion handling watches for — and the list then holds just
+    /// the kept regions, in order.
     ///
     /// # Panics
-    /// Panics if `mask.len() != self.len()`.
-    pub fn filter(
-        &self,
+    /// Panics if `mask` or `axes` does not match the list's length, or a kept
+    /// region's axis is out of range.
+    pub fn split_active(
+        &mut self,
         mask: &[u8],
-        pool: &MemoryPool,
-        arena: &ScratchArena,
-    ) -> DeviceResult<Self> {
-        assert_eq!(mask.len(), self.len, "mask length mismatch");
-        let len = mask.iter().filter(|&&m| m != 0).count();
-        let charge = pool.reserve(Self::bytes_for(len, self.dim))?;
-        let mut lefts = arena.take_f64(len * self.dim);
-        let mut lengths = arena.take_f64(len * self.dim);
-        for (i, _) in mask.iter().enumerate().filter(|(_, &m)| m != 0) {
-            lefts.extend_from_slice(self.lefts_of(i));
-            lengths.extend_from_slice(self.lengths_of(i));
-        }
-        Ok(Self {
-            dim: self.dim,
-            len,
-            lefts,
-            lengths,
-            charge,
-        })
-    }
-
-    /// Split every region in half along its per-region `axes` entry, producing the
-    /// next generation in the sibling layout described in the module docs and
-    /// drawing the children's storage from `arena`.
-    ///
-    /// # Errors
-    /// Returns `OutOfDeviceMemory` if the doubled list does not fit while this one is
-    /// still allocated — the condition PAGANI's memory-exhaustion handling watches for.
-    ///
-    /// # Panics
-    /// Panics if `axes.len() != self.len()` or any axis is out of range.
-    pub fn split_all(
-        &self,
         axes: &[usize],
         pool: &MemoryPool,
-        arena: &ScratchArena,
-    ) -> DeviceResult<Self> {
+    ) -> Result<(), SplitRefusal> {
+        assert_eq!(mask.len(), self.len, "mask length mismatch");
         assert_eq!(axes.len(), self.len, "axis list length mismatch");
-        let m = self.len;
         let dim = self.dim;
-        let charge = pool.reserve(Self::bytes_for(2 * m, dim))?;
-        let mut lefts = arena.take_f64(2 * m * dim);
-        lefts.resize(2 * m * dim, 0.0);
-        let mut lengths = arena.take_f64(2 * m * dim);
-        lengths.resize(2 * m * dim, 0.0);
-        for i in 0..m {
-            let axis = axes[i];
+        let kept_parents = || {
+            (mask.iter().zip(axes).enumerate())
+                .filter(|(_, (&m, _))| m != 0)
+                .map(|(i, (_, &axis))| (i, axis))
+        };
+        let kept = mask.iter().filter(|&&m| m != 0).count();
+        let kept_charge = pool
+            .reserve(Self::bytes_for(kept, dim))
+            .map_err(|_| SplitRefusal::Kept)?;
+        drop(std::mem::replace(&mut self.charge, kept_charge));
+        let children_charge = pool.reserve(Self::bytes_for(2 * kept, dim));
+        // Move the kept regions to the front, in order (the `k`-th kept
+        // region never sits below slot `k`); when the children fit, each is
+        // already its left child, with the split axis's length halved.
+        for (k, (i, axis)) in kept_parents().enumerate() {
             assert!(axis < dim, "split axis {axis} out of range for dim {dim}");
-            let src_left = self.lefts_of(i);
-            let src_len = self.lengths_of(i);
-            let half = 0.5 * src_len[axis];
-            // Left child in slot i, right child in slot m + i.
-            let left_slot = &mut lefts[i * dim..(i + 1) * dim];
-            left_slot.copy_from_slice(src_left);
-            let right_slot_start = (m + i) * dim;
-            lefts[right_slot_start..right_slot_start + dim].copy_from_slice(src_left);
-            lefts[right_slot_start + axis] += half;
-
-            lengths[i * dim..(i + 1) * dim].copy_from_slice(src_len);
-            lengths[i * dim + axis] = half;
-            lengths[right_slot_start..right_slot_start + dim].copy_from_slice(src_len);
-            lengths[right_slot_start + axis] = half;
+            self.lefts.copy_within(i * dim..(i + 1) * dim, k * dim);
+            self.lengths.copy_within(i * dim..(i + 1) * dim, k * dim);
+            if children_charge.is_ok() {
+                self.lengths[k * dim + axis] *= 0.5;
+            }
         }
-        Ok(Self {
-            dim,
-            len: 2 * m,
-            lefts,
-            lengths,
-            charge,
-        })
+        let half = kept * dim;
+        self.lefts.truncate(half);
+        self.lengths.truncate(half);
+        self.len = kept;
+        self.charge = children_charge.map_err(|_| SplitRefusal::Children)?;
+        // Right children: the same lengths, the left edge moved up by the half.
+        self.lefts.extend_from_within(..);
+        self.lengths.extend_from_within(..);
+        for (k, (_, axis)) in kept_parents().enumerate() {
+            self.lefts[half + k * dim + axis] += self.lengths[k * dim + axis];
+        }
+        self.len = 2 * kept;
+        Ok(())
     }
 
     /// Consume the list, shelving its backing storage into `arena` for the
@@ -376,30 +367,39 @@ mod tests {
             Region::new(vec![0.0, 0.0], vec![1.0, 1.0]),
             Region::new(vec![2.0, 0.0], vec![4.0, 2.0]),
         ];
-        let list = RegionList::from_regions(&regions, &pool).unwrap();
-        let children = list
-            .split_all(&[0, 1], &pool, &ScratchArena::new())
-            .unwrap();
-        assert_eq!(children.len(), 4);
+        let mut list = RegionList::from_regions(&regions, &pool).unwrap();
+        let volume = list.total_volume();
+        list.split_active(&[1, 1], &[0, 1], &pool).unwrap();
+        assert_eq!(list.len(), 4);
         // Parent 0 split along axis 0: left child occupies [0, 0.5].
-        assert_eq!(children.region(0).hi()[0], 0.5);
-        assert_eq!(children.region(2).lo()[0], 0.5);
+        assert_eq!(list.region(0).hi()[0], 0.5);
+        assert_eq!(list.region(2).lo()[0], 0.5);
         // Parent 1 split along axis 1: left child occupies [0, 1] on axis 1.
-        assert_eq!(children.region(1).hi()[1], 1.0);
-        assert_eq!(children.region(3).lo()[1], 1.0);
+        assert_eq!(list.region(1).hi()[1], 1.0);
+        assert_eq!(list.region(3).lo()[1], 1.0);
         // Volume is conserved.
-        assert!((children.total_volume() - list.total_volume()).abs() < 1e-12);
+        assert!((list.total_volume() - volume).abs() < 1e-12);
     }
 
     #[test]
     fn filter_keeps_marked_regions_in_order() {
         let pool = big_pool();
         let arena = ScratchArena::new();
-        let list = RegionList::initial_split(&Region::unit_cube(1), 4, &pool, &arena).unwrap();
-        let filtered = list.filter(&[0, 1, 0, 1], &pool, &arena).unwrap();
-        assert_eq!(filtered.len(), 2);
-        assert_eq!(filtered.region(0).lo()[0], 0.25);
-        assert_eq!(filtered.region(1).lo()[0], 0.75);
+        let mut list = RegionList::initial_split(&Region::unit_cube(1), 4, &pool, &arena).unwrap();
+        list.split_active(&[0, 1, 0, 1], &[0; 4], &pool).unwrap();
+        // The children of the k-th kept region sit in slots k and kept + k.
+        let lows: Vec<f64> = (0..list.len()).map(|i| list.region(i).lo()[0]).collect();
+        assert_eq!(lows, [0.25, 0.75, 0.375, 0.875]);
+        // Refused children leave the kept regions alone, in order: the pool
+        // holds the list and the kept copy (4 + 3 regions) but not the kept
+        // regions and their children (3 + 6).
+        let tight = MemoryPool::new(RegionList::bytes_for(8, 1));
+        let mut list = RegionList::initial_split(&Region::unit_cube(1), 4, &tight, &arena).unwrap();
+        let refused = list.split_active(&[0, 1, 1, 1], &[0; 4], &tight);
+        assert_eq!(refused, Err(SplitRefusal::Children));
+        assert_eq!(list.lefts(), [0.25, 0.5, 0.75]);
+        assert_eq!(list.lengths(), [0.25; 3]);
+        assert_eq!(list.charged_bytes(), RegionList::bytes_for(3, 1));
     }
 
     #[test]
@@ -407,9 +407,12 @@ mod tests {
         let pool = big_pool();
         {
             let arena = ScratchArena::new();
-            let list = RegionList::initial_split(&Region::unit_cube(3), 4, &pool, &arena).unwrap();
-            let children = list.split_all(&vec![0; list.len()], &pool, &arena).unwrap();
-            assert!(pool.usage().used >= children.charged_bytes());
+            let mut list =
+                RegionList::initial_split(&Region::unit_cube(3), 4, &pool, &arena).unwrap();
+            let len = list.len();
+            list.split_active(&vec![1; len], &vec![0; len], &pool)
+                .unwrap();
+            assert_eq!(pool.usage().used, list.charged_bytes());
         }
         assert_eq!(pool.usage().used, 0);
     }
@@ -432,19 +435,6 @@ mod tests {
             assert_eq!(plain.lefts_of(i), arenad.lefts_of(i));
             assert_eq!(plain.lengths_of(i), arenad.lengths_of(i));
         }
-        let axes = vec![0usize; plain.len()];
-        let mask: Vec<u8> = (0..plain.len()).map(|i| (i % 2) as u8).collect();
-        let plain_children = plain.split_all(&axes, &pool, &fresh()).unwrap();
-        let arena_children = arenad.split_all(&axes, &pool, &arena).unwrap();
-        for i in 0..plain_children.len() {
-            assert_eq!(plain_children.lefts_of(i), arena_children.lefts_of(i));
-        }
-        let plain_filtered = plain.filter(&mask, &pool, &fresh()).unwrap();
-        let arena_filtered = arenad.filter(&mask, &pool, &arena).unwrap();
-        assert_eq!(plain_filtered.len(), arena_filtered.len());
-        for i in 0..plain_filtered.len() {
-            assert_eq!(plain_filtered.lefts_of(i), arena_filtered.lefts_of(i));
-        }
     }
 
     #[test]
@@ -463,13 +453,16 @@ mod tests {
 
     #[test]
     fn split_failure_when_pool_is_tight() {
-        // Pool fits the initial list but not the doubled generation.
+        // Pool fits the initial list and its copy but not the doubled generation.
         let dim = 2;
         let initial = RegionList::bytes_for(16, dim);
-        let pool = MemoryPool::new(initial + RegionList::bytes_for(8, dim));
+        let pool = MemoryPool::new(2 * initial + RegionList::bytes_for(8, dim));
         let arena = ScratchArena::new();
-        let list = RegionList::initial_split(&Region::unit_cube(dim), 4, &pool, &arena).unwrap();
-        assert!(list.split_all(&[0; 16], &pool, &arena).is_err());
+        let mut list =
+            RegionList::initial_split(&Region::unit_cube(dim), 4, &pool, &arena).unwrap();
+        let refused = list.split_active(&[1; 16], &[0; 16], &pool);
+        assert_eq!(refused, Err(SplitRefusal::Children));
+        assert_eq!(list.len(), 16);
     }
 
     #[test]
@@ -480,21 +473,119 @@ mod tests {
         let dim = 2;
         let pool = MemoryPool::new(RegionList::bytes_for(16, dim));
         let arena = ScratchArena::new();
-        let list = RegionList::initial_split(&Region::unit_cube(dim), 4, &pool, &arena).unwrap();
+        let mut list =
+            RegionList::initial_split(&Region::unit_cube(dim), 4, &pool, &arena).unwrap();
+        let (lefts, lengths) = (list.lefts().to_vec(), list.lengths().to_vec());
         let used = pool.usage().used;
         let takes = || arena.reuse_hits() + arena.reuse_misses();
         let before = takes();
         let refusals = [
             RegionList::initial_split(&Region::unit_cube(dim), 4, &pool, &arena).unwrap_err(),
-            list.filter(&[1; 16], &pool, &arena).unwrap_err(),
-            list.split_all(&[0; 16], &pool, &arena).unwrap_err(),
             RegionList::from_flat_in(dim, list.lefts(), list.lengths(), &pool, &arena).unwrap_err(),
         ];
         assert!(refusals
             .iter()
             .all(|e| matches!(e, DeviceError::OutOfDeviceMemory { .. })));
+        let refused = list.split_active(&[1; 16], &[0; 16], &pool);
+        assert_eq!(refused, Err(SplitRefusal::Kept));
+        assert_eq!((list.lefts(), list.lengths()), (&lefts[..], &lengths[..]));
         assert_eq!(takes(), before, "a refused list drew arena storage");
         assert_eq!(pool.usage().used, used);
+    }
+
+    /// The compaction as it was before the split took it over: the kept
+    /// regions copied into a list of their own.
+    fn filter(
+        list: &RegionList,
+        mask: &[u8],
+        pool: &MemoryPool,
+        arena: &ScratchArena,
+    ) -> DeviceResult<RegionList> {
+        let len = mask.iter().filter(|&&m| m != 0).count();
+        let charge = pool.reserve(RegionList::bytes_for(len, list.dim))?;
+        let mut lefts = arena.take_f64(len * list.dim);
+        let mut lengths = arena.take_f64(len * list.dim);
+        for (i, _) in mask.iter().enumerate().filter(|(_, &m)| m != 0) {
+            lefts.extend_from_slice(list.lefts_of(i));
+            lengths.extend_from_slice(list.lengths_of(i));
+        }
+        Ok(RegionList {
+            dim: list.dim,
+            len,
+            lefts,
+            lengths,
+            charge,
+        })
+    }
+
+    /// The split as it was before it took over the compaction.
+    fn split_all(
+        list: &RegionList,
+        axes: &[usize],
+        pool: &MemoryPool,
+        arena: &ScratchArena,
+    ) -> DeviceResult<RegionList> {
+        let (m, dim) = (list.len, list.dim);
+        let charge = pool.reserve(RegionList::bytes_for(2 * m, dim))?;
+        let mut lefts = arena.take_f64(2 * m * dim);
+        lefts.resize(2 * m * dim, 0.0);
+        let mut lengths = arena.take_f64(2 * m * dim);
+        lengths.resize(2 * m * dim, 0.0);
+        for (i, &axis) in axes.iter().enumerate() {
+            let (src_left, src_len) = (list.lefts_of(i), list.lengths_of(i));
+            let half = 0.5 * src_len[axis];
+            let right = (m + i) * dim;
+            lefts[i * dim..(i + 1) * dim].copy_from_slice(src_left);
+            lefts[right..right + dim].copy_from_slice(src_left);
+            lefts[right + axis] += half;
+            lengths[i * dim..(i + 1) * dim].copy_from_slice(src_len);
+            lengths[i * dim + axis] = half;
+            lengths[right..right + dim].copy_from_slice(src_len);
+            lengths[right + axis] = half;
+        }
+        Ok(RegionList {
+            dim,
+            len: 2 * m,
+            lefts,
+            lengths,
+            charge,
+        })
+    }
+
+    /// Filter-then-split as the driver ran it: the compacted copy is made
+    /// while the list is charged, the list is retired, then the copy is split.
+    /// Returns the next generation, or the refusal and the list left behind.
+    fn filter_then_split(
+        list: RegionList,
+        mask: &[u8],
+        axes: &[usize],
+        pool: &MemoryPool,
+        arena: &ScratchArena,
+    ) -> Result<RegionList, (SplitRefusal, RegionList)> {
+        let Ok(filtered) = filter(&list, mask, pool, arena) else {
+            return Err((SplitRefusal::Kept, list));
+        };
+        list.retire(arena);
+        let kept_axes: Vec<usize> = (axes.iter().zip(mask))
+            .filter(|(_, &m)| m != 0)
+            .map(|(&axis, _)| axis)
+            .collect();
+        match split_all(&filtered, &kept_axes, pool, arena) {
+            Ok(children) => {
+                filtered.retire(arena);
+                Ok(children)
+            }
+            Err(_) => Err((SplitRefusal::Children, filtered)),
+        }
+    }
+
+    fn geometry_bits(list: &RegionList) -> (Vec<u64>, Vec<u64>, usize) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        (
+            bits(list.lefts()),
+            bits(list.lengths()),
+            list.charged_bytes(),
+        )
     }
 
     proptest! {
@@ -508,11 +599,12 @@ mod tests {
         ) {
             let pool = MemoryPool::new(256 << 20);
             let arena = ScratchArena::new();
-            let list = RegionList::initial_split(&Region::unit_cube(dim), d, &pool, &arena).unwrap();
-            let axes: Vec<usize> = (0..list.len()).map(|i| (axis_seed + i) % dim).collect();
-            let children = list.split_all(&axes, &pool, &arena).unwrap();
-            prop_assert_eq!(children.len(), 2 * list.len());
-            prop_assert!((children.total_volume() - list.total_volume()).abs() < 1e-10);
+            let mut list = RegionList::initial_split(&Region::unit_cube(dim), d, &pool, &arena).unwrap();
+            let (len, volume) = (list.len(), list.total_volume());
+            let axes: Vec<usize> = (0..len).map(|i| (axis_seed + i) % dim).collect();
+            list.split_active(&vec![1; len], &axes, &pool).unwrap();
+            prop_assert_eq!(list.len(), 2 * len);
+            prop_assert!((list.total_volume() - volume).abs() < 1e-10);
         }
 
         #[test]
@@ -522,14 +614,73 @@ mod tests {
         ) {
             let pool = MemoryPool::new(64 << 20);
             let arena = ScratchArena::new();
-            let list = RegionList::initial_split(&Region::unit_cube(2), d, &pool, &arena).unwrap();
+            let mut list = RegionList::initial_split(&Region::unit_cube(2), d, &pool, &arena).unwrap();
             let mask: Vec<u8> = (0..list.len()).map(|i| ((seed >> (i % 59)) & 1) as u8).collect();
             let expected: f64 = (0..list.len())
                 .filter(|&i| mask[i] != 0)
                 .map(|i| list.lengths_of(i).iter().product::<f64>())
                 .sum();
-            let filtered = list.filter(&mask, &pool, &arena).unwrap();
-            prop_assert!((filtered.total_volume() - expected).abs() < 1e-12);
+            let axes: Vec<usize> = (0..list.len()).map(|i| i % 2).collect();
+            list.split_active(&mask, &axes, &pool).unwrap();
+            prop_assert!((list.total_volume() - expected).abs() < 1e-12);
+        }
+
+        /// The in-place split reproduces filter-then-split bit for bit — the
+        /// next generation, the pool's `used` and `peak`, and at each
+        /// refusal the list left behind — at pool sizes around both
+        /// reservations.
+        #[test]
+        fn prop_split_active_matches_filter_then_split(
+            dim in 1usize..6,
+            count in 1usize..120,
+            lefts in proptest::collection::vec(-10.0f64..10.0, 600..601),
+            lengths in proptest::collection::vec(1e-6f64..5.0, 600..601),
+            axis_codes in proptest::collection::vec(0usize..64, 120..121),
+            keep_per_mille in 0u64..1001,
+            seed in 0u64..u64::MAX,
+            slack in 0usize..4096,
+        ) {
+            let values = count * dim;
+            let (lefts, lengths) = (&lefts[..values], &lengths[..values]);
+            let axes: Vec<usize> = axis_codes[..count].iter().map(|&c| c % dim).collect();
+            let mask: Vec<u8> = (0..count as u64)
+                .map(|i| u8::from((seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15)) % 1000 < keep_per_mille))
+                .collect();
+            let kept = mask.iter().filter(|&&m| m != 0).count();
+            let (whole, kept_bytes) = (RegionList::bytes_for(count, dim), RegionList::bytes_for(kept, dim));
+            // Just short of the kept copy, room for the copy but not the
+            // children (when there is such a size), and room for both.
+            let short = 1 + slack % 64;
+            let capacities = [
+                whole + kept_bytes.saturating_sub(short),
+                (whole + kept_bytes).max((3 * kept_bytes).saturating_sub(short)),
+                (whole + kept_bytes).max(3 * kept_bytes) + slack,
+            ];
+            for capacity in capacities {
+                let (old_pool, new_pool) = (MemoryPool::new(capacity), MemoryPool::new(capacity));
+                let arena = ScratchArena::new();
+                let old_list = RegionList::from_flat_in(dim, lefts, lengths, &old_pool, &arena).unwrap();
+                let mut new_list = RegionList::from_flat_in(dim, lefts, lengths, &new_pool, &arena).unwrap();
+                let old = filter_then_split(old_list, &mask, &axes, &old_pool, &arena);
+                let new = new_list.split_active(&mask, &axes, &new_pool);
+                let (old_outcome, old_list) = match old {
+                    Ok(children) => (Ok(()), children),
+                    Err((refusal, list)) => (Err(refusal), list),
+                };
+                prop_assert_eq!(new, old_outcome);
+                prop_assert_eq!(geometry_bits(&new_list), geometry_bits(&old_list));
+                prop_assert_eq!(new_pool.usage(), old_pool.usage());
+                match new {
+                    Err(SplitRefusal::Kept) => {
+                        prop_assert_eq!(new_list.lefts(), lefts);
+                        prop_assert_eq!(new_list.lengths(), lengths);
+                    }
+                    Err(SplitRefusal::Children) => {
+                        prop_assert_eq!(new_list.charged_bytes(), kept_bytes);
+                    }
+                    Ok(()) => prop_assert_eq!(new_list.len(), 2 * kept),
+                }
+            }
         }
     }
 }

@@ -27,10 +27,17 @@
 //! * The error budget is supplied by the driver as the *remaining headroom* the frozen
 //!   error may still grow into (`PAGANI` computes it from τ_rel·|v_tot|, the error
 //!   already frozen, and a cap on how much of the headroom threshold filtering may
-//!   consume over the whole run).  Because finished error can never be reduced again,
-//!   this guarantees the frozen error never makes convergence impossible — the
-//!   property §3.5.2 states the search must preserve — even when the classification is
-//!   invoked on many consecutive iterations.
+//!   consume over the whole run).  This bounds only what the search itself freezes,
+//!   even when it is invoked on many consecutive iterations.  It does not keep the
+//!   property §3.5.2 asks for — that the frozen error never makes convergence
+//!   impossible: relative-error classification can freeze more error afterwards, and
+//!   finished error is never reduced again.  8D f7 at 3 digits ends `MaxIterations`
+//!   that way (see the Algorithm 3 item in ROADMAP.md).
+//!
+//! Each probe only reads: the regions the relative-error classification already
+//! finished are counted once, and a probe counts and sums just the active regions its
+//! threshold would newly finish.  The search builds one mask: the accepted threshold's,
+//! or a copy of the input when it accepts none.
 
 use crate::arena::ScratchArena;
 use crate::classify::{ACTIVE, FINISHED};
@@ -72,10 +79,8 @@ const MAX_PROBES: usize = 64;
 ///   jeopardising convergence (non-positive budgets return immediately),
 /// * `iteration_error` — summed error estimate of the regions processed this iteration
 ///   (used for the initial average-error threshold),
-/// * `arena` — scratch shelves the candidate masks are drawn from and returned
-///   to, so the probe loop performs no per-probe allocations once the arena is
-///   warm (the returned mask leaves the arena; the driver shelves it when the
-///   generation retires).
+/// * `arena` — scratch shelves the returned mask is drawn from (the driver
+///   shelves it again when the generation retires).
 ///
 /// The newly frozen error reported in the outcome counts only regions that flip from
 /// active to finished; regions already finished by the relative-error classification
@@ -113,6 +118,7 @@ pub fn threshold_classify(
             (lo.min(e), hi.max(e))
         });
 
+    let already_finished = mask.iter().filter(|&&m| m == FINISHED).count();
     let mut threshold = iteration_error / regions as f64; // average error estimate
     let mut budget_fraction = INITIAL_BUDGET_FRACTION;
     let mut probes = Vec::new();
@@ -120,26 +126,21 @@ pub fn threshold_classify(
     let mut last_direction: Option<i8> = None;
 
     for _ in 0..MAX_PROBES {
-        // Apply the candidate threshold: a region is finished if it was already
-        // finished or its error falls below the threshold.  The candidate mask
-        // comes off the arena shelf, so repeated probes recycle one buffer.
-        let mut candidate = arena.take_mask(regions);
-        candidate.extend(mask.iter().zip(errors).map(|(&m, &e)| {
-            if m == FINISHED || e < threshold {
-                FINISHED
-            } else {
-                ACTIVE
+        // A region is finished under the candidate threshold if it was already
+        // finished or its error falls below the threshold; only the active
+        // regions' error is newly frozen, summed in index order from -0.0, as
+        // `Iterator::sum` does.
+        let mut newly_finished = 0usize;
+        let mut committed_error = -0.0;
+        for (&m, &e) in mask.iter().zip(errors) {
+            if m != FINISHED && e < threshold {
+                newly_finished += 1;
+                if m == ACTIVE {
+                    committed_error += e;
+                }
             }
-        }));
-        let finished_count = candidate.iter().filter(|&&m| m == FINISHED).count();
-        // Error newly frozen by the threshold (previously-active regions only).
-        let committed_error: f64 = candidate
-            .iter()
-            .zip(mask)
-            .zip(errors)
-            .filter(|((&c, &m), _)| c == FINISHED && m == ACTIVE)
-            .map(|(_, &e)| e)
-            .sum();
+        }
+        let finished_count = already_finished + newly_finished;
 
         let fraction_finished = finished_count as f64 / regions as f64;
         let budget_used = committed_error / error_budget;
@@ -155,14 +156,21 @@ pub fn threshold_classify(
         });
 
         if accepted {
+            let mut classified = arena.take_mask(regions);
+            classified.extend(mask.iter().zip(errors).map(|(&m, &e)| {
+                if m == FINISHED || e < threshold {
+                    FINISHED
+                } else {
+                    ACTIVE
+                }
+            }));
             return ThresholdOutcome {
-                mask: candidate,
+                mask: classified,
                 newly_committed_error: committed_error,
                 successful: true,
                 probes,
             };
         }
-        arena.put_mask(candidate);
 
         // Decide the search direction: accuracy violations dominate (they make
         // convergence impossible), otherwise free more memory.
@@ -282,9 +290,8 @@ mod tests {
         // A search that needs several probes before accepting (the first
         // probes blow the initial budget fraction, then freeing only the tiny
         // tier misses the memory requirement, and only after the relaxation
-        // does the mid tier fit): every candidate mask after the first must
-        // come off the arena shelf, so the miss counter stays at one however
-        // many probes run.
+        // does the mid tier fit): probes only read, so the search draws one
+        // mask from the arena, for the accepted threshold.
         let mut errors = vec![1e-10; 400];
         errors.extend(vec![1e-5; 300]);
         errors.extend(vec![1e-3; 300]);
@@ -294,19 +301,18 @@ mod tests {
         let out = threshold_classify(&mask, &errors, 1e-2, iteration_error, &arena);
         assert!(out.successful);
         assert!(out.probes.len() > 1, "want a multi-probe search");
-        assert_eq!(
-            arena.reuse_misses(),
-            1,
-            "only the very first probe may allocate"
-        );
-        assert_eq!(arena.reuse_hits(), out.probes.len() - 1);
+        assert_eq!(arena.reuse_misses(), 1, "one mask per search");
+        assert_eq!(arena.reuse_hits(), 0);
         // With the accepted mask shelved again, a second search allocates
-        // nothing at all.
+        // nothing at all, and a failed search also takes one mask.
         arena.put_mask(out.mask);
-        let misses_before = arena.reuse_misses();
         let again = threshold_classify(&mask, &errors, 1e-2, iteration_error, &arena);
         assert!(again.successful);
-        assert_eq!(arena.reuse_misses(), misses_before, "warm arena: no allocs");
+        arena.put_mask(again.mask);
+        let failed = threshold_classify(&mask, &[1e-2; 1000], 1e-6, 10.0, &arena);
+        assert!(!failed.successful);
+        assert_eq!(arena.reuse_misses(), 1, "warm arena: no allocs");
+        assert_eq!(arena.reuse_hits(), 2);
     }
 
     #[test]
@@ -342,8 +348,204 @@ mod tests {
         );
     }
 
+    /// The search as it was before its probes became read-only: every probe
+    /// builds a full candidate mask and reads it twice.  Kept to pin the
+    /// one-pass search to it bit for bit.
+    fn threshold_classify_with_candidate_masks(
+        mask: &[u8],
+        errors: &[f64],
+        error_budget: f64,
+        iteration_error: f64,
+    ) -> ThresholdOutcome {
+        let regions = mask.len();
+        let unchanged = |probes| ThresholdOutcome {
+            mask: mask.to_vec(),
+            newly_committed_error: 0.0,
+            successful: false,
+            probes,
+        };
+        if regions == 0 || error_budget <= 0.0 {
+            return unchanged(Vec::new());
+        }
+        let (min_err, max_err) = errors
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &e| {
+                (lo.min(e), hi.max(e))
+            });
+        let mut threshold = iteration_error / regions as f64;
+        let mut budget_fraction = INITIAL_BUDGET_FRACTION;
+        let mut probes = Vec::new();
+        let mut direction_changes = 0usize;
+        let mut last_direction: Option<i8> = None;
+        for _ in 0..MAX_PROBES {
+            let candidate: Vec<u8> = mask
+                .iter()
+                .zip(errors)
+                .map(|(&m, &e)| {
+                    if m == FINISHED || e < threshold {
+                        FINISHED
+                    } else {
+                        ACTIVE
+                    }
+                })
+                .collect();
+            let finished_count = candidate.iter().filter(|&&m| m == FINISHED).count();
+            let committed_error: f64 = candidate
+                .iter()
+                .zip(mask)
+                .zip(errors)
+                .filter(|((&c, &m), _)| c == FINISHED && m == ACTIVE)
+                .map(|(_, &e)| e)
+                .sum();
+            let fraction_finished = finished_count as f64 / regions as f64;
+            let memory_ok = fraction_finished > MIN_FINISHED_FRACTION;
+            let accuracy_ok = committed_error <= budget_fraction * error_budget;
+            let accepted = memory_ok && accuracy_ok;
+            probes.push(ThresholdProbe {
+                threshold,
+                fraction_finished,
+                budget_fraction: committed_error / error_budget,
+                accepted,
+            });
+            if accepted {
+                return ThresholdOutcome {
+                    mask: candidate,
+                    newly_committed_error: committed_error,
+                    successful: true,
+                    probes,
+                };
+            }
+            let direction: i8 = if accuracy_ok { 1 } else { -1 };
+            if let Some(prev) = last_direction {
+                if prev != direction {
+                    direction_changes += 1;
+                    budget_fraction =
+                        (budget_fraction + BUDGET_RELAXATION).min(MAX_BUDGET_FRACTION);
+                    if direction_changes > MAX_DIRECTION_CHANGES {
+                        break;
+                    }
+                }
+            }
+            last_direction = Some(direction);
+            threshold = if direction < 0 {
+                0.5 * (threshold + min_err)
+            } else {
+                0.5 * (threshold + max_err)
+            };
+        }
+        unchanged(probes)
+    }
+
+    /// Error estimates that make ties at a probed threshold common: codes
+    /// below the palette's length pick zeros, signed zeros, NaN, infinity or
+    /// a repeated value; the rest take the drawn value.
+    fn errors_from(codes: &[usize], values: &[f64]) -> Vec<f64> {
+        const PALETTE: [f64; 9] = [
+            0.0,
+            -0.0,
+            1e-12,
+            1e-9,
+            2e-9,
+            1e-6,
+            1e-3,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        codes
+            .iter()
+            .zip(values)
+            .map(|(&code, &value)| PALETTE.get(code).copied().unwrap_or(value))
+            .collect()
+    }
+
+    /// Masks of every shape the driver hands over: all active, all finished,
+    /// or mixed.
+    fn mask_for(len: usize, shape: u8, seed: u64) -> Vec<u8> {
+        (0..len)
+            .map(|i| match shape {
+                0 => ACTIVE,
+                1 => FINISHED,
+                _ => ((seed >> (i % 61)) & 1) as u8,
+            })
+            .collect()
+    }
+
+    /// Run the search and its candidate-mask original on the same input and
+    /// compare the mask, the frozen error's bits, the verdict and every probe.
+    fn matches_the_candidate_mask_search(
+        mask: &[u8],
+        errors: &[f64],
+        budget: f64,
+        iteration_error: f64,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let probe_bits = |probes: &[ThresholdProbe]| -> Vec<(u64, u64, u64, bool)> {
+            probes
+                .iter()
+                .map(|p| {
+                    (
+                        p.threshold.to_bits(),
+                        p.fraction_finished.to_bits(),
+                        p.budget_fraction.to_bits(),
+                        p.accepted,
+                    )
+                })
+                .collect()
+        };
+        let old = threshold_classify_with_candidate_masks(mask, errors, budget, iteration_error);
+        let new = threshold_classify(mask, errors, budget, iteration_error, &ScratchArena::new());
+        prop_assert_eq!(&new.mask, &old.mask);
+        prop_assert_eq!(
+            new.newly_committed_error.to_bits(),
+            old.newly_committed_error.to_bits()
+        );
+        prop_assert_eq!(new.successful, old.successful);
+        prop_assert_eq!(probe_bits(&new.probes), probe_bits(&old.probes));
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_read_only_probes_match_the_candidate_mask_search(
+            codes in proptest::collection::vec(0usize..16, 0..400),
+            values in proptest::collection::vec(1e-14f64..1e-2, 400..401),
+            shape in 0u8..3,
+            seed in 0u64..u64::MAX,
+            budget in 0.0f64..1e-1,
+            zero_budget in 0u8..4,
+            average in 0u8..2,
+            iteration_error in 1e-12f64..1.0,
+        ) {
+            let errors = errors_from(&codes, &values);
+            let mask = mask_for(errors.len(), shape, seed);
+            let budget = if zero_budget == 0 { 0.0 } else { budget };
+            // Either the errors' own sum, as the driver passes it, or an
+            // unrelated value.
+            let iteration_error = if average == 0 { errors.iter().sum() } else { iteration_error };
+            matches_the_candidate_mask_search(&mask, &errors, budget, iteration_error)?;
+        }
+
+        #[test]
+        fn prop_read_only_probes_match_on_errors_tied_with_the_threshold(
+            value in 0.0f64..1e-3,
+            len_log2 in 0u32..9,
+            drawn in proptest::collection::vec(1e-12f64..1e-3, 256..257),
+            ties in 0u64..u64::MAX,
+            shape in 0u8..3,
+            seed in 0u64..u64::MAX,
+            budget in 1e-12f64..1e-1,
+        ) {
+            // A power-of-two region count makes the first probe's threshold,
+            // the average error, exactly `value`, which the regions picked by
+            // `ties` carry.
+            let len = 1usize << len_log2;
+            let errors: Vec<f64> = (0..len)
+                .map(|i| if (ties >> (i % 64)) & 1 == 1 { value } else { drawn[i] })
+                .collect();
+            let mask = mask_for(len, shape, seed);
+            matches_the_candidate_mask_search(&mask, &errors, budget, value * len as f64)?;
+        }
 
         #[test]
         fn prop_successful_filtering_respects_both_requirements(

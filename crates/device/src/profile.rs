@@ -35,9 +35,13 @@ impl DeviceProfile {
     }
 
     /// Record one launch of `kernel` that ran `blocks` blocks in `elapsed`.
+    /// The name is copied only the first time it is seen.
     pub fn record(&self, kernel: &str, blocks: usize, elapsed: Duration) {
         let mut records = self.records.lock();
-        let entry = records.entry(kernel.to_owned()).or_default();
+        let entry = match records.get_mut(kernel) {
+            Some(entry) => entry,
+            None => records.entry(kernel.to_owned()).or_default(),
+        };
         entry.launches += 1;
         entry.total += elapsed;
         entry.blocks += blocks;

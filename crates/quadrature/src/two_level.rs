@@ -60,17 +60,14 @@ pub fn refine_generation(integrals: &[f64], errors: &mut [f64], parent_integrals
         half,
         "expected one parent per sibling pair"
     );
-    let raw_errors: Vec<f64> = errors.to_vec();
-    for i in 0..integrals.len() {
-        let sibling = if i < half { i + half } else { i - half };
-        let parent = if i < half { i } else { i - half };
-        errors[i] = refine_error(
-            integrals[i],
-            raw_errors[i],
-            integrals[sibling],
-            raw_errors[sibling],
-            parent_integrals[parent],
-        );
+    // Each sibling pair is refined in place from its two raw errors.
+    let (left_integrals, right_integrals) = integrals.split_at(half);
+    let (left_errors, right_errors) = errors.split_at_mut(half);
+    for (i, &parent) in parent_integrals.iter().enumerate() {
+        let (left, right) = (left_errors[i], right_errors[i]);
+        let (left_integral, right_integral) = (left_integrals[i], right_integrals[i]);
+        left_errors[i] = refine_error(left_integral, left, right_integral, right, parent);
+        right_errors[i] = refine_error(right_integral, right, left_integral, left, parent);
     }
 }
 

@@ -157,8 +157,8 @@ pub use pagani_core::batch::integrate_batch;
 pub use pagani_core::{
     Capabilities, CostKey, CostModel, DeadlineInfeasible, DispatchMode, DistributedService,
     Evaluation, IntegrandRegistry, IntegrationService, Integrator, IntegratorFactory, JobHandle,
-    Message, MultiDeviceService, Priority, QueueFull, RegionPack, Rejected, RemoteWorker,
-    ResumableOutput, ResumeError, ServiceBuilder, ServiceMetrics, WaitStats, WireError, EVAL_LANES,
+    Message, MultiDeviceService, Priority, QueueFull, Rejected, RemoteWorker, ResumableOutput,
+    ResumeError, ServiceBuilder, ServiceMetrics, WaitStats, WireError, EVAL_LANES,
     PROTOCOL_VERSION,
 };
 pub use pagani_device::{BackendCaps, ComputeBackend, CountingBackend, CpuBackend};

@@ -1,7 +1,7 @@
 //! Semantics of the structure-of-arrays evaluation path and the pluggable
-//! backend seam: bit-exact golden pins across worker counts, the
-//! pack→unpack round trip, and launch batching observed through
-//! [`CountingBackend`].
+//! backend seam: bit-exact golden pins across worker counts, each block's
+//! lanes against the rule on its own region, and launch batching observed
+//! through [`CountingBackend`].
 
 mod common;
 
@@ -10,13 +10,13 @@ use std::sync::Arc;
 use pagani::core::evaluate::evaluate_all;
 use pagani::core::region_list::RegionList;
 use pagani::prelude::*;
-use pagani::{CountingBackend, CpuBackend, RegionPack};
+use pagani::{CountingBackend, CpuBackend};
 use proptest::prelude::*;
 
 /// Golden results captured from the pre-backend scalar evaluation path.
-/// Estimate and error are pinned to the bit: the SoA pack → batched launch →
-/// unpack pipeline must reproduce the per-region arithmetic exactly, for any
-/// worker count.
+/// Estimate and error are pinned to the bit: the batched launch → unpack
+/// pipeline must reproduce the per-region arithmetic exactly, for any worker
+/// count.
 const GOLDEN: &[(&str, u64, u64, usize, u64, u64)] = &[
     (
         "3D f4",
@@ -133,37 +133,39 @@ fn one_launch_matches_the_same_regions_in_three_sub_lists() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The SoA pack reproduces `RegionList::centered_view`'s centre and
-    /// half-width arithmetic bit-for-bit, region by region.
+    /// Each block's lanes hold exactly what the rule computes on the centre
+    /// and half-widths `RegionList::centered_view` gives for its region.
     #[test]
-    fn prop_region_pack_round_trips_centered_view(
-        dim in 1usize..5,
+    fn prop_block_lanes_match_evaluate_centered_on_centered_view(
+        dim in 2usize..5,
         depth in 1usize..4,
+        workers in 1usize..4,
     ) {
-        let device = common::device_with_workers(1);
+        let device = common::device_with_workers(workers);
         let arena = pagani::prelude::ScratchArena::new();
         let list = RegionList::initial_split(
-            &pagani::quadrature::Region::unit_cube(dim),
+            &pagani::quadrature::Region::new(vec![-0.5; dim], vec![2.25; dim]),
             depth,
             device.memory(),
             &arena,
         )
         .unwrap();
-        let pack = RegionPack::pack(&list, &arena);
-        prop_assert_eq!(pack.len(), list.len());
-        prop_assert_eq!(pack.dim(), dim);
+        let rule = pagani::quadrature::GenzMalik::new(dim);
+        let f = FnIntegrand::new(dim, |x: &[f64]| {
+            x.iter().enumerate().map(|(k, &v)| (v * (k + 2) as f64).sin()).sum::<f64>().exp()
+        });
+        let eval = evaluate_all(&device, &rule, &f, &list, &arena).unwrap();
+        prop_assert_eq!(eval.integrals.len(), list.len());
+        let mut scratch = pagani::quadrature::EvalScratch::new(dim);
         let mut center = vec![0.0; dim];
         let mut halfwidth = vec![0.0; dim];
         for i in 0..list.len() {
             list.centered_view(i, &mut center, &mut halfwidth);
-            for axis in 0..dim {
-                prop_assert_eq!(pack.center_of(i)[axis].to_bits(), center[axis].to_bits());
-                prop_assert_eq!(
-                    pack.halfwidth_of(i)[axis].to_bits(),
-                    halfwidth[axis].to_bits()
-                );
-            }
+            let est = rule.evaluate_centered(&f, &center, &halfwidth, &mut scratch);
+            prop_assert_eq!(eval.integrals[i].to_bits(), est.integral.to_bits());
+            prop_assert_eq!(eval.errors[i].to_bits(), est.error.to_bits());
+            prop_assert_eq!(eval.split_axes[i], est.split_axis);
         }
-        pack.retire(&arena);
+        eval.retire(&arena);
     }
 }
