@@ -2,7 +2,8 @@
 //! Genz–Malik region evaluation across dimensions, the parallel reductions and stream
 //! compaction of the post-processing step, the threshold search, and the region list's
 //! in-place filter-and-split.  These complement the figure benchmarks by pinpointing
-//! where the wall time of §4.3.2 actually goes.
+//! where the wall time of §4.3.2 actually goes.  One group times the service's result
+//! cache at three sizes.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use pagani_core::classify::ACTIVE;
@@ -11,6 +12,7 @@ use pagani_core::threshold::threshold_classify;
 use pagani_core::ScratchArena;
 use pagani_device::{reduce, scan, Device, DeviceConfig, MemoryPool};
 use pagani_integrands::paper::PaperIntegrand;
+use pagani_persist::{CacheKey, CachedResult, ResultCache, Snapshot, SNAPSHOT_FORMAT_VERSION};
 use pagani_quadrature::{EvalScratch, FnIntegrand, GenzMalik, Integrand, Region};
 
 /// One region per iteration.  `genz_malik_evaluate/<dim>` calls f4 through its
@@ -123,6 +125,93 @@ fn bench_region_list(c: &mut Criterion) {
     group.finish();
 }
 
+/// The result cache full at 1k, 10k and 100k entries, each a converged result
+/// plus a one-region 2D snapshot under a unique integrand name, as a service
+/// stores them: a `lookup_result` hit, a `peek_warm_start` of a stored
+/// `(integrand, region)`, a `lookup_snapshot` miss, and a `store` of a new
+/// name, which evicts the least recently used entry.  No operation reads every
+/// entry, so each should cost about the same at every size.
+fn bench_result_cache(c: &mut Criterion) {
+    let mut group = c.benchmark_group("result_cache");
+    group.sample_size(20);
+    let (lo, hi) = ([0.0, 0.0], [1.0, 1.0]);
+    let key = |i: usize| CacheKey::new(&format!("genz-{i:08}"), &lo, &hi, 1e-3, 1e-12);
+    let result = CachedResult {
+        estimate: 1.0,
+        error_estimate: 1e-4,
+        iterations: 2,
+        function_evaluations: 4_000,
+        regions_generated: 64,
+    };
+    let snapshot = Snapshot {
+        version: SNAPSHOT_FORMAT_VERSION,
+        integrand_id: "genz".to_string(),
+        region_lo: lo.to_vec(),
+        region_hi: hi.to_vec(),
+        rel_tol: 1e-3,
+        abs_tol: 1e-12,
+        converged: true,
+        dim: 2,
+        lefts: lo.to_vec(),
+        lengths: hi.to_vec(),
+        parent_integrals: None,
+        finished_estimate: 1.0,
+        finished_error: 1e-4,
+        threshold_frozen_error: 0.0,
+        function_evaluations: 4_000,
+        regions_generated: 64,
+        previous_cumulative: None,
+        next_iteration: 2,
+        latest_estimate: 1.0,
+        latest_error: 1e-4,
+    };
+    // Every entry has the same footprint, so a budget of `n` of them holds
+    // exactly `n`.
+    let probe = ResultCache::new(usize::MAX);
+    probe.store(key(0), Some(result.clone()), Some(snapshot.clone()));
+    let entry_bytes = probe.bytes_used();
+    for n in [1_000usize, 10_000, 100_000] {
+        let cache = ResultCache::new(n * entry_bytes);
+        for i in 0..n {
+            cache.store(key(i), Some(result.clone()), Some(snapshot.clone()));
+        }
+        assert_eq!(cache.len(), n);
+        let (held, absent) = (key(n / 2), key(n));
+        group.bench_function(BenchmarkId::new("lookup_result_hit", n), |b| {
+            b.iter(|| black_box(cache.lookup_result(black_box(&held))))
+        });
+        group.bench_function(BenchmarkId::new("peek_warm_start", n), |b| {
+            b.iter(|| {
+                let k = black_box(&held);
+                black_box(cache.peek_warm_start(
+                    &k.integrand_id,
+                    &k.region_lo_bits,
+                    &k.region_hi_bits,
+                ))
+            })
+        });
+        group.bench_function(BenchmarkId::new("lookup_snapshot_miss", n), |b| {
+            b.iter(|| {
+                let k = black_box(&absent);
+                black_box(cache.lookup_snapshot(
+                    &k.integrand_id,
+                    &k.region_lo_bits,
+                    &k.region_hi_bits,
+                ))
+            })
+        });
+        let mut next = n;
+        group.bench_function(BenchmarkId::new("store_evicting", n), |b| {
+            b.iter(|| {
+                next += 1;
+                cache.store(key(next), Some(result.clone()), Some(snapshot.clone()));
+            })
+        });
+        assert_eq!(cache.len(), n);
+    }
+    group.finish();
+}
+
 /// Per-launch overhead of the substrate itself: a small grid with a trivial
 /// body, repeated.  With the spawn-per-call substrate this was dominated by
 /// OS-thread creation on every launch; the persistent pool pays only queue
@@ -195,6 +284,7 @@ criterion_group!(
     bench_reductions,
     bench_threshold_search,
     bench_region_list,
+    bench_result_cache,
     bench_launch_overhead,
     bench_integrand_suite
 );

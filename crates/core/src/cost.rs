@@ -17,12 +17,19 @@
 //! cost while the model is cold (time predictions start as `None` —
 //! admission is optimistic until the model has seen real work).  Every
 //! completed, uncancelled job feeds its measured wall time back through
-//! [`CostModel::record_job`] into a per-`(family, dim, digits)` bucket
-//! ([`CostKey`]) holding an exponentially-weighted moving average
-//! ([`Ewma`]) of observed wall times, plus one cross-bucket *calibration*
-//! EWMA of microseconds per static cost unit — so even a `(family, dim,
-//! digits)` combination the model has never seen gets a time estimate once
-//! *any* job has been measured, scaled by its static cost.
+//! [`CostModel::record`], under the key it was priced with, into a
+//! per-`(family, dim, digits)` bucket ([`CostKey`]) holding an
+//! exponentially-weighted moving average ([`Ewma`]) of observed wall times,
+//! plus one cross-bucket *calibration* EWMA of microseconds per static cost
+//! unit — so even a `(family, dim, digits)` combination the model has never
+//! seen gets a time estimate once *any* job has been measured, scaled by its
+//! static cost.
+//!
+//! **Bounded.**  The model keeps at most [`CostModel::MAX_BUCKETS`]
+//! buckets: recording into a new bucket when the table is full drops the
+//! least recently *observed* one, and a job whose bucket was dropped is
+//! priced through the calibration, like one never seen.  A service whose
+//! every job has a new integrand name therefore holds a fixed-size table.
 //!
 //! **Feedback never changes results.**  The model observes completions and
 //! influences only *placement* (which lane) and *admission* (whether a
@@ -35,9 +42,11 @@
 //! observation sequence: feeding the same observations in the same order
 //! yields bit-identical state whatever the worker-thread count, and
 //! concurrent recording into *distinct* buckets cannot cross-contaminate
-//! (also pinned in `tests/scheduling_semantics.rs`).
+//! (also pinned in `tests/scheduling_semantics.rs`).  Which buckets the
+//! bound drops is a function of the observation sequence too: recency is
+//! the count of observations, and [`CostModel::predict`] never changes it.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -337,9 +346,21 @@ pub(crate) fn ledger_charge(key: &CostKey, predicted: Option<Duration>) -> f64 {
 }
 
 #[derive(Debug)]
+struct Bucket {
+    /// EWMA of measured wall time, in microseconds.
+    time: Ewma,
+    /// The observation count at the bucket's last observation: its key in
+    /// `ModelState::recency`.
+    observed: u64,
+}
+
+#[derive(Debug)]
 struct ModelState {
-    /// Per-bucket EWMA of measured wall time, in microseconds.
-    buckets: HashMap<CostKey, Ewma>,
+    /// At most [`CostModel::MAX_BUCKETS`] buckets.
+    buckets: HashMap<CostKey, Bucket>,
+    /// Every bucket once, under its `observed` count: least recently
+    /// observed first.
+    recency: BTreeMap<u64, CostKey>,
     /// Cross-bucket calibration: EWMA of measured microseconds per static
     /// cost unit.  Turns [`estimated_cost`] into a time estimate for buckets
     /// the model has never observed.
@@ -349,7 +370,8 @@ struct ModelState {
 }
 
 /// The measured cost model: per-[`CostKey`] EWMA buckets of observed wall
-/// times over the static [`estimated_cost`] fallback.
+/// times over the static [`estimated_cost`] fallback, at most
+/// [`CostModel::MAX_BUCKETS`] of them.
 ///
 /// Shared by every lane of a [`crate::MultiDeviceService`] (buckets pool
 /// their learning across devices) and owned per
@@ -394,12 +416,20 @@ impl CostModel {
     /// The default smoothing factor: recent runs weigh 25%.
     pub const DEFAULT_ALPHA: f64 = 0.25;
 
+    /// The most buckets a model keeps.  Recording into a new bucket when
+    /// this many are held drops the least recently observed one.  A service
+    /// whose jobs fall into fewer `(family, dim, digits)` buckets keeps
+    /// every one; a service whose every job brings a new integrand name
+    /// keeps a table of fixed size.
+    pub const MAX_BUCKETS: usize = 4096;
+
     /// A fresh model with the default smoothing factor.
     #[must_use]
     pub fn new() -> Self {
         Self {
             state: Mutex::new(ModelState {
                 buckets: HashMap::new(),
+                recency: BTreeMap::new(),
                 micros_per_unit: Ewma::new(Self::DEFAULT_ALPHA),
                 observations: 0,
             }),
@@ -407,36 +437,52 @@ impl CostModel {
     }
 
     /// Fold one measured wall time into `key`'s bucket (and the cross-bucket
-    /// calibration).  The service records every completed, *uncancelled* job
-    /// here — cancelled runs carry partial wall times that would bias the
-    /// average low.
+    /// calibration), making it the most recently observed bucket; a new
+    /// bucket in a full table drops the least recently observed one.  The
+    /// service records every completed, *uncancelled* job here, under the
+    /// key it was priced with — cancelled runs carry partial wall times that
+    /// would bias the average low.
     pub fn record(&self, key: &CostKey, wall_time: Duration) {
         let micros = (wall_time.as_secs_f64() * 1e6).clamp(0.0, cost_ceiling());
-        let mut state = lock(&self.state);
-        state
-            .buckets
-            .entry(key.clone())
-            .or_insert_with(|| Ewma::new(Self::DEFAULT_ALPHA))
-            .observe(micros);
+        let mut guard = lock(&self.state);
+        let state = &mut *guard;
+        let stamp = state.observations;
+        match state.buckets.get_mut(key) {
+            Some(bucket) => {
+                bucket.time.observe(micros);
+                let last = std::mem::replace(&mut bucket.observed, stamp);
+                let filed = state.recency.remove(&last).expect("a bucket is filed");
+                state.recency.insert(stamp, filed);
+            }
+            None => {
+                if state.buckets.len() >= Self::MAX_BUCKETS {
+                    let (_, oldest) = state.recency.pop_first().expect("a full table");
+                    state.buckets.remove(&oldest);
+                }
+                let mut time = Ewma::new(Self::DEFAULT_ALPHA);
+                time.observe(micros);
+                let bucket = Bucket {
+                    time,
+                    observed: stamp,
+                };
+                state.buckets.insert(key.clone(), bucket);
+                state.recency.insert(stamp, key.clone());
+            }
+        }
         let per_unit = micros / key.static_cost();
         state.micros_per_unit.observe(per_unit);
         state.observations += 1;
     }
 
-    /// [`CostModel::record`] keyed by a job ([`CostKey::for_job`]).
-    pub fn record_job(&self, job: &BatchJob, default_tolerances: Tolerances, wall_time: Duration) {
-        self.record(&CostKey::for_job(job, default_tolerances), wall_time);
-    }
-
     /// Predicted wall time for a job in `key`'s bucket: the bucket's own EWMA
-    /// when the bucket has been observed, otherwise the calibration scaled by
-    /// the bucket's static cost, otherwise `None` (a cold model refuses to
+    /// when the bucket is held, otherwise the calibration scaled by the
+    /// bucket's static cost, otherwise `None` (a cold model refuses to
     /// guess — deadline admission stays optimistic until real work has been
-    /// measured).
+    /// measured).  Reading a bucket does not count as observing it.
     #[must_use]
     pub fn predict(&self, key: &CostKey) -> Option<Duration> {
         let state = lock(&self.state);
-        let micros = match state.buckets.get(key).and_then(Ewma::value) {
+        let micros = match state.buckets.get(key).and_then(|b| b.time.value()) {
             Some(measured) => measured,
             None => state.micros_per_unit.value()? * key.static_cost(),
         };
@@ -451,16 +497,17 @@ impl CostModel {
         lock(&self.state).observations
     }
 
-    /// Number of distinct `(family, dim, digits)` buckets observed.
+    /// Number of distinct `(family, dim, digits)` buckets held, at most
+    /// [`CostModel::MAX_BUCKETS`].
     #[must_use]
     pub fn bucket_count(&self) -> usize {
         lock(&self.state).buckets.len()
     }
 
-    /// A copy of `key`'s bucket EWMA (microseconds), if observed.
+    /// A copy of `key`'s bucket EWMA (microseconds), if held.
     #[must_use]
     pub fn bucket(&self, key: &CostKey) -> Option<Ewma> {
-        lock(&self.state).buckets.get(key).copied()
+        lock(&self.state).buckets.get(key).map(|b| b.time)
     }
 }
 
@@ -589,5 +636,119 @@ mod tests {
             assert_eq!(cost, cost_ceiling());
         }
         assert!(estimated_cost(1, Tolerances::rel(1e-1)) >= 1.0);
+    }
+
+    /// The `i`-th uniquely named key of a flood.
+    fn unique(i: usize) -> CostKey {
+        key(&format!("unique-{i}"))
+    }
+
+    /// Every bucket of `model` among `keys`, as bits: the surviving state.
+    fn survivors(model: &CostModel, keys: &[CostKey]) -> Vec<Option<(u64, u64)>> {
+        keys.iter()
+            .map(|k| {
+                model
+                    .bucket(k)
+                    .map(|e| (e.value().unwrap().to_bits(), e.samples()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_flood_of_unique_names_stays_within_the_bound() {
+        let model = CostModel::new();
+        for i in 0..200_000 {
+            model.record(&unique(i), Duration::from_micros(100 + (i % 89) as u64));
+            assert!(model.bucket_count() <= CostModel::MAX_BUCKETS, "record {i}");
+        }
+        assert_eq!(model.bucket_count(), CostModel::MAX_BUCKETS);
+        assert_eq!(model.observations(), 200_000);
+        // The newest names survive, the oldest were dropped and are priced
+        // through the calibration like a name never seen.
+        assert!(model.bucket(&unique(199_999)).is_some());
+        assert!(model.bucket(&unique(0)).is_none());
+        let calibrated = model.predict(&unique(0)).unwrap();
+        assert_eq!(Some(calibrated), model.predict(&key("never-seen")));
+    }
+
+    #[test]
+    fn a_steadily_observed_bucket_survives_and_predict_moves_nothing() {
+        // Two models see the same 20 000 records: unique names, and one
+        // family re-observed every 1 000 records.  One of them is also asked
+        // to predict, after every record, a bucket at the old end of the
+        // table, among the next a new name drops; reading it must not save
+        // it.
+        let steady = key("steady");
+        let sequence: Vec<CostKey> = (0..20_000)
+            .map(|i| {
+                if i % 1_000 == 0 {
+                    steady.clone()
+                } else {
+                    unique(i)
+                }
+            })
+            .collect();
+        let (plain, predicting) = (CostModel::new(), CostModel::new());
+        for (i, k) in sequence.iter().enumerate() {
+            let wall = Duration::from_micros(50 + (i % 31) as u64);
+            plain.record(k, wall);
+            predicting.record(k, wall);
+            if i >= CostModel::MAX_BUCKETS {
+                let oldest = &sequence[i + 1 - CostModel::MAX_BUCKETS];
+                assert!(predicting.predict(oldest).is_some());
+            }
+        }
+        assert_eq!(plain.bucket(&steady).map(|e| e.samples()), Some(20));
+        assert_eq!(
+            survivors(&plain, &sequence),
+            survivors(&predicting, &sequence)
+        );
+        assert_eq!(plain.bucket_count(), predicting.bucket_count());
+    }
+
+    #[test]
+    fn surviving_buckets_match_whether_one_or_eight_threads_record() {
+        // One observation sequence over 6 000 keys, several times the bound,
+        // recorded serially and by eight threads taking turns in fixed
+        // 64-observation chunks: the same buckets survive, bit for bit.
+        let mut state = 1u64;
+        let sequence: Vec<(CostKey, Duration)> = (0..12_000u64)
+            .map(|i| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let k = unique(((state >> 33) % 6_000) as usize);
+                (k, Duration::from_micros(40 + i % 97))
+            })
+            .collect();
+        let serial = CostModel::new();
+        for (k, wall) in &sequence {
+            serial.record(k, *wall);
+        }
+        let threaded = CostModel::new();
+        let chunks: Vec<_> = sequence.chunks(64).collect();
+        let turn = (Mutex::new(0usize), std::sync::Condvar::new());
+        std::thread::scope(|scope| {
+            for t in 0..8 {
+                let (chunks, turn, threaded) = (&chunks, &turn, &threaded);
+                scope.spawn(move || {
+                    for c in (t..chunks.len()).step_by(8) {
+                        let guard = turn.1.wait_while(lock(&turn.0), |next| *next != c);
+                        drop(guard.unwrap_or_else(PoisonError::into_inner));
+                        for (k, wall) in chunks[c] {
+                            threaded.record(k, *wall);
+                        }
+                        *lock(&turn.0) = c + 1;
+                        turn.1.notify_all();
+                    }
+                });
+            }
+        });
+        let keys: Vec<CostKey> = (0..6_000).map(unique).collect();
+        assert_eq!(serial.bucket_count(), CostModel::MAX_BUCKETS);
+        assert_eq!(survivors(&serial, &keys), survivors(&threaded, &keys));
+        for k in &keys {
+            assert_eq!(serial.predict(k), threaded.predict(k));
+        }
     }
 }

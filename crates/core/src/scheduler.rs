@@ -93,7 +93,8 @@ impl Book {
 
     /// Charge `ticket` to its column (`sign` 1), or retire it (`sign` −1).
     pub(crate) fn charge(&self, ticket: &Ticket, sign: f64) {
-        lock(&self.ledger)[usize::from(ticket.predicted.is_none())] += sign * ticket.charge;
+        let price = &ticket.price;
+        lock(&self.ledger)[usize::from(price.predicted.is_none())] += sign * price.charge;
     }
 
     /// Both columns: the placement weight.
@@ -107,6 +108,18 @@ impl Book {
     }
 }
 
+/// What pricing a job at submission ([`Scheduler::price`]) yields; a cache
+/// hit is never priced and carries the default.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Price {
+    /// The cost-model bucket the job was priced in, and is recorded under.
+    pub(crate) cost: Option<CostKey>,
+    /// The prediction at submission, scored against the wall time.
+    pub(crate) predicted: Option<Duration>,
+    /// Charged to the ledger of the lane holding the job, retired exactly.
+    pub(crate) charge: f64,
+}
+
 /// One submitted job on its way through a lane.
 pub(crate) struct Ticket {
     /// Submission order: the FIFO tie-break, and the wire job id.
@@ -115,10 +128,7 @@ pub(crate) struct Ticket {
     /// The job's cache key ([`Core::cache_key`]), built once with the ticket.
     pub(crate) key: Option<CacheKey>,
     pub(crate) state: Arc<JobState>,
-    /// Charged to the ledger of the lane holding it, retired exactly.
-    pub(crate) charge: f64,
-    /// The prediction at submission, scored against the wall time.
-    pub(crate) predicted: Option<Duration>,
+    pub(crate) price: Price,
     pub(crate) on_complete: Option<CompletionHook>,
 }
 
@@ -127,7 +137,7 @@ impl std::fmt::Debug for Ticket {
         f.debug_struct("Ticket")
             .field("id", &self.id)
             .field("job", &self.job)
-            .field("charge", &self.charge)
+            .field("charge", &self.price.charge)
             .finish()
     }
 }
@@ -232,9 +242,10 @@ impl<L: Lane> Scheduler<L> {
                 return Ok(self.answer(job, cancel, &hit, on_complete));
             }
         }
-        let (predicted, charge) = self.price(&job, key.as_ref(), exact);
+        let price = self.price(&job, key.as_ref(), exact);
+        let predicted = price.predicted;
         let footprint = estimated_job_footprint_bytes(&job, self.core.config.tolerances);
-        let ticket = self.ticket(job, key, cancel, charge, predicted, on_complete);
+        let ticket = self.ticket(job, key, cancel, price, on_complete);
         let Some(parts) = self.slabs_needed(&ticket.job, footprint) else {
             let admit =
                 |book: &Book, queued, job: &BatchJob| self.refusal(book, queued, job, predicted);
@@ -283,30 +294,28 @@ impl<L: Lane> Scheduler<L> {
         let book = self.lanes[self.place(footprint, false).unwrap_or(0)].book();
         book.obs.submitted.fetch_add(1, AtomicOrdering::Relaxed);
         let outcome = JobOutcome::Finished(book.obs.serve_hit(hit));
-        let ticket = self.ticket(job, None, cancel, 0.0, None, on_complete);
+        let ticket = self.ticket(job, None, cancel, Price::default(), on_complete);
         let handle = JobHandle::detached(Arc::clone(&ticket.state), None);
         settle(&self.core, book, ticket, outcome, false);
         handle
     }
 
-    /// Price `job` once: the cost model's prediction, discounted by what the
-    /// cache holds under `key` (`exact`: a converged result; otherwise a
-    /// non-bumping snapshot peek, so pricing never perturbs LRU order), and
-    /// its [`ledger_charge`].
-    fn price(
-        &self,
-        job: &BatchJob,
-        key: Option<&CacheKey>,
-        exact: bool,
-    ) -> (Option<Duration>, f64) {
-        let tolerances = self.core.config.tolerances;
-        let cost = CostKey::for_job(job, tolerances);
+    /// Price `job` once: its cost-model bucket, the model's prediction,
+    /// discounted by what the cache holds under `key` (`exact`: a converged
+    /// result; otherwise a non-bumping snapshot peek, so pricing never
+    /// perturbs LRU order), and its [`ledger_charge`].
+    fn price(&self, job: &BatchJob, key: Option<&CacheKey>, exact: bool) -> Price {
+        let cost = CostKey::for_job(job, self.core.config.tolerances);
         let predicted = self
             .core
             .model
             .predict(&cost)
             .map(|full| self.remaining(job, key, exact, full));
-        (predicted, ledger_charge(&cost, predicted))
+        Price {
+            charge: ledger_charge(&cost, predicted),
+            cost: Some(cost),
+            predicted,
+        }
     }
 
     /// `full`, less what the cache already holds for `job` under `key`:
@@ -423,7 +432,7 @@ impl<L: Lane> Scheduler<L> {
                 return Some(Duration::ZERO);
             }
         }
-        let predicted = self.price(job, key.as_ref(), false).0?;
+        let predicted = self.price(job, key.as_ref(), false).predicted?;
         let footprint = estimated_job_footprint_bytes(job, self.core.config.tolerances);
         Some(completion(
             self.lanes[self.place(footprint, false)?].book(),
@@ -444,8 +453,7 @@ impl<L: Lane> Scheduler<L> {
         job: BatchJob,
         key: Option<CacheKey>,
         cancel: CancelToken,
-        charge: f64,
-        predicted: Option<Duration>,
+        price: Price,
         on_complete: Option<CompletionHook>,
     ) -> Ticket {
         Ticket {
@@ -453,8 +461,7 @@ impl<L: Lane> Scheduler<L> {
             job,
             key,
             state: Arc::new(JobState::new(cancel)),
-            charge,
-            predicted,
+            price,
             on_complete,
         }
     }
@@ -497,7 +504,7 @@ impl<L: Lane> Scheduler<L> {
             }
         }
         // Charged to no lane: retiring it from lane 0 must change nothing.
-        ticket.charge = 0.0;
+        ticket.price.charge = 0.0;
         count(&self.lanes[0]);
         let handle = JobHandle::detached(Arc::clone(&ticket.state), None);
         let outcome = JobOutcome::Panicked("connection to every remote worker lost".to_owned());
@@ -526,8 +533,9 @@ impl<L: Lane> Scheduler<L> {
     }
 
     /// Cut the job of `parent` into `parts` [`MultiDevicePagani::partition`]
-    /// slabs and file each child — sharing the parent's cancel token and
-    /// deadline, waiting for space below `bound`, if any — with its
+    /// slabs and file each child — sharing the parent's cancel token,
+    /// deadline, prediction and cost-model bucket (same name, dimension and
+    /// tolerances), waiting for space below `bound`, if any — with its
     /// [`slab_weights`] share of the parent's charge, so the children's
     /// charges sum to exactly what the whole job would have charged.  Each
     /// child's completion hook files its outcome with the parent; the last
@@ -542,7 +550,7 @@ impl<L: Lane> Scheduler<L> {
     ) -> JobHandle {
         let (job, cancel) = (&parent.job, &parent.state.cancel);
         let slabs = MultiDevicePagani::partition(job.region(), parts);
-        let weights = slab_weights(parent.charge, &slabs);
+        let weights = slab_weights(parent.price.charge, &slabs);
         let filer = Arc::new(SlabParent {
             state: Arc::clone(&parent.state),
             tolerances: job_tolerances(job, self.core.config.tolerances),
@@ -557,8 +565,11 @@ impl<L: Lane> Scheduler<L> {
                 let hook: CompletionHook = Box::new(move |outcome| filer.file(slab, outcome));
                 let child = job.clone().over(region);
                 let key = self.core.cache_key(&child);
-                let predicted = parent.predicted;
-                let ticket = self.ticket(child, key, cancel.clone(), weight, predicted, Some(hook));
+                let price = Price {
+                    charge: weight,
+                    ..parent.price.clone()
+                };
+                let ticket = self.ticket(child, key, cancel.clone(), price, Some(hook));
                 let Ok((handle, _)) = self.file(ticket, footprint, &Entry::Wait(bound), true)
                 else {
                     unreachable!("a waiting entry is never refused")
@@ -612,9 +623,11 @@ pub(crate) fn settle(core: &Core, book: &Book, ticket: Ticket, outcome: JobOutco
             }
         } else if learn {
             let wall_time = output.result.wall_time;
-            core.model
-                .record_job(&ticket.job, core.config.tolerances, wall_time);
+            if let Some(cost) = &ticket.price.cost {
+                core.model.record(cost, wall_time);
+            }
             if let Some(p) = ticket
+                .price
                 .predicted
                 .map(|p| p.as_secs_f64())
                 .filter(|&p| p > 0.0)

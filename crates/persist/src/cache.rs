@@ -7,6 +7,11 @@
 //! device) and/or a [`Snapshot`] of the region tree (used to warm-start a
 //! request at a different tolerance over the same integrand and region).
 //!
+//! No operation reads every entry: an exact lookup is one hash probe and a
+//! stamp write, a warm-start lookup reads only the entries stored for its
+//! `(integrand id, region)`, and eviction takes the least recently used
+//! entry off an ordered map of recency stamps.
+//!
 //! Two disciplines from ARCHITECTURE.md apply here: the cache uses a single
 //! internal mutex and never acquires another lock while holding it (rule R1,
 //! lock-order acyclicity), and recency is tracked with a logical counter
@@ -14,8 +19,11 @@
 //! result-producing control flow; eviction order is part of which snapshot a
 //! warm start sees).
 
-use std::collections::HashMap;
-use std::sync::Mutex;
+use std::cmp::Reverse;
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::BuildHasher;
+use std::sync::{Arc, Mutex};
 
 use crate::snapshot::Snapshot;
 
@@ -103,6 +111,9 @@ struct Entry {
     snapshot: Option<Snapshot>,
     /// Logical-clock stamp of the last hit or store (rule R4: no `Instant`).
     last_used: u64,
+    /// The stamp `CacheState::lru` files the entry under: `last_used` as of
+    /// its last store or re-filing.  A hit moves only `last_used`.
+    filed: u64,
     bytes: usize,
 }
 
@@ -119,11 +130,69 @@ fn entry_bytes(
 }
 
 struct CacheState {
-    map: HashMap<CacheKey, Entry>,
+    /// Every entry by exact key: an exact lookup is one probe.  Boxed, so
+    /// the table's slots stay small and an eviction moves no entry.
+    map: HashMap<Arc<CacheKey>, Box<Entry>>,
+    /// The keys stored for each `(integrand id, region)`, under
+    /// [`CacheState::region_hash`]; regions whose hashes collide share a
+    /// list, so readers compare the region too.
+    regions: HashMap<u64, Vec<Arc<CacheKey>>>,
+    hasher: RandomState,
+    /// Every entry once, under its `filed` stamp: least recently filed
+    /// first.  Stamps are unique, since each operation takes a fresh one.
+    lru: BTreeMap<u64, Arc<CacheKey>>,
     clock: u64,
     bytes_used: usize,
     byte_budget: usize,
     evictions: u64,
+}
+
+impl CacheState {
+    fn region_hash(&self, integrand_id: &str, lo: &[u64], hi: &[u64]) -> u64 {
+        self.hasher.hash_one((integrand_id, lo, hi))
+    }
+
+    /// The key and snapshot a warm start over `(integrand_id, region)`
+    /// takes: the deepest snapshot (most banked evaluations), ties to the
+    /// tightest tolerance (smallest relative, then absolute, bits) — the
+    /// one that has frozen the least error.
+    fn best_snapshot(
+        &self,
+        integrand_id: &str,
+        lo: &[u64],
+        hi: &[u64],
+    ) -> Option<(&Arc<CacheKey>, &Snapshot)> {
+        self.regions
+            .get(&self.region_hash(integrand_id, lo, hi))?
+            .iter()
+            .filter(|k| {
+                k.integrand_id == integrand_id && k.region_lo_bits == lo && k.region_hi_bits == hi
+            })
+            .filter_map(|k| Some((k, self.map[k].snapshot.as_ref()?)))
+            .max_by_key(|(k, s)| {
+                (
+                    s.function_evaluations,
+                    Reverse(k.rel_bits),
+                    Reverse(k.abs_bits),
+                )
+            })
+    }
+
+    /// Drop `key`'s entry, already taken off `lru`, as an eviction.
+    fn evict(&mut self, key: &Arc<CacheKey>) {
+        let entry = self.map.remove(key).expect("a filed key has an entry");
+        self.bytes_used -= entry.bytes;
+        self.evictions += 1;
+        let hash = self.region_hash(&key.integrand_id, &key.region_lo_bits, &key.region_hi_bits);
+        let keys = self
+            .regions
+            .get_mut(&hash)
+            .expect("a stored key is indexed");
+        keys.retain(|k| !Arc::ptr_eq(k, key));
+        if keys.is_empty() {
+            self.regions.remove(&hash);
+        }
+    }
 }
 
 /// Shared LRU result cache with a byte budget.
@@ -154,6 +223,9 @@ impl ResultCache {
         ResultCache {
             state: Mutex::new(CacheState {
                 map: HashMap::new(),
+                regions: HashMap::new(),
+                hasher: RandomState::new(),
+                lru: BTreeMap::new(),
                 clock: 0,
                 bytes_used: 0,
                 byte_budget,
@@ -183,7 +255,8 @@ impl ResultCache {
     /// bumping the owning entry's recency.
     ///
     /// "Best" is the snapshot with the most banked evaluations — the deepest
-    /// tree, which gives a warm start the largest head start.
+    /// tree, which gives a warm start the largest head start — and among
+    /// equally deep ones the tightest tolerance.
     pub fn lookup_snapshot(
         &self,
         integrand_id: &str,
@@ -193,17 +266,15 @@ impl ResultCache {
         let mut state = self.lock();
         state.clock += 1;
         let clock = state.clock;
+        let key = Arc::clone(
+            state
+                .best_snapshot(integrand_id, region_lo_bits, region_hi_bits)?
+                .0,
+        );
         let entry = state
             .map
-            .iter_mut()
-            .filter(|(k, e)| {
-                e.snapshot.is_some()
-                    && k.integrand_id == integrand_id
-                    && k.region_lo_bits == region_lo_bits
-                    && k.region_hi_bits == region_hi_bits
-            })
-            .max_by_key(|(_, e)| e.snapshot.as_ref().map_or(0, |s| s.function_evaluations))?
-            .1;
+            .get_mut(&key)
+            .expect("an indexed key has an entry");
         entry.last_used = clock;
         entry.snapshot.clone()
     }
@@ -215,8 +286,9 @@ impl ResultCache {
         state.map.get(key).is_some_and(|e| e.result.is_some())
     }
 
-    /// Summarize the best warm-start snapshot for `(integrand, region)`
-    /// without bumping recency, for admission-control cost discounting.
+    /// Summarize the best warm-start snapshot for `(integrand, region)` —
+    /// the one [`ResultCache::lookup_snapshot`] would return — without
+    /// bumping recency, for admission-control cost discounting.
     pub fn peek_warm_start(
         &self,
         integrand_id: &str,
@@ -224,43 +296,54 @@ impl ResultCache {
         region_hi_bits: &[u64],
     ) -> Option<WarmStartInfo> {
         let state = self.lock();
-        state
-            .map
-            .iter()
-            .filter_map(|(k, e)| {
-                let snap = e.snapshot.as_ref()?;
-                (k.integrand_id == integrand_id
-                    && k.region_lo_bits == region_lo_bits
-                    && k.region_hi_bits == region_hi_bits)
-                    .then_some(snap)
-            })
-            .max_by_key(|s| s.function_evaluations)
-            .map(|s| WarmStartInfo {
-                rel_tol: s.rel_tol,
-                abs_tol: s.abs_tol,
-                finished_error: s.finished_error,
-                latest_estimate: s.latest_estimate,
-                function_evaluations: s.function_evaluations,
-                converged: s.converged,
-            })
+        let (_, s) = state.best_snapshot(integrand_id, region_lo_bits, region_hi_bits)?;
+        Some(WarmStartInfo {
+            rel_tol: s.rel_tol,
+            abs_tol: s.abs_tol,
+            finished_error: s.finished_error,
+            latest_estimate: s.latest_estimate,
+            function_evaluations: s.function_evaluations,
+            converged: s.converged,
+        })
     }
 
     /// Store a result and/or snapshot under `key`, merging with any existing
     /// entry (a `None` part leaves the existing part in place) and evicting
-    /// least-recently-used entries until the byte budget is met.
+    /// least-recently-used entries until the byte budget is met.  The stored
+    /// entry is the most recently used, so one larger than the whole budget
+    /// is evicted last, after every other entry.
     pub fn store(&self, key: CacheKey, result: Option<CachedResult>, snapshot: Option<Snapshot>) {
         if result.is_none() && snapshot.is_none() {
             return;
         }
-        let mut state = self.lock();
+        let mut guard = self.lock();
+        let state = &mut *guard;
         state.clock += 1;
         let clock = state.clock;
-        let mut entry = state.map.remove(&key).unwrap_or(Entry {
-            result: None,
-            snapshot: None,
-            last_used: clock,
-            bytes: 0,
-        });
+        let (key, mut entry) = match state.map.remove_entry(&key) {
+            Some((key, entry)) => {
+                state.lru.remove(&entry.filed);
+                (key, entry)
+            }
+            None => {
+                let key = Arc::new(key);
+                let hash =
+                    state.region_hash(&key.integrand_id, &key.region_lo_bits, &key.region_hi_bits);
+                state
+                    .regions
+                    .entry(hash)
+                    .or_default()
+                    .push(Arc::clone(&key));
+                let entry = Box::new(Entry {
+                    result: None,
+                    snapshot: None,
+                    last_used: clock,
+                    filed: clock,
+                    bytes: 0,
+                });
+                (key, entry)
+            }
+        };
         state.bytes_used -= entry.bytes;
         if result.is_some() {
             entry.result = result;
@@ -270,23 +353,28 @@ impl ResultCache {
         }
         entry.bytes = entry_bytes(&key, &entry.result, &entry.snapshot);
         entry.last_used = clock;
+        entry.filed = clock;
         state.bytes_used += entry.bytes;
-        state.map.insert(key.clone(), entry);
-        while state.bytes_used > state.byte_budget && !state.map.is_empty() {
-            let victim = state
+        state.lru.insert(clock, Arc::clone(&key));
+        state.map.insert(key, entry);
+        while state.bytes_used > state.byte_budget {
+            let (filed, victim) = state
+                .lru
+                .pop_first()
+                .expect("an over-budget cache has entries");
+            let entry = state
                 .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty map has a minimum");
-            let evicted = state.map.remove(&victim).expect("victim exists");
-            state.bytes_used -= evicted.bytes;
-            state.evictions += 1;
-            if victim == key {
-                // The fresh entry alone exceeds the budget; drop it outright
-                // rather than evicting the rest of the cache for nothing.
-                break;
+                .get_mut(&victim)
+                .expect("a filed key has an entry");
+            if entry.last_used != filed {
+                // Hit since it was filed: file it again at its current stamp.
+                // Every other entry's stamp is at least its filed one, so
+                // the first entry popped unmoved has the smallest stamp.
+                entry.filed = entry.last_used;
+                state.lru.insert(entry.last_used, victim);
+                continue;
             }
+            state.evict(&victim);
         }
     }
 
@@ -317,9 +405,31 @@ impl ResultCache {
 }
 
 #[cfg(test)]
+impl ResultCache {
+    /// The keys currently held.
+    fn keys(&self) -> std::collections::HashSet<CacheKey> {
+        self.lock().map.keys().map(|k| CacheKey::clone(k)).collect()
+    }
+
+    /// Whether the region index and the recency map each hold every entry
+    /// exactly once, and nothing else: neither grows past the entry count.
+    fn indexes_each_entry_once(&self) -> bool {
+        let state = self.lock();
+        let indexed: usize = state.regions.values().map(Vec::len).sum();
+        indexed == state.map.len()
+            && state.lru.len() == state.map.len()
+            && state
+                .lru
+                .iter()
+                .all(|(&stamp, k)| state.map[k].filed == stamp)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::snapshot::SNAPSHOT_FORMAT_VERSION;
+    use proptest::prelude::*;
 
     fn key(id: &str, rel: f64) -> CacheKey {
         CacheKey::new(id, &[0.0, 0.0], &[1.0, 1.0], rel, 1e-20)
@@ -455,5 +565,209 @@ mod tests {
             gone.is_none(),
             "peeked entry should have been evicted first"
         );
+    }
+
+    #[test]
+    fn warm_start_ties_go_to_the_tightest_tolerance() {
+        // Equally deep snapshots at three tolerances: the winner must not
+        // depend on a fresh cache's hash seed or on the insertion order.
+        let tols = [1e-3, 1e-4, 1e-5];
+        let at = |rel: f64| Snapshot {
+            rel_tol: rel,
+            ..snapshot(500, 4)
+        };
+        for order in [tols, [1e-5, 1e-4, 1e-3]] {
+            for _ in 0..50 {
+                let cache = ResultCache::new(1 << 20);
+                for rel in order {
+                    cache.store(key("f", rel), None, Some(at(rel)));
+                }
+                let k = key("f", 1e-6);
+                let (id, lo, hi) = (&k.integrand_id, &k.region_lo_bits, &k.region_hi_bits);
+                assert_eq!(cache.peek_warm_start(id, lo, hi).unwrap().rel_tol, 1e-5);
+                assert_eq!(cache.lookup_snapshot(id, lo, hi).unwrap().rel_tol, 1e-5);
+            }
+        }
+    }
+
+    /// The scanning cache the indexed one replaced, kept as the reference it
+    /// must match: every warm-start lookup and every eviction reads every
+    /// entry.  Its warm-start scans break ties by the indexed cache's rule
+    /// (most evaluations, then smallest relative and absolute tolerance
+    /// bits); without a tie they are the replaced code exactly.
+    struct ScanCache {
+        map: HashMap<CacheKey, ScanEntry>,
+        clock: u64,
+        bytes_used: usize,
+        byte_budget: usize,
+        evictions: u64,
+    }
+
+    struct ScanEntry {
+        result: Option<CachedResult>,
+        snapshot: Option<Snapshot>,
+        last_used: u64,
+        bytes: usize,
+    }
+
+    impl ScanCache {
+        fn new(byte_budget: usize) -> Self {
+            ScanCache {
+                map: HashMap::new(),
+                clock: 0,
+                bytes_used: 0,
+                byte_budget,
+                evictions: 0,
+            }
+        }
+
+        fn lookup_result(&mut self, key: &CacheKey) -> Option<CachedResult> {
+            self.clock += 1;
+            let entry = self.map.get_mut(key)?;
+            let hit = entry.result.clone()?;
+            entry.last_used = self.clock;
+            Some(hit)
+        }
+
+        fn best(&mut self, k: &CacheKey) -> Option<&mut ScanEntry> {
+            self.map
+                .iter_mut()
+                .filter(|(c, e)| {
+                    e.snapshot.is_some()
+                        && c.integrand_id == k.integrand_id
+                        && c.region_lo_bits == k.region_lo_bits
+                        && c.region_hi_bits == k.region_hi_bits
+                })
+                .max_by_key(|(c, e)| {
+                    let evals = e.snapshot.as_ref().map_or(0, |s| s.function_evaluations);
+                    (evals, Reverse(c.rel_bits), Reverse(c.abs_bits))
+                })
+                .map(|(_, e)| e)
+        }
+
+        fn lookup_snapshot(&mut self, k: &CacheKey) -> Option<Snapshot> {
+            self.clock += 1;
+            let clock = self.clock;
+            let entry = self.best(k)?;
+            entry.last_used = clock;
+            entry.snapshot.clone()
+        }
+
+        fn peek_warm_start(&mut self, k: &CacheKey) -> Option<(f64, f64, u64)> {
+            let s = self.best(k)?.snapshot.as_ref()?;
+            Some((s.rel_tol, s.abs_tol, s.function_evaluations))
+        }
+
+        fn contains_result(&self, key: &CacheKey) -> bool {
+            self.map.get(key).is_some_and(|e| e.result.is_some())
+        }
+
+        fn store(
+            &mut self,
+            key: CacheKey,
+            result: Option<CachedResult>,
+            snapshot: Option<Snapshot>,
+        ) {
+            if result.is_none() && snapshot.is_none() {
+                return;
+            }
+            self.clock += 1;
+            let mut entry = self.map.remove(&key).unwrap_or(ScanEntry {
+                result: None,
+                snapshot: None,
+                last_used: self.clock,
+                bytes: 0,
+            });
+            self.bytes_used -= entry.bytes;
+            if result.is_some() {
+                entry.result = result;
+            }
+            if snapshot.is_some() {
+                entry.snapshot = snapshot;
+            }
+            entry.bytes = entry_bytes(&key, &entry.result, &entry.snapshot);
+            entry.last_used = self.clock;
+            self.bytes_used += entry.bytes;
+            self.map.insert(key.clone(), entry);
+            while self.bytes_used > self.byte_budget && !self.map.is_empty() {
+                let victim = self
+                    .map
+                    .iter()
+                    .min_by_key(|(_, e)| e.last_used)
+                    .map(|(k, _)| k.clone())
+                    .expect("non-empty map has a minimum");
+                let evicted = self.map.remove(&victim).expect("victim exists");
+                self.bytes_used -= evicted.bytes;
+                self.evictions += 1;
+                if victim == key {
+                    break;
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn prop_indexed_cache_matches_the_scanning_cache(
+            budget in 1_500usize..12_000,
+            ops in collection::vec(0u64..u64::MAX, 100..600),
+        ) {
+            // 4 ids x 2 regions x 4 tolerance pairs: few enough keys that
+            // stores merge, lookups hit, evaluations tie and entries are
+            // evicted, re-stored and evicted again.
+            let tols = [(1e-3, 1e-20), (1e-4, 1e-20), (1e-4, 1e-12), (1e-5, 1e-20)];
+            let cache = ResultCache::new(budget);
+            let mut reference = ScanCache::new(budget);
+            for (step, &op) in ops.iter().enumerate() {
+                let field = |shift: u32, n: u64| ((op >> shift) % n) as usize;
+                let (rel, abs) = tols[field(8, 4)];
+                let hi = [1.0, 1.0 + field(12, 2) as f64];
+                let k = CacheKey::new(&format!("f{}", field(16, 4)), &[0.0, 0.0], &hi, rel, abs);
+                // Mostly small snapshots, now and then one that outgrows
+                // the budget on its own.
+                let regions = if field(20, 16) == 0 { 200 } else { 1 + field(24, 12) };
+                let snap = Snapshot {
+                    rel_tol: rel,
+                    abs_tol: abs,
+                    ..snapshot(field(32, 4) as u64, regions)
+                };
+                let res = result(step as u64);
+                let (id, lo, hi) = (&k.integrand_id, &k.region_lo_bits, &k.region_hi_bits);
+                match op % 7 {
+                    0 => {
+                        cache.store(k.clone(), Some(res.clone()), None);
+                        reference.store(k, Some(res), None);
+                    }
+                    1 => {
+                        cache.store(k.clone(), None, Some(snap.clone()));
+                        reference.store(k, None, Some(snap));
+                    }
+                    2 => {
+                        cache.store(k.clone(), Some(res.clone()), Some(snap.clone()));
+                        reference.store(k, Some(res), Some(snap));
+                    }
+                    3 => prop_assert_eq!(cache.lookup_result(&k), reference.lookup_result(&k)),
+                    4 => prop_assert_eq!(
+                        cache.lookup_snapshot(id, lo, hi),
+                        reference.lookup_snapshot(&k)
+                    ),
+                    5 => prop_assert_eq!(
+                        cache
+                            .peek_warm_start(id, lo, hi)
+                            .map(|i| (i.rel_tol, i.abs_tol, i.function_evaluations)),
+                        reference.peek_warm_start(&k)
+                    ),
+                    _ => prop_assert_eq!(cache.contains_result(&k), reference.contains_result(&k)),
+                }
+                prop_assert_eq!(cache.len(), reference.map.len());
+                prop_assert_eq!(cache.bytes_used(), reference.bytes_used);
+                prop_assert_eq!(cache.evictions(), reference.evictions);
+                let held: std::collections::HashSet<CacheKey> =
+                    reference.map.keys().cloned().collect();
+                prop_assert!(cache.keys() == held, "step {step}: different entries held");
+                prop_assert!(cache.indexes_each_entry_once(), "step {step}: stale index");
+            }
+        }
     }
 }
